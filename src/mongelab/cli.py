@@ -202,7 +202,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
 def oracle_map_sup_error(phi, target: ScalarTarget) -> float:
     xs = np.linspace(ORACLE_WINDOW[0], ORACLE_WINDOW[1], 241)
     t_solver = xs + phi.grad(xs.reshape(-1, 1))[:, 0]
-    t_oracle = monotone_map(target)(xs)
+    t_oracle = monotone_map(target, xs).t
     return float(np.max(np.abs(t_solver - t_oracle)))
 
 
@@ -465,9 +465,16 @@ def cmd_oracle(config_path: str, out_dir: Path, seed_override, threads: int) -> 
     target = build_target(_require(cfg, "target", ""), 1)
     grid_cfg = cfg.get("grid", {})
     _check_keys(grid_cfg, {"lo", "hi", "count"}, "grid.")
-    lo = float(grid_cfg.get("lo", -8.0))
-    hi = float(grid_cfg.get("hi", 8.0))
+    try:
+        lo = float(grid_cfg.get("lo", -8.0))
+        hi = float(grid_cfg.get("hi", 8.0))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"grid.lo and grid.hi must be numbers: {exc}") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigError(f"grid.lo and grid.hi must be finite with lo < hi, got {lo!r}, {hi!r}")
     count = _positive_int(grid_cfg.get("count", 2001), "grid.count")
+    if count < 2:
+        raise ConfigError("config key grid.count must be at least 2")
     grid = np.linspace(lo, hi, count)
     transport = monotone_map(target, grid)
     potential = potential_from_map(transport)

@@ -240,6 +240,22 @@ class TestOracleCommand:
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["wasserstein2_sq"] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("grid, field", [
+        ({"count": 1}, "grid.count"),
+        ({"hi": "nan"}, "grid.lo and grid.hi"),
+        ({"lo": "-inf"}, "grid.lo and grid.hi"),
+        ({"lo": 2.0, "hi": 2.0}, "grid.lo and grid.hi"),
+        ({"lo": 3.0, "hi": -3.0}, "grid.lo and grid.hi"),
+    ])
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, grid, field):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "target": {"kind": "gaussian", "mean": [1.0], "sigma": 2.0},
+            "grid": grid,
+        })
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_requires_1d_target(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
             "target": {"kind": "gaussian", "mean": [1.0, 0.0], "sigma": 2.0},

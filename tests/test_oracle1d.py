@@ -1,17 +1,61 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from mongelab import (
     NonIntegrableDensityError,
     ScalarTarget,
     gaussian_target,
+    mixture_target,
     monotone_map,
     potential_from_map,
     quartic_well_target,
+    tabulated_target_1d,
     wasserstein2_sq,
 )
-from mongelab.oracle1d import GRID
+from mongelab.cli import build_target, default_battery
+from mongelab.oracle1d import GRID, _nu_density_table
+
+
+def scalar_reference_map(target):
+    """T on GRID by one brentq call per point on the CDF/SF interpolants."""
+    ys, dens = _nu_density_table(target)
+    cdf = cumulative_simpson(dens, x=ys, initial=0.0)
+    total = cdf[-1]
+    cdf = cdf / total
+    sf = cumulative_simpson(dens[::-1], x=-ys[::-1], initial=0.0)[::-1] / total
+    cdf_interp = PchipInterpolator(ys, cdf)
+    sf_interp = PchipInterpolator(ys, sf)
+
+    def invert(table, interp, qi, increasing):
+        if increasing:
+            k = int(np.searchsorted(table, qi))
+        else:
+            k = len(table) - int(np.searchsorted(table[::-1], qi))
+        k = min(max(k, 1), len(ys) - 1)
+        sign = 1.0 if increasing else -1.0
+        return brentq(lambda y: sign * float(interp(y) - qi), ys[k - 1], ys[k], xtol=1e-12)
+
+    t = np.empty_like(GRID)
+    for i, x in enumerate(GRID):
+        if x <= 0:
+            t[i] = invert(cdf, cdf_interp, float(np.clip(ndtr(x), cdf[1], cdf[-2])), True)
+        else:
+            t[i] = invert(sf, sf_interp, float(np.clip(ndtr(-x), sf[-2], sf[1])), False)
+    return t
+
+
+BATTERY_1D = [(e["name"], build_target(e["target"], 1))
+              for e in default_battery() if e["dim"] == 1]
+KNOTS = np.linspace(-5.0, 5.0, 41)
+REFERENCE_TARGETS = [
+    *(pytest.param(target, id=name) for name, target in BATTERY_1D),
+    pytest.param(mixture_target([0.3, 0.7], [[-1.0], [1.5]], [[0.5], [0.8]]), id="mixture"),
+    pytest.param(tabulated_target_1d(KNOTS, 0.05 * KNOTS**4 - 0.1 * KNOTS**2), id="tabulated-1d"),
+]
 
 
 class TestMonotoneMap:
@@ -34,6 +78,36 @@ class TestMonotoneMap:
         m = monotone_map(tgt)
         f_at_t = np.interp(m.t, m.nu_grid, m.nu_cdf)
         assert np.max(np.abs(f_at_t - ndtr(m.x))) <= 1e-6
+
+    def test_battery_has_twelve_1d_targets(self):
+        kinds = [target.kind for _, target in BATTERY_1D]
+        assert kinds.count("gaussian") == 9 and kinds.count("quartic-well") == 3
+
+    @pytest.mark.parametrize("target", REFERENCE_TARGETS)
+    def test_matches_scalar_reference(self, target):
+        t_ref = scalar_reference_map(target)
+        assert np.max(np.abs(monotone_map(target).t - t_ref)) <= 1e-10
+
+    def test_gaussian_tails_relative(self):
+        # T(+-8) = m + s * (+-8): the right tail is only resolved through
+        # the survival function, the left through the CDF
+        m, s = 1.0, 2.0
+        x = np.array([-8.0, -6.0, 6.0, 8.0])
+        t = monotone_map(gaussian_target([m], s), x).t
+        np.testing.assert_allclose(t, m + s * x, rtol=1e-10, atol=0.0)
+
+    def test_interpolant_built_once(self, monkeypatch):
+        m = monotone_map(quartic_well_target(0.05, 0.0))
+        pot = potential_from_map(m)
+        builds = []
+        monkeypatch.setattr("mongelab.oracle1d.PchipInterpolator",
+                            lambda *a: builds.append(a) or PchipInterpolator(*a))
+        for _ in range(3):
+            m(0.5)
+            m.derivative(0.5)
+            pot(0.5)
+        # potential_from_map already built the map's interpolant; pot builds its own once
+        assert len(builds) == 1
 
     def test_non_integrable_detected(self):
         # e^{-f} = e^{x^4} grows faster than the Gaussian decays
