@@ -34,7 +34,6 @@ from .gaussian import (
     operator_divergence,
     ou_semigroup,
     weighted_divergence,
-    weighted_operator_divergence,
 )
 from .hermite import HermiteBasis, multi_indices
 from .potentials import (

@@ -51,15 +51,20 @@ from .targets import (
 ORACLE_WINDOW = (-3.0, 3.0)
 
 
+def _require_object(cfg, path: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected an object at {path.rstrip('.') or 'top level'}")
+
+
 def _require(cfg: dict, key: str, path: str):
+    _require_object(cfg, path)
     if key not in cfg:
         raise ConfigError(f"missing config key: {path}{key}")
     return cfg[key]
 
 
 def _check_keys(cfg: dict, allowed: set, path: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"expected an object at {path.rstrip('.') or 'top level'}")
+    _require_object(cfg, path)
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {path}{key}")
@@ -113,7 +118,7 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
     raise ConfigError(f"{path}kind: unknown target kind {kind!r}")
 
 
-def build_solve_config(cfg: dict, degree: int, seed: int, path: str = "solver.") -> SolveConfig:
+def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveConfig:
     _check_keys(cfg, {"optimizer", "max_iters", "grad_tol", "grad_tol_soft", "eig_floor"}, path)
     try:
         return SolveConfig(
@@ -123,7 +128,6 @@ def build_solve_config(cfg: dict, degree: int, seed: int, path: str = "solver.")
             grad_tol=float(cfg.get("grad_tol", 1e-8)),
             grad_tol_soft=float(cfg.get("grad_tol_soft", 1e-4)),
             eig_floor=float(cfg.get("eig_floor", 1e-8)),
-            seed=seed,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
@@ -156,11 +160,14 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     seed = cfg.get("seed", default_seed)
     space = build_space(_require(cfg, "quadrature", path), dim, seed, path + "quadrature.")
     target = build_target(_require(cfg, "target", path), dim, path + "target.")
-    solver_cfg = build_solve_config(cfg.get("solver", {}), degree, seed, path + "solver.")
+    solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
+    dual_degree = cfg.get("dual_degree")
+    if dual_degree is not None:
+        _positive_int(dual_degree, path + "dual_degree")
 
     result = solve(space, target, solver_cfg)
     dual = fit_dual(space, target, conjugate(space, result.phi, grid=space.nodes),
-                    degree=cfg.get("dual_degree"))
+                    degree=dual_degree)
     metadata = {
         "name": cfg.get("name", f"{target.kind}-d{dim}"),
         "dim": dim,
@@ -273,7 +280,12 @@ def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> i
     n_list = _require(study_cfg, "n_list", "study.")
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError("study.n_list must be a nonempty list of integers")
-    threshold = float(study_cfg.get("threshold", 1e-2))
+    for i, n in enumerate(n_list):
+        _positive_int(n, f"study.n_list[{i}]")
+    try:
+        threshold = float(study_cfg.get("threshold", 1e-2))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"study.threshold must be a number: {exc}") from exc
     reference = study_cfg.get("reference", "raw")
     if reference not in ("raw", "finest"):
         raise ConfigError(f"study.reference must be 'raw' or 'finest', got {reference!r}")
@@ -283,7 +295,7 @@ def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> i
     seed = cfg.get("seed", 0)
     space = build_space(_require(cfg, "quadrature", ""), dim, seed)
     target = build_target(_require(cfg, "target", ""), dim)
-    solver_cfg = build_solve_config(cfg.get("solver", {}), degree, seed)
+    solver_cfg = build_solve_config(cfg.get("solver", {}), degree)
 
     table = convergence_study(space, target, scheme, n_list, solver_cfg, reference=reference)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -405,14 +405,3 @@ def weighted_divergence(space: GaussianSpace, target, xi: VectorField) -> Callab
         return base(pts) + np.einsum("ni,ni->n", target.grad(pts), xi.value(pts))
 
     return div
-
-
-def weighted_operator_divergence(space: GaussianSpace, target, m: OperatorField) -> Callable:
-    """(delta_nu M)_j = (delta M)_j + sum_i d_i f M_ij."""
-    base = operator_divergence(space, m)
-
-    def div(x):
-        pts = as_points(x, space.dim)
-        return base(pts) + np.einsum("nij,ni->nj", m.value(pts), target.grad(pts))
-
-    return div

@@ -40,12 +40,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularJacobianError
-from .gaussian import GaussianSpace, nu_masked_weights, nu_weights
+from .gaussian import GaussianSpace, inverse_jacobian_operator, nu_masked_weights, nu_weights
 from .hermite import HermiteBasis, as_points
-from .potentials import PotentialField, inverse_shift_jacobian
-from .solver_forward import (SolveConfig, SolveResult, coefficient_scale,
-                             minimize_with_barrier)
+from .potentials import PotentialField, inverse_shift_jacobian, logdet2
+from .solver_forward import BarrierWorkspace, SolveConfig, SolveResult, minimize_with_barrier
 from .targets import ScalarTarget
 
 _NEWTON_TOL = 1e-12
@@ -90,6 +88,11 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     return x, rnorm <= tol
 
 
+def _conjugacy_psi(phi: PotentialField, x_star: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """psi(y) = -(phi(x*) + |x* - y|^2 / 2) at the inner minimizers x* = S(y)."""
+    return -(phi.eval(x_star) + 0.5 * np.sum((x_star - y) ** 2, axis=1))
+
+
 @dataclass(frozen=True)
 class DualPotential:
     """Dual potential with exact pointwise evaluators and an optional fit.
@@ -127,7 +130,7 @@ class DualPotential:
         if self.provenance != "conjugacy":
             return self.psi_fit.eval(y)
         pts, x_star = self._minimizers(y)
-        return -(self.forward.eval(x_star) + 0.5 * np.sum((x_star - pts) ** 2, axis=1))
+        return _conjugacy_psi(self.forward, x_star, pts)
 
     def grad(self, y) -> np.ndarray:
         """grad psi(y) = S(y) - y."""
@@ -177,11 +180,10 @@ def conjugate(space: GaussianSpace, phi: PotentialField,
     """psi(y) = -min_x [phi(x) + |x - y|^2 / 2] on the grid points."""
     pts = default_dual_grid(phi.dim) if grid is None else as_points(grid, phi.dim)
     x_star, ok = conjugacy_minimize(phi, pts)
-    vals = -(phi.eval(x_star) + 0.5 * np.sum((x_star - pts) ** 2, axis=1))
     return DualPotential(
         forward=phi,
         points=pts,
-        psi_values=vals,
+        psi_values=_conjugacy_psi(phi, x_star, pts),
         map_values=x_star,
         converged=ok,
         provenance="conjugacy",
@@ -192,14 +194,21 @@ def fit_dual(space: GaussianSpace, target: ScalarTarget, dual: DualPotential,
              degree: int | None = None) -> DualPotential:
     """Least-squares Hermite fit of psi under nu at the quadrature nodes.
 
+    Precondition: dual is tabulated on exactly the quadrature nodes, as
+    conjugate(space, phi, grid=space.nodes) returns it.  Its psi_values
+    are regressed as they are, without a second conjugacy solve; any
+    other dual.points raise ValueError.
+
     The constant term (excluded from the basis) is kept as fit_offset; all
     residual diagnostics only use derivatives of the fit.
     """
+    nodes = space.nodes
+    if not np.array_equal(dual.points, nodes):
+        raise ValueError("fit_dual needs a dual tabulated on the quadrature nodes "
+                         "(conjugate(space, phi, grid=space.nodes))")
     degree = dual.forward.degree if degree is None else degree
     basis = HermiteBasis(space.dim, degree)
-    nodes = space.nodes
-    x_star, ok = conjugacy_minimize(dual.forward, nodes)
-    vals = -(dual.forward.eval(x_star) + 0.5 * np.sum((x_star - nodes) ** 2, axis=1))
+    vals = dual.psi_values
     w = nu_weights(space, target)
     design = np.concatenate([np.ones((nodes.shape[0], 1)), basis.value_table(nodes).T], axis=1)
     sw = np.sqrt(w)
@@ -218,10 +227,6 @@ def inverse_check(space: GaussianSpace, phi: PotentialField, dual) -> float:
     return float(np.sum(space.weights * np.sum((s - x) ** 2, axis=1)))
 
 
-def _nu_masked(space: GaussianSpace, target: ScalarTarget):
-    return nu_masked_weights(space, target)
-
-
 def backward_objective(space: GaussianSpace, target: ScalarTarget, dual,
                        eig_floor: float = 1e-8) -> float:
     """J_b(psi) = -E_nu[f] - E_nu[log Lambda_psi]; >= log E[e^{-f}].
@@ -230,13 +235,10 @@ def backward_objective(space: GaussianSpace, target: ScalarTarget, dual,
     nu-expectation runs over the mass-floored node set (the backward
     conditions are nu-a.s.).
     """
-    w, mask = _nu_masked(space, target)
+    w, mask = nu_masked_weights(space, target)
     y = space.nodes[mask]
     h = dual.hess(y)
-    eigs = np.linalg.eigvalsh(np.eye(space.dim)[None] + h)
-    if np.any(eigs <= eig_floor):
-        raise SingularJacobianError("I + hess psi hit the eigenvalue floor on nu-support")
-    ld2 = np.sum(np.log(eigs) - (eigs - 1.0), axis=1)
+    ld2 = logdet2(h, eig_floor=eig_floor)
     g = dual.grad(y)
     lpsi = np.einsum("ni,ni->n", y, g) - np.einsum("nii->n", h)
     log_lambda = ld2 - lpsi - 0.5 * np.sum(g**2, axis=1)
@@ -261,18 +263,14 @@ def _backward_operator(dual, y, eig_floor: float = 1e-8):
         grad_psi = x_star - y
         return m, pdiv, grad_psi
     psi = dual if isinstance(dual, PotentialField) else dual.as_field()
-    k = inverse_shift_jacobian(psi, y, eig_floor=eig_floor)
-    m = k - np.eye(psi.dim)
-    t3 = psi.third(y)
-    dk = -np.einsum("nab,nibc,ncd->niad", k, t3, k)
-    pdiv = np.einsum("niij->nj", dk)
-    return m, pdiv, psi.grad(y)
+    op = inverse_jacobian_operator(psi, eig_floor=eig_floor)
+    return op.value(y), op.partial_divergence(y), psi.grad(y)
 
 
 def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual,
                          eig_floor: float = 1e-8) -> float:
     """E_nu[|delta_nu((I + hess psi)^{-1} - I) - grad psi + grad f|^2]."""
-    w, mask = _nu_masked(space, target)
+    w, mask = nu_masked_weights(space, target)
     y = space.nodes[mask]
     m, pdiv, grad_psi = _backward_operator(dual, y, eig_floor=eig_floor)
     delta_m = np.einsum("nij,ni->nj", m, y) - pdiv
@@ -285,66 +283,47 @@ def young_gap(space: GaussianSpace, phi: PotentialField, dual: DualPotential,
               n_pairs: int = 10000, seed: int = 0) -> float:
     """min over probe pairs of F(x, y) = phi(x) + psi(y) + |x - y|^2 / 2.
 
-    psi at the probe points is evaluated by the conjugacy minimization
-    itself, so this checks that the inner Newton solves really reached
-    the minimum (F >= 0 holds by construction at exact minimizers).
+    psi is evaluated by dual.eval at the probe points; for a conjugacy
+    dual of phi that runs the inner minimization itself, so this checks
+    that the Newton solves really reached the minimum (F >= 0 holds by
+    construction at exact minimizers).
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_pairs, phi.dim))
     y = rng.standard_normal((n_pairs, phi.dim))
-    x_star, _ = conjugacy_minimize(phi, y)
-    psi_vals = -(phi.eval(x_star) + 0.5 * np.sum((x_star - y) ** 2, axis=1))
-    f_vals = phi.eval(x) + psi_vals + 0.5 * np.sum((x - y) ** 2, axis=1)
+    f_vals = phi.eval(x) + dual.eval(y) + 0.5 * np.sum((x - y) ** 2, axis=1)
     return float(f_vals.min())
 
 
 def graph_identity_gap(phi: PotentialField, dual: DualPotential, x: np.ndarray) -> float:
     """max |phi(x) + psi(T(x)) + |grad phi(x)|^2 / 2| over sample points x."""
     pts = as_points(x, phi.dim)
-    t = pts + phi.grad(pts)
-    x_star, _ = conjugacy_minimize(phi, t)
-    psi_vals = -(phi.eval(x_star) + 0.5 * np.sum((x_star - t) ** 2, axis=1))
-    f_vals = phi.eval(pts) + psi_vals + 0.5 * np.sum(phi.grad(pts) ** 2, axis=1)
+    g = phi.grad(pts)
+    f_vals = phi.eval(pts) + dual.eval(pts + g) + 0.5 * np.sum(g**2, axis=1)
     return float(np.max(np.abs(f_vals)))
 
 
-class BackwardWorkspace:
-    """Objective/gradient of J_b over psi coefficients (nu-weighted)."""
+class BackwardWorkspace(BarrierWorkspace):
+    """J_b and its coefficient gradient over psi on the mass-floored nu-nodes."""
 
     def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis,
                  eig_floor: float = 1e-8):
-        self.space = space
-        self.target = target
-        self.basis = basis
-        self.eig_floor = eig_floor
-        w, mask = _nu_masked(space, target)
-        self.w = w[mask]
+        w, mask = nu_masked_weights(space, target)
         nodes = space.nodes[mask]
-        self.nodes = nodes
+        super().__init__(basis, nodes, w[mask], eig_floor)
         self.bval = basis.value_table(nodes)
-        self.bgrad = basis.grad_table(nodes)
-        self.bhess = basis.hess_table(nodes)
-        self.eye = np.eye(space.dim)
-        self.coeff_scale = coefficient_scale(self.bhess)
         fvals = np.asarray(target.eval(nodes), dtype=float).reshape(-1)
         self.const = float(np.sum(self.w * (-fvals)))
         self.ou_eigs = basis.ou_eigenvalues
 
     def objective_and_gradient(self, coeffs: np.ndarray):
-        g = np.tensordot(coeffs, self.bgrad, axes=1).T
-        h = np.transpose(np.tensordot(coeffs, self.bhess, axes=1), (2, 0, 1))
-        jac = self.eye[None] + h
-        eigs = np.linalg.eigvalsh(jac)
-        margin = float(eigs.min()) - self.eig_floor
+        g, jac, ld2, margin = self.barrier(coeffs)
         if margin <= 0:
             return np.inf, None, margin
-        ld2 = np.sum(np.log(eigs) - (eigs - 1.0), axis=1)
         lpsi = (coeffs * self.ou_eigs) @ self.bval
         log_lambda = ld2 - lpsi - 0.5 * np.sum(g**2, axis=1)
         obj = self.const - float(np.sum(self.w * log_lambda))
-        k = np.linalg.inv(jac)
-        m = (k - self.eye[None]) * self.w[:, None, None]
-        grad = -np.einsum("nij,aijn->a", m, self.bhess)
+        grad = self.barrier_gradient(jac)
         grad += self.ou_eigs * (self.bval @ self.w)
         grad += np.einsum("nk,akn->a", g * self.w[:, None], self.bgrad)
         return obj, grad, margin
@@ -367,8 +346,7 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
     from .gaussian import log_normalizer
 
     psi = PotentialField(basis, c)
-    w, mask = _nu_masked(space, target)
-    g = psi.grad(space.nodes[mask])
+    g, _ = ws.fields(c)
     dual = DualPotential(
         forward=psi,  # variational mode has no forward source; self-reference
         points=space.nodes,
@@ -386,7 +364,7 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
         iterations=iterations,
         converged=converged,
         grad_norm=float(np.linalg.norm(grad)),
-        wasserstein2_sq=float(np.sum(w[mask] * np.sum(g**2, axis=1))),
+        wasserstein2_sq=float(np.sum(ws.w * np.sum(g**2, axis=1))),
         variational_lhs=log_normalizer(space, target),  # -log nu(e^f) = log E[e^{-f}]
         objective_history=history,
     )

@@ -33,7 +33,6 @@ class SolveConfig:
     grad_tol: float = 1e-8
     grad_tol_soft: float = 1e-4  # accepted when descent is fp-limited
     eig_floor: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.degree < 1:
@@ -60,8 +59,47 @@ class SolveResult:
     objective_history: list = field(default_factory=list)
 
 
-class ForwardWorkspace:
-    """Cached per-node basis tables; objective and coefficient gradient.
+class BarrierWorkspace:
+    """Per-node basis tables and the barrier -E_w[log det2(I + hess)] over
+    Hermite coefficients, shared by the forward and backward objectives.
+    """
+
+    def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray,
+                 eig_floor: float = 1e-8):
+        self.basis = basis
+        self.eig_floor = eig_floor
+        self.nodes = nodes
+        self.w = weights
+        self.bgrad = basis.grad_table(nodes)    # (A, d, N)
+        self.bhess = basis.hess_table(nodes)    # (A, d, d, N)
+        self.eye = np.eye(basis.dim)
+        self.coeff_scale = coefficient_scale(self.bhess)
+
+    def fields(self, coeffs: np.ndarray):
+        g = np.tensordot(coeffs, self.bgrad, axes=1).T           # (N, d)
+        h = np.transpose(np.tensordot(coeffs, self.bhess, axes=1), (2, 0, 1))  # (N, d, d)
+        return g, h
+
+    def barrier(self, coeffs: np.ndarray):
+        """(grad field, I + hess, per-node log det2, margin); log det2 is None
+        when the smallest eigenvalue is at or below the floor (margin <= 0)."""
+        g, h = self.fields(coeffs)
+        jac = self.eye[None] + h
+        eigs = np.linalg.eigvalsh(jac)
+        margin = float(eigs.min()) - self.eig_floor
+        if margin <= 0:
+            return g, jac, None, margin
+        return g, jac, np.sum(np.log(eigs) - (eigs - 1.0), axis=1), margin
+
+    def barrier_gradient(self, jac: np.ndarray) -> np.ndarray:
+        """Coefficient gradient of -E_w[log det2(I + hess)]: -sum_n w (K - I) : bhess."""
+        k = np.linalg.inv(jac)
+        m = (k - self.eye[None]) * self.w[:, None, None]
+        return -np.einsum("nij,aijn->a", m, self.bhess)
+
+
+class ForwardWorkspace(BarrierWorkspace):
+    """J_f and its coefficient gradient on the mu-quadrature nodes.
 
     Infeasible coefficient vectors (eigenvalue floor violated at a node)
     evaluate to +inf, which the backtracking line search rejects.
@@ -71,23 +109,8 @@ class ForwardWorkspace:
                  eig_floor: float = 1e-8):
         if basis.dim != space.dim:
             raise ValueError("basis dimension does not match space")
-        self.space = space
+        super().__init__(basis, space.nodes, space.weights, eig_floor)
         self.target = target
-        self.basis = basis
-        self.eig_floor = eig_floor
-        nodes = space.nodes
-        self.nodes = nodes
-        self.w = space.weights
-        self.bval = basis.value_table(nodes)    # (A, N)
-        self.bgrad = basis.grad_table(nodes)    # (A, d, N)
-        self.bhess = basis.hess_table(nodes)    # (A, d, d, N)
-        self.eye = np.eye(space.dim)
-        self.coeff_scale = coefficient_scale(self.bhess)
-
-    def fields(self, coeffs: np.ndarray):
-        g = np.tensordot(coeffs, self.bgrad, axes=1).T           # (N, d)
-        h = np.transpose(np.tensordot(coeffs, self.bhess, axes=1), (2, 0, 1))  # (N, d, d)
-        return g, h
 
     def objective(self, coeffs: np.ndarray) -> float:
         val, _, _ = self._evaluate(coeffs, want_grad=False)
@@ -97,26 +120,20 @@ class ForwardWorkspace:
         return self._evaluate(coeffs, want_grad=True)
 
     def _evaluate(self, coeffs: np.ndarray, want_grad: bool):
-        g, h = self.fields(coeffs)
-        jac = self.eye[None] + h
-        eigs = np.linalg.eigvalsh(jac)
-        margin = float(eigs.min()) - self.eig_floor
+        g, jac, ld2, margin = self.barrier(coeffs)
         if margin <= 0:
             return np.inf, None, margin
         shifted = self.nodes + g
         fvals = np.asarray(self.target.eval(shifted), dtype=float).reshape(-1)
         if not np.all(np.isfinite(fvals)):
             raise NonFiniteValueError("target not finite at a transported node")
-        ld2 = np.sum(np.log(eigs) - (eigs - 1.0), axis=1)
         obj = float(np.sum(self.w * (fvals + 0.5 * np.sum(g**2, axis=1) - ld2)))
         if not want_grad:
             return obj, None, margin
-        k = np.linalg.inv(jac)
         grad_f = np.asarray(self.target.grad(shifted), dtype=float)
         lin = (grad_f + g) * self.w[:, None]                      # (N, d)
         grad = np.einsum("nk,akn->a", lin, self.bgrad)
-        m = (k - self.eye[None]) * self.w[:, None, None]
-        grad -= np.einsum("nij,aijn->a", m, self.bhess)
+        grad += self.barrier_gradient(jac)
         return obj, grad, margin
 
 

@@ -53,10 +53,6 @@ def _probe_points(dim: int) -> np.ndarray:
 
 def check_consistency(target: ScalarTarget) -> None:
     """Gradient-vs-finite-difference and Hessian-symmetry self-check."""
-    _self_check(target)
-
-
-def _self_check(target: ScalarTarget) -> None:
     pts = _probe_points(target.dim)
     grad = target.grad(pts)
     for k in range(target.dim):
@@ -100,7 +96,7 @@ def gaussian_target(mean, sigma, dim: int | None = None) -> ScalarTarget:
         return h
 
     target = ScalarTarget(d, "gaussian", {"mean": mean.tolist(), "sigma": sigma.tolist()}, f, grad, hess)
-    _self_check(target)
+    check_consistency(target)
     return target
 
 
@@ -125,7 +121,7 @@ def quartic_well_target(a: float, b: float, dim: int = 1) -> ScalarTarget:
         return h
 
     target = ScalarTarget(d, "quartic-well", {"a": a, "b": b}, f, grad, hess)
-    _self_check(target)
+    check_consistency(target)
     return target
 
 
@@ -193,7 +189,7 @@ def mixture_target(weights, means, sigmas, dim: int = 1) -> ScalarTarget:
         grad,
         hess,
     )
-    _self_check(target)
+    check_consistency(target)
     return target
 
 
@@ -226,5 +222,5 @@ def tabulated_target_1d(xs, fs) -> ScalarTarget:
         grad,
         hess,
     )
-    _self_check(target)
+    check_consistency(target)
     return target

@@ -21,6 +21,28 @@ GAUSSIAN_SOLVE = {
 }
 
 
+def with_study(**study):
+    return {**GAUSSIAN_SOLVE, "study": {"scheme": "ou", "n_list": [1], **study}}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, config, field", [
+        ("solve", {**GAUSSIAN_SOLVE, "dual_degree": 0}, "dual_degree"),
+        ("solve", {**GAUSSIAN_SOLVE, "dual_degree": "3"}, "dual_degree"),
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "dual_degree": 0}]},
+         "battery[0].dual_degree"),
+        ("study", with_study(threshold="abc"), "study.threshold"),
+        ("study", with_study(n_list=[0, 2]), "study.n_list[0]"),
+        ("study", with_study(n_list=["x"]), "study.n_list[0]"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": 5}, "target"),
+    ])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSolveCommand:
     def test_gaussian_all_pass(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", GAUSSIAN_SOLVE)

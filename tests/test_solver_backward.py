@@ -263,6 +263,27 @@ class TestDuality:
         assert dual.fit_residual <= 1e-9
         assert dual.provenance == "conjugacy"
 
+    def test_fit_dual_runs_no_conjugacy_solve(self, line80, target_21, monkeypatch):
+        import mongelab.solver_backward as sb
+
+        res = solve(line80, target_21, SolveConfig(degree=2))
+        dual = conjugate(line80, res.phi, grid=line80.nodes)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("fit_dual re-ran the conjugacy solve")
+
+        monkeypatch.setattr(sb, "conjugacy_minimize", no_solve)
+        fitted = fit_dual(line80, target_21, dual)
+        assert fitted.fit_residual <= 1e-9
+        np.testing.assert_array_equal(fitted.psi_values, dual.psi_values)
+
+    @pytest.mark.parametrize("grid", ["default", "shifted-nodes"])
+    def test_fit_dual_rejects_dual_off_the_nodes(self, line80, target_21, grid):
+        res = solve(line80, target_21, SolveConfig(degree=2))
+        pts = None if grid == "default" else line80.nodes + 0.5
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            fit_dual(line80, target_21, conjugate(line80, res.phi, grid=pts))
+
     def test_dual_serialization_round_trip(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = fit_dual(line80, target_21, conjugate(line80, res.phi, grid=line80.nodes))

@@ -16,6 +16,7 @@ from mongelab import (
     variational_gap,
     wasserstein_check,
 )
+from mongelab.solver_backward import BackwardWorkspace
 from mongelab.solver_forward import ForwardWorkspace
 from mongelab.hermite import HermiteBasis
 
@@ -67,13 +68,17 @@ class TestCoefficientGradient:
         grad = objective_coefficient_gradient(line60, target_21, quadratic_phi(2.0, 1.0))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_finite_differences(self, line60, target_21, seed):
+    # both objectives share the barrier kernel; forward cases are named by seed alone
+    @pytest.mark.parametrize("workspace, seed", [
+        *(pytest.param(ForwardWorkspace, seed, id=str(seed)) for seed in range(10)),
+        *(pytest.param(BackwardWorkspace, seed, id=f"backward-{seed}") for seed in range(10)),
+    ])
+    def test_matches_finite_differences(self, line60, target_21, workspace, seed):
         rng = np.random.default_rng(seed)
         phi = PotentialField.from_coeff_dict(
             1, 2, {(1,): rng.uniform(-0.5, 0.5), (2,): rng.uniform(-0.2, 0.3)}
         )
-        ws = ForwardWorkspace(line60, target_21, HermiteBasis(1, 2))
+        ws = workspace(line60, target_21, HermiteBasis(1, 2))
         _, grad, _ = ws.objective_and_gradient(phi.coeffs)
         h = 1e-6
         for a in range(phi.coeffs.shape[0]):
@@ -81,7 +86,7 @@ class TestCoefficientGradient:
             cm = phi.coeffs.copy()
             cp[a] += h
             cm[a] -= h
-            fd = (ws.objective(cp) - ws.objective(cm)) / (2 * h)
+            fd = (ws.objective_and_gradient(cp)[0] - ws.objective_and_gradient(cm)[0]) / (2 * h)
             assert fd == pytest.approx(grad[a], rel=1e-5, abs=1e-9)
 
 
