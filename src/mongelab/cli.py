@@ -76,6 +76,12 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _nonnegative_int(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"config key {name} must be a nonnegative integer")
+    return value
+
+
 def build_space(cfg: dict, dim: int, default_seed: int, path: str = "quadrature.") -> GaussianSpace:
     _check_keys(cfg, {"kind", "level", "samples", "seed"}, path)
     kind = _require(cfg, "kind", path)
@@ -87,9 +93,7 @@ def build_space(cfg: dict, dim: int, default_seed: int, path: str = "quadrature.
             raise ConfigError(f"{path}level: {exc}") from exc
     if kind == "monte-carlo":
         samples = _positive_int(_require(cfg, "samples", path), path + "samples")
-        seed = cfg.get("seed", default_seed)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"config key {path}seed must be a nonnegative integer")
+        seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
         return GaussianSpace.monte_carlo(dim, samples, seed)
     raise ConfigError(f"{path}kind must be 'tensor-hermite' or 'monte-carlo', got {kind!r}")
 
@@ -120,11 +124,12 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
 
 def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveConfig:
     _check_keys(cfg, {"optimizer", "max_iters", "grad_tol", "grad_tol_soft", "eig_floor"}, path)
+    max_iters = _positive_int(cfg.get("max_iters", 500), path + "max_iters")
     try:
         return SolveConfig(
             degree=degree,
             optimizer=cfg.get("optimizer", "quasi-newton"),
-            max_iters=cfg.get("max_iters", 500),
+            max_iters=max_iters,
             grad_tol=float(cfg.get("grad_tol", 1e-8)),
             grad_tol_soft=float(cfg.get("grad_tol_soft", 1e-4)),
             eig_floor=float(cfg.get("eig_floor", 1e-8)),
@@ -157,7 +162,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     _check_keys(cfg, _ENTRY_KEYS, path)
     dim = _positive_int(_require(cfg, "dim", path), path + "dim")
     degree = _positive_int(_require(cfg, "degree", path), path + "degree")
-    seed = cfg.get("seed", default_seed)
+    seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
     space = build_space(_require(cfg, "quadrature", path), dim, seed, path + "quadrature.")
     target = build_target(_require(cfg, "target", path), dim, path + "target.")
     solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
@@ -264,7 +269,7 @@ def cmd_solve(config_path: str, out_dir: Path, seed_override, threads: int) -> i
     return 0 if report.all_passed() else 4
 
 
-_STUDY_KEYS = _SOLVE_KEYS | {"study"}
+_STUDY_KEYS = {"dim", "degree", "quadrature", "target", "solver", "seed", "study"}
 
 
 def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> int:
@@ -292,7 +297,7 @@ def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> i
 
     dim = _positive_int(_require(cfg, "dim", ""), "dim")
     degree = _positive_int(_require(cfg, "degree", ""), "degree")
-    seed = cfg.get("seed", 0)
+    seed = _nonnegative_int(cfg.get("seed", 0), "seed")
     space = build_space(_require(cfg, "quadrature", ""), dim, seed)
     target = build_target(_require(cfg, "target", ""), dim)
     solver_cfg = build_solve_config(cfg.get("solver", {}), degree)
@@ -378,7 +383,7 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) ->
     if not entries:
         raise ConfigError("battery is empty")
     thresholds = build_thresholds(cfg.get("tolerances", {}))
-    seed = cfg.get("seed", 0)
+    seed = _nonnegative_int(cfg.get("seed", 0), "seed")
 
     def run_one(idx_entry):
         idx, entry = idx_entry

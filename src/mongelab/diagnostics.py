@@ -38,6 +38,7 @@ from .gaussian import (
     weighted_divergence,
 )
 from .potentials import PotentialField, inverse_shift_jacobian
+from .solver_backward import DualPotential, backward_el_residual, conjugate
 from .targets import ScalarTarget
 
 
@@ -353,12 +354,19 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
                         thresholds: CheckThresholds | None = None,
                         metadata: dict | None = None,
                         l2_eps: tuple = (0.1, 0.5, 0.9)) -> DiagnosticsReport:
-    """Assemble the full per-experiment report for a solved (phi, psi) pair."""
+    """Assemble the full per-experiment report for a solved (phi, psi) pair.
+
+    A DualPotential is re-tabulated once on the mass-floored nu-nodes, so
+    every nu-side check reads the same inner minimizers.
+    """
     from .gaussian import gradient_field
 
     tol = thresholds or CheckThresholds()
     report = DiagnosticsReport(metadata=dict(metadata or {}))
     phi = result.phi
+    if isinstance(dual, DualPotential):
+        _, mask = nu_masked_weights(space, target)
+        dual = conjugate(space, dual.forward, grid=space.nodes[mask])
 
     report.add_identity(
         "variational_gap",
@@ -410,6 +418,4 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
 
 
 def backward_residual_of(space: GaussianSpace, target: ScalarTarget, dual) -> float:
-    from .solver_backward import backward_el_residual
-
     return backward_el_residual(space, target, dual)

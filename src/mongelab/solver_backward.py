@@ -40,7 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import GaussianSpace, inverse_jacobian_operator, nu_masked_weights, nu_weights
+from .gaussian import (GaussianSpace, inverse_jacobian_operator, log_normalizer,
+                       nu_masked_weights, nu_weights)
 from .hermite import HermiteBasis, as_points
 from .potentials import PotentialField, inverse_shift_jacobian, logdet2
 from .solver_forward import BarrierWorkspace, SolveConfig, SolveResult, minimize_with_barrier
@@ -95,11 +96,12 @@ def _conjugacy_psi(phi: PotentialField, x_star: np.ndarray, y: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class DualPotential:
-    """Dual potential with exact pointwise evaluators and an optional fit.
+    """Conjugacy dual of phi with exact pointwise evaluators and an optional fit.
 
-    For provenance "conjugacy", eval/grad/hess/third are exact in the
-    solved phi (implicit function theorem at the inner minimizer); for
-    "variational" they delegate to the coefficient representation.
+    eval/grad/hess/third are exact in the solved phi (implicit function
+    theorem at the inner minimizer S(y)).  At exactly the tabulated points
+    they read the stored minimizers map_values; anywhere else they run the
+    conjugacy Newton solve for the requested points.
     """
 
     forward: PotentialField
@@ -107,7 +109,6 @@ class DualPotential:
     psi_values: np.ndarray      # psi(y), including the conjugacy constant
     map_values: np.ndarray      # S(y) = argmin x
     converged: np.ndarray       # per-point Newton convergence
-    provenance: str             # "conjugacy" or "variational"
     psi_fit: Optional[PotentialField] = None
     fit_offset: float = 0.0
     fit_residual: Optional[float] = None
@@ -123,41 +124,35 @@ class DualPotential:
 
     def _minimizers(self, y):
         pts = as_points(y, self.dim)
+        if np.array_equal(pts, self.points):
+            return pts, self.map_values
         x_star, _ = conjugacy_minimize(self.forward, pts)
         return pts, x_star
 
     def eval(self, y) -> np.ndarray:
-        if self.provenance != "conjugacy":
-            return self.psi_fit.eval(y)
         pts, x_star = self._minimizers(y)
         return _conjugacy_psi(self.forward, x_star, pts)
 
     def grad(self, y) -> np.ndarray:
         """grad psi(y) = S(y) - y."""
-        if self.provenance != "conjugacy":
-            return self.psi_fit.grad(y)
         pts, x_star = self._minimizers(y)
         return x_star - pts
 
     def hess(self, y) -> np.ndarray:
         """hess psi(y) = (I + hess phi(S(y)))^{-1} - I."""
-        if self.provenance != "conjugacy":
-            return self.psi_fit.hess(y)
         _, x_star = self._minimizers(y)
         k = inverse_shift_jacobian(self.forward, x_star)
         return k - np.eye(self.dim)
 
     def third(self, y) -> np.ndarray:
         """third psi = -K third(phi)(S) K contracted with grad S = K."""
-        if self.provenance != "conjugacy":
-            return self.psi_fit.third(y)
         _, x_star = self._minimizers(y)
         k = inverse_shift_jacobian(self.forward, x_star)
         t3 = self.forward.third(x_star)
         return -np.einsum("nce,neij,nia,njb->ncab", k, t3, k, k)
 
     def to_json_dict(self) -> dict:
-        data = {"provenance": self.provenance}
+        data = {"provenance": "conjugacy"}
         if self.psi_fit is not None:
             data.update(self.psi_fit.to_json_dict())
             data["fit_offset"] = float(self.fit_offset)
@@ -186,7 +181,6 @@ def conjugate(space: GaussianSpace, phi: PotentialField,
         psi_values=_conjugacy_psi(phi, x_star, pts),
         map_values=x_star,
         converged=ok,
-        provenance="conjugacy",
     )
 
 
@@ -253,18 +247,17 @@ def _backward_operator(dual, y, eig_floor: float = 1e-8):
     sum_i d_i M_ij = sum_{i,e} K_ie phi'''_eij(S(y)); for a coefficient
     psi, M = K_psi - I with d_i M = -K_psi (d_i hess psi) K_psi.
     """
-    if isinstance(dual, DualPotential) and dual.provenance == "conjugacy":
+    if isinstance(dual, DualPotential):
         phi = dual.forward
-        x_star, _ = conjugacy_minimize(phi, y)
+        y, x_star = dual._minimizers(y)
         m = phi.hess(x_star)
         k = inverse_shift_jacobian(phi, x_star, eig_floor=eig_floor)
         t3 = phi.third(x_star)
         pdiv = np.einsum("nie,neij->nj", k, t3)
         grad_psi = x_star - y
         return m, pdiv, grad_psi
-    psi = dual if isinstance(dual, PotentialField) else dual.as_field()
-    op = inverse_jacobian_operator(psi, eig_floor=eig_floor)
-    return op.value(y), op.partial_divergence(y), psi.grad(y)
+    op = inverse_jacobian_operator(dual, eig_floor=eig_floor)
+    return op.value(y), op.partial_divergence(y), dual.grad(y)
 
 
 def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual,
@@ -330,7 +323,7 @@ class BackwardWorkspace(BarrierWorkspace):
 
 
 def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
-                               config: SolveConfig) -> tuple[DualPotential, SolveResult]:
+                               config: SolveConfig) -> tuple[PotentialField, SolveResult]:
     """Cross-check mode: minimize J_b directly over psi coefficients."""
     basis = HermiteBasis(space.dim, config.degree)
     ws = BackwardWorkspace(space, target, basis, eig_floor=config.eig_floor)
@@ -343,21 +336,8 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
         plateau_tol=config.grad_tol_soft,
         scale=ws.coeff_scale,
     )
-    from .gaussian import log_normalizer
-
     psi = PotentialField(basis, c)
     g, _ = ws.fields(c)
-    dual = DualPotential(
-        forward=psi,  # variational mode has no forward source; self-reference
-        points=space.nodes,
-        psi_values=psi.eval(space.nodes),
-        map_values=space.nodes + psi.grad(space.nodes),
-        converged=np.ones(space.nodes.shape[0], dtype=bool),
-        provenance="variational",
-        psi_fit=psi,
-        fit_offset=0.0,
-        fit_residual=0.0,
-    )
     result = SolveResult(
         phi=psi,
         objective=val,
@@ -368,4 +348,4 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
         variational_lhs=log_normalizer(space, target),  # -log nu(e^f) = log E[e^{-f}]
         objective_history=history,
     )
-    return dual, result
+    return psi, result

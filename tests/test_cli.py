@@ -35,6 +35,16 @@ class TestConfigErrors:
         ("study", with_study(n_list=[0, 2]), "study.n_list[0]"),
         ("study", with_study(n_list=["x"]), "study.n_list[0]"),
         ("solve", {**GAUSSIAN_SOLVE, "target": 5}, "target"),
+        ("study", {**with_study(), "dual_degree": 0}, "dual_degree"),
+        ("study", {**with_study(), "tolerances": {"identity": 1e-30}}, "tolerances"),
+        ("study", {**with_study(), "name": "ignored"}, "name"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"max_iters": 2.5}}, "solver.max_iters"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"max_iters": True}}, "solver.max_iters"),
+        ("solve", {**GAUSSIAN_SOLVE, "seed": "x"}, "config key seed"),
+        ("solve", {**GAUSSIAN_SOLVE, "seed": -1}, "config key seed"),
+        ("study", {**with_study(), "seed": "x"}, "config key seed"),
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "seed": -1}]}, "battery[0].seed"),
+        ("battery", {"battery": [GAUSSIAN_SOLVE], "seed": "x"}, "config key seed"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

@@ -300,6 +300,23 @@ class TestStandardReport:
         r2 = run_standard_checks(line80, target_21, res, dual)
         assert r1.to_json_dict() == r2.to_json_dict()
 
+    def test_nu_side_checks_share_one_conjugacy_solve(self, line80, target_21, monkeypatch):
+        import mongelab.solver_backward as sb
+
+        res = solve(line80, target_21, SolveConfig(degree=2))
+        dual = conjugate(line80, res.phi, grid=line80.nodes)
+        calls = []
+        newton = sb.conjugacy_minimize
+
+        def counting(phi, y):
+            calls.append(len(y))
+            return newton(phi, y)
+
+        monkeypatch.setattr(sb, "conjugacy_minimize", counting)
+        report = run_standard_checks(line80, target_21, res, dual)
+        assert report.all_passed()
+        assert len(calls) == 1
+
     def test_summary_lines_format(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = conjugate(line80, res.phi)

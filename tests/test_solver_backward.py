@@ -18,6 +18,7 @@ from mongelab import (
     solve_backward_variational,
     young_gap,
 )
+from mongelab.potentials import inverse_shift_jacobian
 from mongelab.solver_backward import graph_identity_gap
 
 LN2 = math.log(2.0)
@@ -118,6 +119,23 @@ class TestConjugacyDerivatives:
         fd = (quartic_dual.hess(ys + h) - quartic_dual.hess(ys - h)) / (2 * h)
         np.testing.assert_allclose(fd[:, 0, 0], quartic_dual.third(ys)[:, 0, 0, 0],
                                    rtol=1e-4, atol=1e-6)
+
+    def test_tabulated_points_read_held_minimizers(self, quartic_dual, monkeypatch):
+        import mongelab.solver_backward as sb
+
+        phi, pts = quartic_dual.forward, quartic_dual.points
+        x_star, _ = sb.conjugacy_minimize(phi, pts)
+        k = inverse_shift_jacobian(phi, x_star)
+        third = -np.einsum("nce,neij,nia,njb->ncab", k, phi.third(x_star), k, k)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evaluator re-ran the conjugacy solve on its own points")
+
+        monkeypatch.setattr(sb, "conjugacy_minimize", no_solve)
+        np.testing.assert_array_equal(quartic_dual.eval(pts), quartic_dual.psi_values)
+        np.testing.assert_array_equal(quartic_dual.grad(pts), x_star - pts)
+        np.testing.assert_array_equal(quartic_dual.hess(pts), k - np.eye(1))
+        np.testing.assert_array_equal(quartic_dual.third(pts), third)
 
     def test_2d_hess_matches_fd(self, plane20):
         tgt = gaussian_target([0.5, -0.3], [1.6, 0.7])
@@ -243,7 +261,7 @@ class TestDuality:
         assert res_b.converged
         assert res_b.objective == pytest.approx(res_b.variational_lhs, abs=1e-8)
         w, mask = nu_masked_weights(space, tgt)
-        gv = dual_v.as_field().grad(space.nodes[mask])
+        gv = dual_v.grad(space.nodes[mask])
         gc = dual_c.grad(space.nodes[mask])
         dist = np.sqrt(np.sum(w[mask] * np.sum((gv - gc) ** 2, axis=1)))
         assert dist <= 1e-3
@@ -252,7 +270,7 @@ class TestDuality:
     def test_variational_mode_matches_conjugacy(self, line80, target_21):
         dual_var, res_b = solve_backward_variational(line80, target_21, SolveConfig(degree=2))
         assert res_b.converged
-        coeffs = dual_var.as_field().coeff_dict()
+        coeffs = dual_var.coeff_dict()
         assert coeffs[(1,)] == pytest.approx(-0.5, abs=1e-5)
         assert coeffs[(2,)] == pytest.approx(-0.25, abs=1e-5)
         assert res_b.objective == pytest.approx(LN2, abs=1e-6)
@@ -261,7 +279,6 @@ class TestDuality:
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = fit_dual(line80, target_21, conjugate(line80, res.phi, grid=line80.nodes))
         assert dual.fit_residual <= 1e-9
-        assert dual.provenance == "conjugacy"
 
     def test_fit_dual_runs_no_conjugacy_solve(self, line80, target_21, monkeypatch):
         import mongelab.solver_backward as sb
