@@ -36,6 +36,7 @@ from .diagnostics import CheckThresholds, run_standard_checks
 from .errors import ConfigError, MongelabError
 from .gaussian import GaussianSpace
 from .oracle1d import monotone_map, potential_from_map, wasserstein2_sq
+from .potentials import EIG_FLOOR
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
 from .smoothing import convergence_study
 from .solver_backward import conjugate, fit_dual
@@ -132,7 +133,7 @@ def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveCo
             max_iters=max_iters,
             grad_tol=float(cfg.get("grad_tol", 1e-8)),
             grad_tol_soft=float(cfg.get("grad_tol_soft", 1e-4)),
-            eig_floor=float(cfg.get("eig_floor", 1e-8)),
+            eig_floor=float(cfg.get("eig_floor", EIG_FLOOR)),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
@@ -479,6 +480,7 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) ->
 def cmd_oracle(config_path: str, out_dir: Path, seed_override, threads: int) -> int:
     cfg = _load_config(config_path)
     _check_keys(cfg, {"target", "grid", "seed"}, "")
+    _nonnegative_int(cfg.get("seed", 0), "seed")  # accepted for symmetry; the oracle draws nothing
     target = build_target(_require(cfg, "target", ""), 1)
     grid_cfg = cfg.get("grid", {})
     _check_keys(grid_cfg, {"lo", "hi", "count"}, "grid.")

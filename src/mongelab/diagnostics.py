@@ -122,21 +122,20 @@ class DiagnosticsReport:
         return lines
 
 
-def forward_el_residual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
-                        eig_floor: float = 1e-8) -> float:
+def forward_el_residual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -> float:
     """E_mu[|grad phi + grad f o T - delta((I+hess phi)^{-1} - I)|^2]."""
     from .gaussian import operator_divergence
 
     x = space.nodes
     t = x + phi.grad(x)
-    m = inverse_jacobian_operator(phi, subtract_identity=True, eig_floor=eig_floor)
+    m = inverse_jacobian_operator(phi)
     r = phi.grad(x) + target.grad(t) - operator_divergence(space, m)(x)
     return float(np.sum(space.weights * np.sum(r**2, axis=1)))
 
 
 def trace_positivity(space: GaussianSpace, phi: PotentialField,
                      directions: np.ndarray | None = None,
-                     max_nodes: int = 100, eig_floor: float = 1e-8) -> float:
+                     max_nodes: int = 100) -> float:
     """min over nodes and directions of trace(K A K A), A = third(phi)(K e).
 
     A is symmetric and K positive, so trace(KAKA) = |K^{1/2} A K^{1/2}|_HS^2
@@ -152,7 +151,7 @@ def trace_positivity(space: GaussianSpace, phi: PotentialField,
     else:
         sel = np.arange(n_nodes)
     pts = space.nodes[sel]
-    k = inverse_shift_jacobian(phi, pts, eig_floor=eig_floor)
+    k = inverse_shift_jacobian(phi, pts)
     third = phi.third(pts)  # (N, d, d, d), symmetric
     worst = np.inf
     for e in directions:
@@ -164,17 +163,23 @@ def trace_positivity(space: GaussianSpace, phi: PotentialField,
     return worst
 
 
-def control_forward(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
-                    eig_floor: float = 1e-8) -> tuple[float, float]:
-    """(E[|K - I|_HS^2], 2 E[|grad phi|^2] + 2 E_nu[|grad f|^2])."""
-    k = inverse_shift_jacobian(phi, space.nodes, eig_floor=eig_floor)
-    m = k - np.eye(phi.dim)
-    lhs = float(np.sum(space.weights * np.sum(m**2, axis=(1, 2))))
+def _grad_energies(space: GaussianSpace, target: ScalarTarget,
+                   phi: PotentialField) -> tuple[float, float]:
+    """(E[|grad phi|^2], E_nu[|grad f|^2]), the right-hand sides' ingredients."""
     g = phi.grad(space.nodes)
     e_grad_phi = float(np.sum(space.weights * np.sum(g**2, axis=1)))
     w = nu_weights(space, target)
     gf = target.grad(space.nodes)
-    e_grad_f = float(np.sum(w * np.sum(gf**2, axis=1)))
+    return e_grad_phi, float(np.sum(w * np.sum(gf**2, axis=1)))
+
+
+def control_forward(space: GaussianSpace, target: ScalarTarget,
+                    phi: PotentialField) -> tuple[float, float]:
+    """(E[|K - I|_HS^2], 2 E[|grad phi|^2] + 2 E_nu[|grad f|^2])."""
+    k = inverse_shift_jacobian(phi, space.nodes)
+    m = k - np.eye(phi.dim)
+    lhs = float(np.sum(space.weights * np.sum(m**2, axis=(1, 2))))
+    e_grad_phi, e_grad_f = _grad_energies(space, target, phi)
     return lhs, 2.0 * e_grad_phi + 2.0 * e_grad_f
 
 
@@ -189,23 +194,19 @@ def dual_hessian_bound(space: GaussianSpace, target: ScalarTarget, phi: Potentia
     w, mask = nu_masked_weights(space, target)
     h = dual.hess(space.nodes[mask])
     lhs = float(np.sum(w[mask] * np.sum(h**2, axis=(1, 2))))
-    g = phi.grad(space.nodes)
-    e_grad_phi = float(np.sum(space.weights * np.sum(g**2, axis=1)))
-    gf = target.grad(space.nodes)
-    e_grad_f = float(np.sum(nu_weights(space, target) * np.sum(gf**2, axis=1)))
+    e_grad_phi, e_grad_f = _grad_energies(space, target, phi)
     return lhs, 2.0 * e_grad_f + 2.0 * e_grad_phi
 
 
 def hessian_composition_gap(space: GaussianSpace, target: ScalarTarget,
-                            phi: PotentialField, dual,
-                            eig_floor: float = 1e-8) -> tuple[float, float]:
+                            phi: PotentialField, dual) -> tuple[float, float]:
     """Two routes to the same number via (I+hess phi)^{-1} = (I+hess psi) o T.
 
     Returns (E_mu[|(I+hess phi)^{-1} - I|^2], E_nu[|hess psi|^2]); both equal
     E_nu[|hess psi|^2] exactly, so their gap measures conjugacy/transport
     consistency.
     """
-    k = inverse_shift_jacobian(phi, space.nodes, eig_floor=eig_floor)
+    k = inverse_shift_jacobian(phi, space.nodes)
     via_phi = float(np.sum(space.weights * np.sum((k - np.eye(phi.dim)) ** 2, axis=(1, 2))))
     w, mask = nu_masked_weights(space, target)
     h = dual.hess(space.nodes[mask])
@@ -240,11 +241,7 @@ def forward_sobolev_bound(space: GaussianSpace, target: ScalarTarget, phi: Poten
         raise ValueError("eps must lie in (0, 1]")
     h = phi.hess(space.nodes)
     lhs = eps * float(np.sum(space.weights * np.sum(h**2, axis=(1, 2))))
-    g = phi.grad(space.nodes)
-    e_grad_phi = float(np.sum(space.weights * np.sum(g**2, axis=1)))
-    w = nu_weights(space, target)
-    gf = target.grad(space.nodes)
-    e_grad_f = float(np.sum(w * np.sum(gf**2, axis=1)))
+    e_grad_phi, e_grad_f = _grad_energies(space, target, phi)
     return lhs, 2.0 * e_grad_phi + 8.0 * e_grad_f, eps
 
 

@@ -346,8 +346,8 @@ def hessian_operator(phi) -> OperatorField:
     return OperatorField(phi.dim, phi.hess, pdiv)
 
 
-def inverse_jacobian_operator(phi, subtract_identity: bool = True, eig_floor: float = 1e-8) -> OperatorField:
-    """M = (I + hess phi)^{-1} (optionally minus I), with exact derivatives.
+def inverse_jacobian_operator(phi) -> OperatorField:
+    """M = (I + hess phi)^{-1} - I, with exact derivatives.
 
     d_i M = -K (d_i hess phi) K for K = (I + hess phi)^{-1}; the identity
     shift does not affect derivatives.
@@ -357,13 +357,10 @@ def inverse_jacobian_operator(phi, subtract_identity: bool = True, eig_floor: fl
     d = phi.dim
 
     def value(x):
-        k = inverse_shift_jacobian(phi, x, eig_floor=eig_floor)
-        if subtract_identity:
-            k = k - np.eye(d)
-        return k
+        return inverse_shift_jacobian(phi, x) - np.eye(d)
 
     def pdiv(x):
-        k = inverse_shift_jacobian(phi, x, eig_floor=eig_floor)
+        k = inverse_shift_jacobian(phi, x)
         third = phi.third(x)  # (N, d, d, d); third[n, i] = d_i hess
         dk = -np.einsum("nab,nibc,ncd->niad", k, third, k)
         return np.einsum("niij->nj", dk)

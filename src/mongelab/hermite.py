@@ -75,6 +75,7 @@ class HermiteBasis:
         self.indices = multi_indices(dim, degree)
         self.size = len(self.indices)
         self.ou_eigenvalues = np.array([float(sum(a)) for a in self.indices])
+        self._plans: dict[int, list] = {}  # per instance, so a basis frees its plans
 
     def _coord_tables(self, points: np.ndarray, max_order: int) -> list[np.ndarray]:
         """tabs[o][n, j, :] = d^o He_n at coordinate j of each point."""
@@ -87,74 +88,49 @@ class HermiteBasis:
             tabs.append(t)
         return tabs
 
-    @staticmethod
-    def _product(tabs, alpha, orders) -> np.ndarray:
-        out = None
-        for j, (n, o) in enumerate(zip(alpha, orders)):
-            col = tabs[o][n, j]
-            out = col.copy() if out is None else out * col
+    def _plan(self, order: int) -> list:
+        """(alpha, derivative count per coordinate, output slots) for each basis
+        element and sorted derivative index (i <= j <= ...) it survives; the
+        slots are (a,) + every distinct permutation of the index."""
+        plan = self._plans.get(order)
+        if plan is None:
+            plan = []
+            for a, alpha in enumerate(self.indices):
+                for idx in itertools.combinations_with_replacement(range(self.dim), order):
+                    counts = tuple(idx.count(k) for k in range(self.dim))
+                    if all(n >= o for n, o in zip(alpha, counts)):
+                        slots = [(a,) + p for p in sorted(set(itertools.permutations(idx)))]
+                        plan.append((alpha, counts, slots))
+            self._plans[order] = plan
+        return plan
+
+    def _table(self, points: np.ndarray, order: int) -> np.ndarray:
+        """(size, d, ..., d, N) array of the order-th derivatives of He_alpha(x_n),
+        each product of coordinate columns taken once for all its symmetric slots."""
+        points = as_points(points, self.dim)
+        tabs = self._coord_tables(points, order)
+        out = np.zeros((self.size,) + (self.dim,) * order + (points.shape[0],))
+        for alpha, counts, slots in self._plan(order):
+            v = None
+            for j, (n, o) in enumerate(zip(alpha, counts)):
+                col = tabs[o][n, j]
+                v = col.copy() if v is None else v * col
+            for s in slots:
+                out[s] = v
         return out
 
     def value_table(self, points: np.ndarray) -> np.ndarray:
         """(size, N) array of He_alpha(x_n)."""
-        points = as_points(points, self.dim)
-        tabs = self._coord_tables(points, 0)
-        zero = (0,) * self.dim
-        return np.stack([self._product(tabs, a, zero) for a in self.indices])
+        return self._table(points, 0)
 
     def grad_table(self, points: np.ndarray) -> np.ndarray:
         """(size, d, N) array of d_k He_alpha(x_n)."""
-        points = as_points(points, self.dim)
-        n_pts = points.shape[0]
-        tabs = self._coord_tables(points, 1)
-        out = np.zeros((self.size, self.dim, n_pts))
-        for a, alpha in enumerate(self.indices):
-            for k in range(self.dim):
-                if alpha[k] == 0:
-                    continue
-                orders = [0] * self.dim
-                orders[k] = 1
-                out[a, k] = self._product(tabs, alpha, orders)
-        return out
+        return self._table(points, 1)
 
     def hess_table(self, points: np.ndarray) -> np.ndarray:
         """(size, d, d, N) array of d_i d_j He_alpha(x_n)."""
-        points = as_points(points, self.dim)
-        n_pts = points.shape[0]
-        tabs = self._coord_tables(points, 2)
-        out = np.zeros((self.size, self.dim, self.dim, n_pts))
-        for a, alpha in enumerate(self.indices):
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    orders = [0] * self.dim
-                    orders[i] += 1
-                    orders[j] += 1
-                    if any(alpha[k] < orders[k] for k in range(self.dim)):
-                        continue
-                    v = self._product(tabs, alpha, orders)
-                    out[a, i, j] = v
-                    if i != j:
-                        out[a, j, i] = v
-        return out
+        return self._table(points, 2)
 
     def third_table(self, points: np.ndarray) -> np.ndarray:
         """(size, d, d, d, N) array of d_i d_j d_k He_alpha(x_n)."""
-        points = as_points(points, self.dim)
-        n_pts = points.shape[0]
-        tabs = self._coord_tables(points, 3)
-        out = np.zeros((self.size, self.dim, self.dim, self.dim, n_pts))
-        for a, alpha in enumerate(self.indices):
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    for k in range(j, self.dim):
-                        orders = [0] * self.dim
-                        orders[i] += 1
-                        orders[j] += 1
-                        orders[k] += 1
-                        if any(alpha[m] < orders[m] for m in range(self.dim)):
-                            continue
-                        v = self._product(tabs, alpha, orders)
-                        for perm in {(i, j, k), (i, k, j), (j, i, k),
-                                     (j, k, i), (k, i, j), (k, j, i)}:
-                            out[(a,) + perm] = v
-        return out
+        return self._table(points, 3)

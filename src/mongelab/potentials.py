@@ -145,7 +145,6 @@ class TransportShift:
     """T = I + grad phi (forward) or S = I + grad psi (backward)."""
 
     base: PotentialField
-    direction: str = "forward"
 
     def map(self, x) -> np.ndarray:
         pts = as_points(x, self.base.dim)
@@ -161,7 +160,7 @@ class TransportShift:
         return float(eigs.min())
 
 
-def logdet2(a, eig_floor: float = EIG_FLOOR):
+def logdet2(a):
     """log det2(I + K) = sum_i [log(1 + k_i) - k_i] for symmetric K.
 
     Always <= 0 (log(1+x) <= x), zero only at K = 0.  Accepts one matrix
@@ -172,23 +171,23 @@ def logdet2(a, eig_floor: float = EIG_FLOOR):
     batch = a[None] if single else a
     kappa = np.linalg.eigvalsh(batch)
     lam = 1.0 + kappa
-    if np.any(lam <= eig_floor):
-        raise SingularJacobianError(f"eigenvalue of I + K at or below floor {eig_floor}")
+    if np.any(lam <= EIG_FLOOR):
+        raise SingularJacobianError(f"eigenvalue of I + K at or below floor {EIG_FLOOR}")
     vals = np.sum(np.log(lam) - kappa, axis=1)
     return float(vals[0]) if single else vals
 
 
-def inverse_shift_jacobian(phi: PotentialField, x, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+def inverse_shift_jacobian(phi: PotentialField, x) -> np.ndarray:
     """K = (I + hess phi)^{-1} at a batch of points, floor-checked."""
     pts = as_points(x, phi.dim)
     jac = np.eye(phi.dim)[None] + phi.hess(pts)
     eigs = np.linalg.eigvalsh(jac)
-    if np.any(eigs <= eig_floor):
-        raise SingularJacobianError(f"I + hess phi has eigenvalue at or below {eig_floor}")
+    if np.any(eigs <= EIG_FLOOR):
+        raise SingularJacobianError(f"I + hess phi has eigenvalue at or below {EIG_FLOOR}")
     return np.linalg.inv(jac)
 
 
-def gaussian_jacobian(space: GaussianSpace, phi: PotentialField, eig_floor: float = EIG_FLOOR) -> Callable:
+def gaussian_jacobian(space: GaussianSpace, phi: PotentialField) -> Callable:
     """Lambda(x) = det2(I + hess phi) exp(-L phi - |grad phi|^2 / 2) > 0.
 
     L phi comes from the analytic Hermite representation, not quadrature.
@@ -197,17 +196,17 @@ def gaussian_jacobian(space: GaussianSpace, phi: PotentialField, eig_floor: floa
 
     def jac(x):
         pts = as_points(x, phi.dim)
-        ld2 = logdet2(phi.hess(pts), eig_floor=eig_floor)
+        ld2 = logdet2(phi.hess(pts))
         g = phi.grad(pts)
         return np.exp(ld2 - lphi.eval(pts) - 0.5 * np.sum(g**2, axis=1))
 
     return jac
 
 
-def pushforward_entropy(space: GaussianSpace, phi: PotentialField, eig_floor: float = EIG_FLOOR) -> float:
+def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:
     """H((I + grad phi) mu | mu) = E[|grad phi|^2 / 2 - log det2(I + hess phi)]."""
     g = phi.grad(space.nodes)
-    ld2 = logdet2(phi.hess(space.nodes), eig_floor=eig_floor)
+    ld2 = logdet2(phi.hess(space.nodes))
     vals = 0.5 * np.sum(g**2, axis=1) - ld2
     return float(np.sum(space.weights * vals))
 

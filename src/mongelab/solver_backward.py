@@ -43,7 +43,7 @@ import numpy as np
 from .gaussian import (GaussianSpace, inverse_jacobian_operator, log_normalizer,
                        nu_masked_weights, nu_weights)
 from .hermite import HermiteBasis, as_points
-from .potentials import PotentialField, inverse_shift_jacobian, logdet2
+from .potentials import EIG_FLOOR, PotentialField, inverse_shift_jacobian, logdet2
 from .solver_forward import BarrierWorkspace, SolveConfig, SolveResult, minimize_with_barrier
 from .targets import ScalarTarget
 
@@ -221,8 +221,7 @@ def inverse_check(space: GaussianSpace, phi: PotentialField, dual) -> float:
     return float(np.sum(space.weights * np.sum((s - x) ** 2, axis=1)))
 
 
-def backward_objective(space: GaussianSpace, target: ScalarTarget, dual,
-                       eig_floor: float = 1e-8) -> float:
+def backward_objective(space: GaussianSpace, target: ScalarTarget, dual) -> float:
     """J_b(psi) = -E_nu[f] - E_nu[log Lambda_psi]; >= log E[e^{-f}].
 
     L psi is evaluated pointwise as <y, grad psi> - laplace psi, and the
@@ -232,7 +231,7 @@ def backward_objective(space: GaussianSpace, target: ScalarTarget, dual,
     w, mask = nu_masked_weights(space, target)
     y = space.nodes[mask]
     h = dual.hess(y)
-    ld2 = logdet2(h, eig_floor=eig_floor)
+    ld2 = logdet2(h)
     g = dual.grad(y)
     lpsi = np.einsum("ni,ni->n", y, g) - np.einsum("nii->n", h)
     log_lambda = ld2 - lpsi - 0.5 * np.sum(g**2, axis=1)
@@ -240,7 +239,7 @@ def backward_objective(space: GaussianSpace, target: ScalarTarget, dual,
     return float(np.sum(w[mask] * (-fvals - log_lambda)))
 
 
-def _backward_operator(dual, y, eig_floor: float = 1e-8):
+def _backward_operator(dual, y):
     """M = (I + hess psi)^{-1} - I and its contracted derivative at y.
 
     For a conjugacy dual, M(y) = hess phi(S(y)) exactly and
@@ -251,21 +250,20 @@ def _backward_operator(dual, y, eig_floor: float = 1e-8):
         phi = dual.forward
         y, x_star = dual._minimizers(y)
         m = phi.hess(x_star)
-        k = inverse_shift_jacobian(phi, x_star, eig_floor=eig_floor)
+        k = inverse_shift_jacobian(phi, x_star)
         t3 = phi.third(x_star)
         pdiv = np.einsum("nie,neij->nj", k, t3)
         grad_psi = x_star - y
         return m, pdiv, grad_psi
-    op = inverse_jacobian_operator(dual, eig_floor=eig_floor)
+    op = inverse_jacobian_operator(dual)
     return op.value(y), op.partial_divergence(y), dual.grad(y)
 
 
-def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual,
-                         eig_floor: float = 1e-8) -> float:
+def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual) -> float:
     """E_nu[|delta_nu((I + hess psi)^{-1} - I) - grad psi + grad f|^2]."""
     w, mask = nu_masked_weights(space, target)
     y = space.nodes[mask]
-    m, pdiv, grad_psi = _backward_operator(dual, y, eig_floor=eig_floor)
+    m, pdiv, grad_psi = _backward_operator(dual, y)
     delta_m = np.einsum("nij,ni->nj", m, y) - pdiv
     delta_nu_m = delta_m + np.einsum("nij,ni->nj", m, target.grad(y))
     r = delta_nu_m - grad_psi + target.grad(y)
@@ -300,7 +298,7 @@ class BackwardWorkspace(BarrierWorkspace):
     """J_b and its coefficient gradient over psi on the mass-floored nu-nodes."""
 
     def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis,
-                 eig_floor: float = 1e-8):
+                 eig_floor: float = EIG_FLOOR):
         w, mask = nu_masked_weights(space, target)
         nodes = space.nodes[mask]
         super().__init__(basis, nodes, w[mask], eig_floor)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonFiniteValueError, SingularJacobianError
 from .gaussian import GaussianSpace
 from .hermite import HermiteBasis
-from .potentials import PotentialField, relative_entropy
+from .potentials import EIG_FLOOR, PotentialField, relative_entropy
 from .targets import ScalarTarget
 
 
@@ -32,7 +32,7 @@ class SolveConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8
     grad_tol_soft: float = 1e-4  # accepted when descent is fp-limited
-    eig_floor: float = 1e-8
+    eig_floor: float = EIG_FLOOR  # phi = 0 has every eigenvalue 1, so the floor lies in [0, 1)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -45,6 +45,8 @@ class SolveConfig:
             raise ValueError("grad_tol_soft must be >= grad_tol")
         if self.optimizer not in ("quasi-newton", "gradient-descent"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not 0 <= self.eig_floor < 1:
+            raise ValueError(f"eig_floor must lie in [0, 1), got {self.eig_floor!r}")
 
 
 @dataclass
@@ -65,7 +67,7 @@ class BarrierWorkspace:
     """
 
     def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray,
-                 eig_floor: float = 1e-8):
+                 eig_floor: float):
         self.basis = basis
         self.eig_floor = eig_floor
         self.nodes = nodes
@@ -106,7 +108,7 @@ class ForwardWorkspace(BarrierWorkspace):
     """
 
     def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis,
-                 eig_floor: float = 1e-8):
+                 eig_floor: float = EIG_FLOOR):
         if basis.dim != space.dim:
             raise ValueError("basis dimension does not match space")
         super().__init__(basis, space.nodes, space.weights, eig_floor)
@@ -250,10 +252,9 @@ def minimize_with_barrier(
     return x, val, grad, iterations, converged, history
 
 
-def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
-              eig_floor: float = 1e-8) -> float:
+def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -> float:
     """J_f(phi); raises SingularJacobianError when the barrier is hit."""
-    ws = ForwardWorkspace(space, target, phi.basis, eig_floor=eig_floor)
+    ws = ForwardWorkspace(space, target, phi.basis)
     val = ws.objective(phi.coeffs)
     if not np.isfinite(val):
         raise SingularJacobianError("eigenvalue floor violated at a quadrature node")
@@ -261,9 +262,9 @@ def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
 
 
 def objective_coefficient_gradient(space: GaussianSpace, target: ScalarTarget,
-                                   phi: PotentialField, eig_floor: float = 1e-8) -> np.ndarray:
+                                   phi: PotentialField) -> np.ndarray:
     """Partial derivatives of J_f along each basis direction grad He_alpha."""
-    ws = ForwardWorkspace(space, target, phi.basis, eig_floor=eig_floor)
+    ws = ForwardWorkspace(space, target, phi.basis)
     val, grad, _ = ws.objective_and_gradient(phi.coeffs)
     if not np.isfinite(val):
         raise SingularJacobianError("eigenvalue floor violated at a quadrature node")

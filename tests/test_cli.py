@@ -45,6 +45,11 @@ class TestConfigErrors:
         ("study", {**with_study(), "seed": "x"}, "config key seed"),
         ("battery", {"battery": [{**GAUSSIAN_SOLVE, "seed": -1}]}, "battery[0].seed"),
         ("battery", {"battery": [GAUSSIAN_SOLVE], "seed": "x"}, "config key seed"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": 2.0}}, "invalid solver: eig_floor"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": True}}, "invalid solver: eig_floor"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": -1.0}}, "invalid solver: eig_floor"),
+        ("oracle", {"target": GAUSSIAN_SOLVE["target"], "seed": "x"}, "config key seed"),
+        ("oracle", {"target": GAUSSIAN_SOLVE["target"], "seed": -3}, "config key seed"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

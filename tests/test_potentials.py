@@ -26,48 +26,76 @@ def quadratic_phi(sigma, m):
     return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
 
 
-@pytest.fixture()
-def probe_points():
+def probe_points(dim):
     rng = np.random.default_rng(7)
-    return rng.standard_normal((12, 2)) * 1.2
+    return rng.standard_normal((12, dim)) * 1.2
+
+
+# a few coefficients per dimension on mixed multi-indices; d = 3 reaches
+# derivatives along three distinct coordinates, e.g. d_0 d_1 d_2 He_(1,1,1)
+GRAD_COEFFS = {
+    1: {(1,): 0.3, (2,): -0.1, (3,): 0.07, (4,): 0.02},
+    2: {(1, 0): 0.3, (0, 2): -0.1, (2, 1): 0.07, (4, 0): 0.02, (1, 3): -0.04},
+    3: {(1, 0, 0): 0.3, (0, 2, 1): -0.1, (1, 1, 1): 0.07, (2, 1, 1): 0.02, (0, 1, 3): -0.04},
+}
+HESS_COEFFS = {
+    1: {(2,): 0.05, (3,): 0.1, (4,): -0.02},
+    2: {(2, 2): 0.05, (3, 0): 0.1, (1, 1): -0.2},
+    3: {(1, 1, 1): 0.1, (2, 1, 1): 0.05, (0, 3, 1): -0.03, (1, 1, 0): -0.2},
+}
+THIRD_COEFFS = {
+    1: {(4,): 0.03, (3,): -0.02},
+    2: {(4, 0): 0.03, (2, 2): -0.02, (3, 1): 0.01},
+    3: {(1, 1, 1): -0.05, (2, 1, 1): 0.03, (1, 2, 1): 0.02, (0, 3, 1): 0.01},
+}
+SYMMETRY_COEFFS = {
+    1: {(5,): 0.01, (3,): 0.04},
+    2: {(3, 2): 0.04, (5, 0): 0.01, (1, 4): -0.02},
+    3: {(1, 1, 1): 0.04, (2, 1, 2): 0.01, (1, 3, 1): -0.02, (3, 2, 0): 0.03},
+}
 
 
 class TestDerivativeConsistency:
-    def test_gradient_matches_fd(self, probe_points):
-        phi = PotentialField.from_coeff_dict(
-            2, 4, {(1, 0): 0.3, (0, 2): -0.1, (2, 1): 0.07, (4, 0): 0.02, (1, 3): -0.04}
-        )
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gradient_matches_fd(self, dim):
+        phi = PotentialField.from_coeff_dict(dim, 4, GRAD_COEFFS[dim])
+        pts = probe_points(dim)
         h = 1e-6
-        for k in range(2):
-            step = np.zeros(2)
+        for k in range(dim):
+            step = np.zeros(dim)
             step[k] = h
-            fd = (phi.eval(probe_points + step) - phi.eval(probe_points - step)) / (2 * h)
-            grad = phi.grad(probe_points)[:, k]
+            fd = (phi.eval(pts + step) - phi.eval(pts - step)) / (2 * h)
+            grad = phi.grad(pts)[:, k]
             np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-8)
 
-    def test_hessian_matches_fd(self, probe_points):
-        phi = PotentialField.from_coeff_dict(2, 4, {(2, 2): 0.05, (3, 0): 0.1, (1, 1): -0.2})
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_hessian_matches_fd(self, dim):
+        phi = PotentialField.from_coeff_dict(dim, 4, HESS_COEFFS[dim])
+        pts = probe_points(dim)
         h = 1e-5
-        for k in range(2):
-            step = np.zeros(2)
+        for k in range(dim):
+            step = np.zeros(dim)
             step[k] = h
-            fd = (phi.grad(probe_points + step) - phi.grad(probe_points - step)) / (2 * h)
-            hess = phi.hess(probe_points)[:, k, :]
+            fd = (phi.grad(pts + step) - phi.grad(pts - step)) / (2 * h)
+            hess = phi.hess(pts)[:, k, :]
             np.testing.assert_allclose(fd, hess, rtol=1e-5, atol=1e-7)
 
-    def test_third_matches_fd(self, probe_points):
-        phi = PotentialField.from_coeff_dict(2, 4, {(4, 0): 0.03, (2, 2): -0.02, (3, 1): 0.01})
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_third_matches_fd(self, dim):
+        phi = PotentialField.from_coeff_dict(dim, 4, THIRD_COEFFS[dim])
+        pts = probe_points(dim)
         h = 1e-4
-        for k in range(2):
-            step = np.zeros(2)
+        for k in range(dim):
+            step = np.zeros(dim)
             step[k] = h
-            fd = (phi.hess(probe_points + step) - phi.hess(probe_points - step)) / (2 * h)
-            third = phi.third(probe_points)[:, k, :, :]
+            fd = (phi.hess(pts + step) - phi.hess(pts - step)) / (2 * h)
+            third = phi.third(pts)[:, k, :, :]
             np.testing.assert_allclose(fd, third, rtol=1e-4, atol=1e-6)
 
-    def test_third_fully_symmetric(self, probe_points):
-        phi = PotentialField.from_coeff_dict(2, 5, {(3, 2): 0.04, (5, 0): 0.01, (1, 4): -0.02})
-        t = phi.third(probe_points)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_third_fully_symmetric(self, dim):
+        phi = PotentialField.from_coeff_dict(dim, 5, SYMMETRY_COEFFS[dim])
+        t = phi.third(probe_points(dim))
         for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]:
             np.testing.assert_allclose(t, np.transpose(t, perm), atol=1e-12)
 
