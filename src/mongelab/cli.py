@@ -83,6 +83,19 @@ def _nonnegative_int(value, name: str) -> int:
     return value
 
 
+def _finite_float(value, name: str) -> float:
+    """float(value) for a finite JSON number.
+
+    Booleans, strings and non-finite values raise ValueError naming `name`,
+    as float() would raise, so each caller's error wrapper names the section.
+    """
+    # the comparison is exact for ints and false for NaN
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def build_space(cfg: dict, dim: int, default_seed: int, path: str = "quadrature.") -> GaussianSpace:
     _check_keys(cfg, {"kind", "level", "samples", "seed"}, path)
     kind = _require(cfg, "kind", path)
@@ -107,8 +120,8 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
             return gaussian_target(_require(cfg, "mean", path), _require(cfg, "sigma", path), dim=dim)
         if kind == "quartic-well":
             _check_keys(cfg, {"kind", "a", "b"}, path)
-            return quartic_well_target(float(_require(cfg, "a", path)),
-                                       float(_require(cfg, "b", path)), dim=dim)
+            return quartic_well_target(_finite_float(_require(cfg, "a", path), "a"),
+                                       _finite_float(_require(cfg, "b", path), "b"), dim=dim)
         if kind == "mixture":
             _check_keys(cfg, {"kind", "weights", "means", "sigmas"}, path)
             return mixture_target(_require(cfg, "weights", path), _require(cfg, "means", path),
@@ -131,9 +144,9 @@ def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveCo
             degree=degree,
             optimizer=cfg.get("optimizer", "quasi-newton"),
             max_iters=max_iters,
-            grad_tol=float(cfg.get("grad_tol", 1e-8)),
-            grad_tol_soft=float(cfg.get("grad_tol_soft", 1e-4)),
-            eig_floor=float(cfg.get("eig_floor", EIG_FLOOR)),
+            grad_tol=_finite_float(cfg.get("grad_tol", 1e-8), "grad_tol"),
+            grad_tol_soft=_finite_float(cfg.get("grad_tol_soft", 1e-4), "grad_tol_soft"),
+            eig_floor=_finite_float(cfg.get("eig_floor", EIG_FLOOR), "eig_floor"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
@@ -145,11 +158,12 @@ def build_thresholds(cfg: dict, path: str = "tolerances.") -> CheckThresholds:
     try:
         return CheckThresholds(
             identity_closed_form=base.identity_closed_form,
-            identity_solved=float(cfg.get("identity", base.identity_solved)),
-            inequality=float(cfg.get("inequality", base.inequality)),
-            trace=float(cfg.get("trace", base.trace)),
-            variational_gap=float(cfg.get("variational_gap", base.variational_gap)),
-            oracle=float(cfg.get("oracle", base.oracle)),
+            identity_solved=_finite_float(cfg.get("identity", base.identity_solved), "identity"),
+            inequality=_finite_float(cfg.get("inequality", base.inequality), "inequality"),
+            trace=_finite_float(cfg.get("trace", base.trace), "trace"),
+            variational_gap=_finite_float(cfg.get("variational_gap", base.variational_gap),
+                                          "variational_gap"),
+            oracle=_finite_float(cfg.get("oracle", base.oracle), "oracle"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
@@ -289,9 +303,9 @@ def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> i
     for i, n in enumerate(n_list):
         _positive_int(n, f"study.n_list[{i}]")
     try:
-        threshold = float(study_cfg.get("threshold", 1e-2))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"study.threshold must be a number: {exc}") from exc
+        threshold = _finite_float(study_cfg.get("threshold", 1e-2), "study.threshold")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     reference = study_cfg.get("reference", "raw")
     if reference not in ("raw", "finest"):
         raise ConfigError(f"study.reference must be 'raw' or 'finest', got {reference!r}")
@@ -485,12 +499,12 @@ def cmd_oracle(config_path: str, out_dir: Path, seed_override, threads: int) -> 
     grid_cfg = cfg.get("grid", {})
     _check_keys(grid_cfg, {"lo", "hi", "count"}, "grid.")
     try:
-        lo = float(grid_cfg.get("lo", -8.0))
-        hi = float(grid_cfg.get("hi", 8.0))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"grid.lo and grid.hi must be numbers: {exc}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ConfigError(f"grid.lo and grid.hi must be finite with lo < hi, got {lo!r}, {hi!r}")
+        lo = _finite_float(grid_cfg.get("lo", -8.0), "grid.lo")
+        hi = _finite_float(grid_cfg.get("hi", 8.0), "grid.hi")
+    except ValueError as exc:
+        raise ConfigError(f"grid.lo and grid.hi must be finite numbers: {exc}") from exc
+    if not lo < hi:
+        raise ConfigError(f"grid.lo and grid.hi must satisfy lo < hi, got {lo!r}, {hi!r}")
     count = _positive_int(grid_cfg.get("count", 2001), "grid.count")
     if count < 2:
         raise ConfigError("config key grid.count must be at least 2")

@@ -173,18 +173,28 @@ def nu_weights(space: GaussianSpace, target) -> np.ndarray:
     Computed with a max-shift in log space so large |f| cannot overflow;
     the shift cancels in the normalization.
     """
+    _, w, _ = shifted_nu_weights(space, target, "all nu-weights underflowed")
+    total = w.sum()
+    if total < WEIGHT_FLOOR:
+        raise DegenerateWeightError("nu-weight normalizer collapsed")
+    return w / total
+
+
+def shifted_nu_weights(space: GaussianSpace, target, underflow: str):
+    """(f, e^{log w - f - shift}, shift) at the nodes, shift = max(log w - f).
+
+    One evaluation of f serves both the nu-weights and log E[e^{-f}]; the
+    shift keeps large |f| from overflowing.  Raises DegenerateWeightError
+    with the caller's `underflow` text when every log-weight is -inf.
+    """
     fvals = np.asarray(target.eval(space.nodes), dtype=float).reshape(-1)
     if not np.all(np.isfinite(fvals)):
         raise NonFiniteValueError("target log-density not finite at a quadrature node")
     logw = np.log(space.weights) - fvals
     shift = logw.max()
     if not np.isfinite(shift):
-        raise DegenerateWeightError("all nu-weights underflowed")
-    w = np.exp(logw - shift)
-    total = w.sum()
-    if total < WEIGHT_FLOOR:
-        raise DegenerateWeightError("nu-weight normalizer collapsed")
-    return w / total
+        raise DegenerateWeightError(underflow)
+    return fvals, np.exp(logw - shift), shift
 
 
 def nu_masked_weights(space: GaussianSpace, target, mass_tol: float = 1e-12):
@@ -218,14 +228,8 @@ def nu_expectation(space: GaussianSpace, target, values) -> float:
 
 def log_normalizer(space: GaussianSpace, target) -> float:
     """log E_mu[e^{-f}] by shifted log-sum-exp over the nodes."""
-    fvals = np.asarray(target.eval(space.nodes), dtype=float).reshape(-1)
-    if not np.all(np.isfinite(fvals)):
-        raise NonFiniteValueError("target log-density not finite at a quadrature node")
-    logw = np.log(space.weights) - fvals
-    shift = logw.max()
-    if not np.isfinite(shift):
-        raise DegenerateWeightError("normalizer underflowed everywhere")
-    return float(shift + np.log(np.sum(np.exp(logw - shift))))
+    _, w, shift = shifted_nu_weights(space, target, "normalizer underflowed everywhere")
+    return float(shift + np.log(np.sum(w)))
 
 
 def ou_semigroup(space: GaussianSpace, g: Callable, t: float) -> Callable:

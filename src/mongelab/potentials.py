@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularJacobianError
-from .gaussian import GaussianSpace, log_normalizer, nu_expectation
+from .gaussian import GaussianSpace, shifted_nu_weights
 from .hermite import HermiteBasis, as_points
 
 EIG_FLOOR = 1e-8
@@ -212,6 +212,8 @@ def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:
 
 
 def relative_entropy(space: GaussianSpace, target) -> float:
-    """H(nu | mu) = E_nu[-f] - log E[e^{-f}]."""
-    log_c = log_normalizer(space, target)
-    return nu_expectation(space, target, lambda x: -target.eval(x)) - log_c
+    """H(nu | mu) = E_nu[-f] - log E[e^{-f}], from one evaluation of f on the nodes."""
+    fvals, w, shift = shifted_nu_weights(space, target, "normalizer underflowed everywhere")
+    total = np.sum(w)
+    log_c = float(shift + np.log(total))
+    return float(np.sum(w / total * -fvals)) - log_c

@@ -38,7 +38,8 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
 
     f_n and its derivatives come from one log-sum-exp over the combined
     (semigroup y, conditioning z) quadrature, so grad/hess are exact
-    derivatives of the evaluated f_n.
+    derivatives of the evaluated f_n; value_and_grad shares that one
+    log-sum-exp between f_n and grad f_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -83,13 +84,19 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         _, _, log_s = _log_mix(pts)
         return -log_s
 
-    def grad(x):
-        pts = as_points(x, d)
-        args, r, _ = _log_mix(pts)
+    def _mean_grad(args, r):
         gf = np.asarray(target.grad(args.reshape(-1, d))).reshape(args.shape)
         g = a * np.einsum("nj,njd->nd", r, gf)
         g[:, keep:] = 0.0
         return g
+
+    def grad(x):
+        args, r, _ = _log_mix(as_points(x, d))
+        return _mean_grad(args, r)
+
+    def value_and_grad(x):
+        args, r, log_s = _log_mix(as_points(x, d))
+        return -log_s, _mean_grad(args, r)
 
     def hess(x):
         pts = as_points(x, d)
@@ -114,6 +121,7 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         f,
         grad,
         hess,
+        value_and_grad,
     )
     # positivity of e^{-f_n} on the nodes; raises on underflow
     vals = smoothed.eval(space.nodes)
@@ -167,22 +175,28 @@ def truncate_density(space: GaussianSpace, target: ScalarTarget, n: int) -> Scal
         dn_v, dn_d1, dn_d2 = _ramp(-s - edge)
         return up_v + dn_v, up_d1 - dn_d1, up_d2 + dn_d2
 
-    def _s(pts):
-        return -np.asarray(target.eval(pts)).reshape(-1) - log_c
+    def _s(fvals):
+        return -np.asarray(fvals).reshape(-1) - log_c
 
     def f(x):
-        pts = as_points(x, d)
-        v, _, _ = _penalty(_s(pts))
-        return target.eval(pts) + v
+        fvals = target.eval(as_points(x, d))
+        v, _, _ = _penalty(_s(fvals))
+        return fvals + v
 
     def grad(x):
         pts = as_points(x, d)
-        _, p1, _ = _penalty(_s(pts))
+        _, p1, _ = _penalty(_s(target.eval(pts)))
         return (1.0 - p1)[:, None] * target.grad(pts)
+
+    def value_and_grad(x):
+        pts = as_points(x, d)
+        fvals = target.eval(pts)
+        v, p1, _ = _penalty(_s(fvals))
+        return fvals + v, (1.0 - p1)[:, None] * target.grad(pts)
 
     def hess(x):
         pts = as_points(x, d)
-        _, p1, p2 = _penalty(_s(pts))
+        _, p1, p2 = _penalty(_s(target.eval(pts)))
         gf = target.grad(pts)
         return (1.0 - p1)[:, None, None] * target.hess(pts) + p2[:, None, None] * np.einsum(
             "nd,ne->nde", gf, gf
@@ -195,9 +209,10 @@ def truncate_density(space: GaussianSpace, target: ScalarTarget, n: int) -> Scal
         f,
         grad,
         hess,
+        value_and_grad,
     )
     w = nu_weights(space, target)
-    v, _, _ = _penalty(_s(space.nodes))
+    v, _, _ = _penalty(_s(target.eval(space.nodes)))
     theta_mass = float(np.sum(w * np.exp(-v)))
     if theta_mass < 1e-300:
         raise DegenerateWeightError("truncation removed essentially all mass")

@@ -126,13 +126,17 @@ class ForwardWorkspace(BarrierWorkspace):
         if margin <= 0:
             return np.inf, None, margin
         shifted = self.nodes + g
-        fvals = np.asarray(self.target.eval(shifted), dtype=float).reshape(-1)
+        if want_grad:
+            fvals, grad_f = self.target.value_and_grad(shifted)
+        else:
+            fvals = self.target.eval(shifted)
+        fvals = np.asarray(fvals, dtype=float).reshape(-1)
         if not np.all(np.isfinite(fvals)):
             raise NonFiniteValueError("target not finite at a transported node")
         obj = float(np.sum(self.w * (fvals + 0.5 * np.sum(g**2, axis=1) - ld2)))
         if not want_grad:
             return obj, None, margin
-        grad_f = np.asarray(self.target.grad(shifted), dtype=float)
+        grad_f = np.asarray(grad_f, dtype=float)
         lin = (grad_f + g) * self.w[:, None]                      # (N, d)
         grad = np.einsum("nk,akn->a", lin, self.bgrad)
         grad += self.barrier_gradient(jac)

@@ -3,10 +3,16 @@
 Each constructor returns a ScalarTarget with consistent eval/grad/hess
 evaluators.  Construction runs a finite-difference self-check of the
 gradient on a small probe grid and verifies Hessian symmetry.
+
+`ScalarTarget.value_and_grad(x)` returns (f, grad f) on one point set.
+Targets whose f and grad f share an expensive intermediate (the
+regularized targets in `smoothing`) pass a fused evaluator that computes
+it once; for the others it is the two separate calls.  Either way the
+result equals (eval(x), grad(x)) bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -20,7 +26,11 @@ _FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class ScalarTarget:
-    """f with evaluators; kind tags: gaussian, quartic-well, mixture, tabulated-1d, ..."""
+    """f with evaluators; kind tags: gaussian, quartic-well, mixture, tabulated-1d, ...
+
+    `fused`, when given, maps points to (f, grad f) in one pass and must
+    agree bit for bit with (eval, grad); `value_and_grad` uses it.
+    """
 
     dim: int
     kind: str
@@ -28,14 +38,27 @@ class ScalarTarget:
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    fused: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False)
+
+    def value_and_grad(self, x) -> tuple:
+        """(f(x), grad f(x)) on one point set, equal to (eval(x), grad(x))."""
+        if self.fused is None:
+            return self.eval(x), self.grad(x)
+        return self.fused(x)
 
     def shifted(self, offset: float) -> "ScalarTarget":
         """Target with f + offset (same measure, different normalizer)."""
-        base_eval = self.eval
+        base_eval, base_fused = self.eval, self.fused
+
+        def fused(x):
+            vals, grads = base_fused(x)
+            return vals + offset, grads
+
         return replace(
             self,
             params={**self.params, "offset": self.params.get("offset", 0.0) + offset},
             eval=lambda x: base_eval(x) + offset,
+            fused=None if base_fused is None else fused,
         )
 
 

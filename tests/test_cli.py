@@ -50,6 +50,16 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": -1.0}}, "invalid solver: eig_floor"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "seed": "x"}, "config key seed"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "seed": -3}, "config key seed"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"grad_tol_soft": True}},
+         "invalid solver: grad_tol_soft"),
+        ("solve", {**GAUSSIAN_SOLVE, "tolerances": {"identity": True}},
+         "invalid tolerances: identity"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"grad_tol": float("nan")}},
+         "invalid solver: grad_tol"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "quartic-well", "a": True, "b": 0.0}},
+         "invalid target: a"),
+        ("study", with_study(threshold=True), "study.threshold"),
+        ("oracle", {"target": GAUSSIAN_SOLVE["target"], "grid": {"lo": True}}, "grid.lo"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ import pytest
 from mongelab import (
     DegenerateWeightError,
     GaussianSpace,
+    HermiteBasis,
     ScalarTarget,
     SolveConfig,
     convergence_study,
     gaussian_target,
     quartic_well_target,
+    relative_entropy,
     smooth_target,
     truncate_density,
 )
+from mongelab.solver_forward import ForwardWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,70 @@ class TestTruncateDensity:
         h = 1e-6
         fd = (tr.eval(pts + h) - tr.eval(pts - h)) / (2 * h)
         np.testing.assert_allclose(fd, tr.grad(pts)[:, 0], rtol=1e-5, atol=1e-7)
+
+
+def counting(target):
+    """The target with its eval wrapped to record the row count of every call."""
+    calls = []
+
+    def counted_eval(x):
+        calls.append(len(x))
+        return target.eval(x)
+
+    return replace(target, eval=counted_eval), calls
+
+
+@pytest.fixture(scope="module")
+def plane10():
+    return GaussianSpace.tensor_hermite(2, 10)
+
+
+class TestValueAndGrad:
+    """value_and_grad(x) is (eval(x), grad(x)) bit for bit, in one target evaluation."""
+
+    @staticmethod
+    def assert_fused_exact(target, pts):
+        vals, grads = target.value_and_grad(pts)
+        assert np.array_equal(vals, target.eval(pts))
+        assert np.array_equal(grads, target.grad(pts))
+
+    @pytest.mark.parametrize("n", [1, 2])  # n = 1 < d conditions on x1 only
+    def test_smoothed_2d(self, plane10, n):
+        sm = smooth_target(plane10, quartic_well_target(0.05, -0.1, dim=2), n)
+        pts = np.random.default_rng(n).normal(scale=1.5, size=(13, 2))
+        self.assert_fused_exact(sm, pts)
+
+    def test_truncated(self, line80, heavy_tail):
+        tr = truncate_density(line80, heavy_tail, 2)
+        pts = np.linspace(-4.0, 4.0, 41).reshape(-1, 1)  # crosses both cutoff ramps
+        assert tr.fused is not None
+        self.assert_fused_exact(tr, pts)
+
+    def test_shifted_smoothed_adds_offset_to_value_only(self, line30, target_21):
+        sm = smooth_target(line30, target_21, 2)
+        shifted = sm.shifted(0.37)
+        pts = np.linspace(-3.0, 3.0, 13).reshape(-1, 1)
+        self.assert_fused_exact(shifted, pts)
+        vals, grads = shifted.value_and_grad(pts)
+        assert np.array_equal(vals, sm.eval(pts) + 0.37)
+        assert np.array_equal(grads, sm.grad(pts))
+
+    def test_base_target_falls_back_to_two_calls(self):
+        quartic = quartic_well_target(0.03, 0.1, dim=2)
+        assert quartic.fused is None
+        self.assert_fused_exact(quartic, np.random.default_rng(0).normal(size=(9, 2)))
+
+    def test_forward_gradient_evaluates_base_target_once(self, plane10):
+        base, calls = counting(quartic_well_target(0.05, 0.0, dim=2))
+        ws = ForwardWorkspace(plane10, smooth_target(plane10, base, 1), HermiteBasis(2, 2))
+        calls.clear()
+        ws.objective_and_gradient(np.zeros(ws.basis.size))
+        assert len(calls) == 1
+
+    def test_relative_entropy_evaluates_f_once(self, line30, target_21):
+        target, calls = counting(target_21)
+        relative_entropy(line30, target)
+        assert calls == [line30.nodes.shape[0]]
 
 
 class TestConvergenceStudy:

@@ -12,6 +12,7 @@ from mongelab import (
     objective,
     objective_coefficient_gradient,
     quartic_well_target,
+    smooth_target,
     solve,
     variational_gap,
     wasserstein_check,
@@ -59,6 +60,12 @@ class TestObjective:
             assert objective(line60, target_21, phi) >= lhs - 1e-8
 
 
+@pytest.fixture(scope="module")
+def ou_quartic(line60):
+    """A regularized target: the quartic well under P_{1/2}, a fused evaluator."""
+    return smooth_target(line60, quartic_well_target(0.05, -0.1), 2)
+
+
 class TestCoefficientGradient:
     def test_zero_at_global_minimum(self, line60, flat_target):
         grad = objective_coefficient_gradient(line60, flat_target, PotentialField.zero(1, 3))
@@ -68,17 +75,20 @@ class TestCoefficientGradient:
         grad = objective_coefficient_gradient(line60, target_21, quadratic_phi(2.0, 1.0))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
-    # both objectives share the barrier kernel; forward cases are named by seed alone
-    @pytest.mark.parametrize("workspace, seed", [
-        *(pytest.param(ForwardWorkspace, seed, id=str(seed)) for seed in range(10)),
-        *(pytest.param(BackwardWorkspace, seed, id=f"backward-{seed}") for seed in range(10)),
+    # both objectives share the barrier kernel; forward cases on target_21 are named
+    # by seed alone, and the ou cases drive the fused value-and-gradient path
+    @pytest.mark.parametrize("workspace, seed, target_name", [
+        *(pytest.param(ForwardWorkspace, seed, "target_21", id=str(seed)) for seed in range(10)),
+        *(pytest.param(BackwardWorkspace, seed, "target_21", id=f"backward-{seed}")
+          for seed in range(10)),
+        *(pytest.param(ForwardWorkspace, seed, "ou_quartic", id=f"ou-{seed}") for seed in range(5)),
     ])
-    def test_matches_finite_differences(self, line60, target_21, workspace, seed):
+    def test_matches_finite_differences(self, request, line60, workspace, seed, target_name):
         rng = np.random.default_rng(seed)
         phi = PotentialField.from_coeff_dict(
             1, 2, {(1,): rng.uniform(-0.5, 0.5), (2,): rng.uniform(-0.2, 0.3)}
         )
-        ws = workspace(line60, target_21, HermiteBasis(1, 2))
+        ws = workspace(line60, request.getfixturevalue(target_name), HermiteBasis(1, 2))
         _, grad, _ = ws.objective_and_gradient(phi.coeffs)
         h = 1e-6
         for a in range(phi.coeffs.shape[0]):
