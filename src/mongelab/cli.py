@@ -39,7 +39,7 @@ from .oracle1d import monotone_map, potential_from_map, wasserstein2_sq
 from .potentials import EIG_FLOOR
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
 from .smoothing import convergence_study
-from .solver_backward import conjugate, fit_dual
+from .solver_backward import fit_dual
 from .solver_forward import SolveConfig, solve, variational_gap, wasserstein_check
 from .targets import (
     ScalarTarget,
@@ -157,7 +157,6 @@ def build_thresholds(cfg: dict, path: str = "tolerances.") -> CheckThresholds:
     base = CheckThresholds()
     try:
         return CheckThresholds(
-            identity_closed_form=base.identity_closed_form,
             identity_solved=_finite_float(cfg.get("identity", base.identity_solved), "identity"),
             inequality=_finite_float(cfg.get("inequality", base.inequality), "inequality"),
             trace=_finite_float(cfg.get("trace", base.trace), "trace"),
@@ -186,8 +185,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         _positive_int(dual_degree, path + "dual_degree")
 
     result = solve(space, target, solver_cfg)
-    dual = fit_dual(space, target, conjugate(space, result.phi, grid=space.nodes),
-                    degree=dual_degree)
+    dual = fit_dual(space, target, result.phi, degree=dual_degree)
     metadata = {
         "name": cfg.get("name", f"{target.kind}-d{dim}"),
         "dim": dim,

@@ -31,6 +31,7 @@ from .hermite import as_points
 
 MAX_TENSOR_NODES = 10**7
 WEIGHT_FLOOR = 1e-300
+NU_MASS_TOL = 1e-12  # nu-mass left off the nodes that nu-a.s. quantities read
 
 
 @dataclass(frozen=True)
@@ -197,19 +198,19 @@ def shifted_nu_weights(space: GaussianSpace, target, underflow: str):
     return fvals, np.exp(logw - shift), shift
 
 
-def nu_masked_weights(space: GaussianSpace, target, mass_tol: float = 1e-12):
-    """Renormalized nu-weights on the smallest node set of mass >= 1 - mass_tol.
+def nu_masked_weights(space: GaussianSpace, target):
+    """Renormalized nu-weights on the smallest node set of mass >= 1 - NU_MASS_TOL.
 
     nu-a.s. conditions (backward potentials, dual Hessians) are checked on
     this set only: polynomial potentials and conjugacy solves are
     meaningless far outside the nu-support, and the dropped nodes carry a
-    combined nu-mass below mass_tol.  Returns (weights, mask) with the
+    combined nu-mass below NU_MASS_TOL.  Returns (weights, mask) with the
     weights zeroed off-mask and renormalized.
     """
     w = nu_weights(space, target)
     order = np.argsort(w)[::-1]
     cum = np.cumsum(w[order])
-    keep = int(np.searchsorted(cum, 1.0 - mass_tol)) + 1
+    keep = int(np.searchsorted(cum, 1.0 - NU_MASS_TOL)) + 1
     mask = np.zeros(w.shape[0], dtype=bool)
     mask[order[:keep]] = True
     w = np.where(mask, w, 0.0)

@@ -211,9 +211,14 @@ def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:
     return float(np.sum(space.weights * vals))
 
 
-def relative_entropy(space: GaussianSpace, target) -> float:
-    """H(nu | mu) = E_nu[-f] - log E[e^{-f}], from one evaluation of f on the nodes."""
+def relative_entropy_terms(space: GaussianSpace, target) -> tuple[float, float]:
+    """(H(nu | mu), log E[e^{-f}]), from one evaluation of f on the nodes."""
     fvals, w, shift = shifted_nu_weights(space, target, "normalizer underflowed everywhere")
     total = np.sum(w)
     log_c = float(shift + np.log(total))
-    return float(np.sum(w / total * -fvals)) - log_c
+    return float(np.sum(w / total * -fvals)) - log_c, log_c
+
+
+def relative_entropy(space: GaussianSpace, target) -> float:
+    """H(nu | mu) = E_nu[-f] - log E[e^{-f}], from one evaluation of f on the nodes."""
+    return relative_entropy_terms(space, target)[0]

@@ -25,7 +25,7 @@ from .errors import DegenerateWeightError, MongelabError
 from .gaussian import GaussianSpace, log_normalizer, nu_weights
 from .hermite import as_points
 from .solver_forward import SolveConfig, solve
-from .solver_backward import conjugate, fit_dual
+from .solver_backward import fit_dual
 from .targets import ScalarTarget, check_consistency
 
 _RAMP_EDGE = 40.0      # theta at the outer band edge is e^{-40} ~ 4e-18
@@ -253,12 +253,6 @@ class StudyTable:
         return [r.grad_phi_err for r in self.rows if r.status == "ok"]
 
 
-def _centered_values(space, target, psi_field, offset=0.0):
-    w = nu_weights(space, target)
-    vals = psi_field.eval(space.nodes) + offset
-    return vals - np.sum(w * vals), w
-
-
 def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
                       n_list, config: SolveConfig,
                       reference: str = "raw") -> StudyTable:
@@ -266,7 +260,9 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
 
     scheme: "ou" or "truncation"; reference: "raw" (solve the raw target)
     or "finest" (solve at max(n_list) and compare the remaining rows to it).
-    Rows whose solve fails are flagged and the study continues.
+    Rows whose solve fails are flagged and the study continues.  A dual
+    whose fit is underdetermined (fewer nu-mass nodes than unknowns, see
+    fit_dual) leaves the psi columns NaN that depend on it.
     """
     if scheme not in ("ou", "truncation"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -285,8 +281,10 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
         res = solve(space, tgt, config, initial=warm)
         if not res.converged:
             raise MongelabError("solver did not converge")
-        dual = fit_dual(space, tgt, conjugate(space, res.phi, grid=space.nodes))
-        return res, dual
+        try:
+            return res, fit_dual(space, tgt, res.phi)
+        except DegenerateWeightError:
+            return res, None
 
     # rows warm-start from the reference: regularized targets are small
     # perturbations of it, and cold starts can stall on cutoff ramps
@@ -304,9 +302,15 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
         ref_label = f"finest(n={n_list[-1]})"
         row_ns = n_list[:-1]
 
+    w_nu = nu_weights(space, target)
+
+    def centered_psi(dual, t=0.0):
+        """Q_t psi (Q_0 psi = psi) at the nodes, centered under nu."""
+        vals = dual.as_field().semigroup(t).eval(space.nodes) + dual.fit_offset
+        return vals - np.sum(w_nu * vals)
+
     ref_grad = ref_res.phi.grad(space.nodes)
-    ref_psi_centered, w_nu = _centered_values(space, target, ref_dual.as_field(),
-                                              ref_dual.fit_offset)
+    ref_psi = None if ref_dual is None else centered_psi(ref_dual)
 
     table = StudyTable(scheme=scheme, reference=ref_label)
     for n in sorted(row_ns, reverse=True):
@@ -315,15 +319,12 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
             res_n, dual_n = solve_pair(tgt_n, warm=ref_res.phi)
             g = res_n.phi.grad(space.nodes)
             grad_err = float(np.sqrt(np.sum(space.weights * np.sum((g - ref_grad) ** 2, axis=1))))
-            psi_centered, _ = _centered_values(space, target, dual_n.as_field(),
-                                               dual_n.fit_offset)
-            psi_err = float(np.sum(w_nu * np.abs(psi_centered - ref_psi_centered)))
-            if scheme == "ou":
-                sm = dual_n.as_field().semigroup(1.0 / n)
-                sm_centered, _ = _centered_values(space, target, sm, dual_n.fit_offset)
-                psi_err_sm = float(np.sum(w_nu * np.abs(sm_centered - ref_psi_centered)))
-            else:
-                psi_err_sm = float("nan")
+            psi_err = psi_err_sm = float("nan")
+            if ref_psi is not None and dual_n is not None:
+                psi_err = float(np.sum(w_nu * np.abs(centered_psi(dual_n) - ref_psi)))
+                if scheme == "ou":
+                    sm = centered_psi(dual_n, 1.0 / n)
+                    psi_err_sm = float(np.sum(w_nu * np.abs(sm - ref_psi)))
             table.rows.append(StudyRow(n, grad_err, psi_err, psi_err_sm,
                                        res_n.wasserstein2_sq))
         except MongelabError as exc:

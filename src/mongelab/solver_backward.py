@@ -40,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import (GaussianSpace, inverse_jacobian_operator, log_normalizer,
-                       nu_masked_weights, nu_weights)
+from .errors import DegenerateWeightError
+from .gaussian import GaussianSpace, inverse_jacobian_operator, log_normalizer, nu_masked_weights
 from .hermite import HermiteBasis, as_points
 from .potentials import EIG_FLOOR, PotentialField, inverse_shift_jacobian, logdet2
 from .solver_forward import BarrierWorkspace, SolveConfig, SolveResult, minimize_with_barrier
@@ -184,26 +184,27 @@ def conjugate(space: GaussianSpace, phi: PotentialField,
     )
 
 
-def fit_dual(space: GaussianSpace, target: ScalarTarget, dual: DualPotential,
+def fit_dual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
              degree: int | None = None) -> DualPotential:
-    """Least-squares Hermite fit of psi under nu at the quadrature nodes.
+    """Conjugacy dual of phi on the nu-mass nodes (nu_masked_weights; the
+    backward conditions are nu-a.s.), with psi fitted there under nu.
 
-    Precondition: dual is tabulated on exactly the quadrature nodes, as
-    conjugate(space, phi, grid=space.nodes) returns it.  Its psi_values
-    are regressed as they are, without a second conjugacy solve; any
-    other dual.points raise ValueError.
+    This is the one conjugacy solve: the nu-side checks read its
+    minimizers.  Raises DegenerateWeightError when the nodes are fewer
+    than the fit's unknowns.
 
     The constant term (excluded from the basis) is kept as fit_offset; all
     residual diagnostics only use derivatives of the fit.
     """
-    nodes = space.nodes
-    if not np.array_equal(dual.points, nodes):
-        raise ValueError("fit_dual needs a dual tabulated on the quadrature nodes "
-                         "(conjugate(space, phi, grid=space.nodes))")
-    degree = dual.forward.degree if degree is None else degree
-    basis = HermiteBasis(space.dim, degree)
+    w, mask = nu_masked_weights(space, target)
+    basis = HermiteBasis(space.dim, phi.degree if degree is None else degree)
+    nodes = space.nodes[mask]
+    if nodes.shape[0] <= basis.size:
+        raise DegenerateWeightError(
+            f"dual fit has {nodes.shape[0]} nu-mass nodes for {basis.size + 1} unknowns")
+    dual = conjugate(space, phi, grid=nodes)
     vals = dual.psi_values
-    w = nu_weights(space, target)
+    w = w[mask]
     design = np.concatenate([np.ones((nodes.shape[0], 1)), basis.value_table(nodes).T], axis=1)
     sw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(design * sw[:, None], vals * sw, rcond=None)
@@ -265,8 +266,9 @@ def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual) -> fl
     y = space.nodes[mask]
     m, pdiv, grad_psi = _backward_operator(dual, y)
     delta_m = np.einsum("nij,ni->nj", m, y) - pdiv
-    delta_nu_m = delta_m + np.einsum("nij,ni->nj", m, target.grad(y))
-    r = delta_nu_m - grad_psi + target.grad(y)
+    gf = target.grad(y)
+    delta_nu_m = delta_m + np.einsum("nij,ni->nj", m, gf)
+    r = delta_nu_m - grad_psi + gf
     return float(np.sum(w[mask] * np.sum(r**2, axis=1)))
 
 
@@ -330,9 +332,9 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
         np.zeros(basis.size),
         config.max_iters,
         config.grad_tol,
+        config.grad_tol_soft,
+        ws.coeff_scale,
         use_bfgs=(config.optimizer == "quasi-newton"),
-        plateau_tol=config.grad_tol_soft,
-        scale=ws.coeff_scale,
     )
     psi = PotentialField(basis, c)
     g, _ = ws.fields(c)

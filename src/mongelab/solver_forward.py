@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonFiniteValueError, SingularJacobianError
 from .gaussian import GaussianSpace
 from .hermite import HermiteBasis
-from .potentials import EIG_FLOOR, PotentialField, relative_entropy
+from .potentials import EIG_FLOOR, PotentialField, relative_entropy_terms
 from .targets import ScalarTarget
 
 
@@ -162,9 +162,9 @@ def minimize_with_barrier(
     x0: np.ndarray,
     max_iters: int,
     grad_tol: float,
+    plateau_tol: float,
+    scale: np.ndarray,
     use_bfgs: bool = True,
-    plateau_tol: float | None = None,
-    scale: np.ndarray | None = None,
 ):
     """Deterministic BFGS (or plain descent) with Armijo backtracking.
 
@@ -177,7 +177,9 @@ def minimize_with_barrier(
     descent whenever the curvature condition fails or the quasi-newton
     direction is blocked.  When no acceptable step remains (descent
     below floating-point resolution), the run counts as converged iff
-    the gradient norm is within plateau_tol.  Returns (x, value, grad,
+    the gradient norm is within plateau_tol.  scale is the diagonal
+    preconditioner that starts, and restarts, the inverse-Hessian
+    estimate (coefficient_scale).  Returns (x, value, grad,
     iterations, converged, history).
     """
     x = np.array(x0, dtype=float)
@@ -185,7 +187,7 @@ def minimize_with_barrier(
     if not np.isfinite(val):
         raise SingularJacobianError("infeasible starting point")
     n = x.shape[0]
-    h0 = np.eye(n) if scale is None else np.diag(scale)
+    h0 = np.diag(scale)
     h_inv = h0.copy()
     history = [val]
     iterations = 0
@@ -227,8 +229,7 @@ def minimize_with_barrier(
                 alpha, new_val, new_grad, new_margin = backtrack(p, slope)
         if alpha is None:
             # no representable descent left; best iterate is the answer
-            if plateau_tol is not None:
-                converged = float(np.linalg.norm(grad)) <= plateau_tol
+            converged = float(np.linalg.norm(grad)) <= plateau_tol
             break
         s = alpha * p
         y = new_grad - grad
@@ -239,7 +240,6 @@ def minimize_with_barrier(
         converged = gn <= grad_tol
         if (
             not converged
-            and plateau_tol is not None
             and gn <= plateau_tol
             and decrease <= 1e-15 * (1.0 + abs(val))
         ):
@@ -275,13 +275,6 @@ def objective_coefficient_gradient(space: GaussianSpace, target: ScalarTarget,
     return grad
 
 
-def variational_lhs(space: GaussianSpace, target: ScalarTarget) -> float:
-    """-log E[e^{-f}], the exact infimum of J_f over all transports."""
-    from .gaussian import log_normalizer
-
-    return -log_normalizer(space, target)
-
-
 def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
           initial: PotentialField | None = None) -> SolveResult:
     """Minimize J_f from phi = 0 (always feasible: Lambda = 1 there).
@@ -292,7 +285,7 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
     converged=False when the gradient tolerance was not reached within
     max_iters; deterministic for a fixed (space, target, config, initial).
     """
-    h_rel = relative_entropy(space, target)
+    h_rel, log_c = relative_entropy_terms(space, target)
     if not np.isfinite(h_rel):
         raise NonFiniteValueError("relative entropy of the target is not finite")
     basis = HermiteBasis(space.dim, config.degree)
@@ -308,9 +301,9 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
         c0,
         config.max_iters,
         config.grad_tol,
+        config.grad_tol_soft,
+        ws.coeff_scale,
         use_bfgs=(config.optimizer == "quasi-newton"),
-        plateau_tol=config.grad_tol_soft,
-        scale=ws.coeff_scale,
     )
     phi = PotentialField(basis, c)
     g, _ = ws.fields(c)
@@ -322,7 +315,7 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
         converged=converged,
         grad_norm=float(np.linalg.norm(grad)),
         wasserstein2_sq=w2,
-        variational_lhs=variational_lhs(space, target),
+        variational_lhs=-log_c,
         objective_history=history,
     )
 

@@ -136,6 +136,43 @@ class TestSolveCommand:
         assert (out1 / "solve_report.json").read_bytes() == (out2 / "solve_report.json").read_bytes()
         assert (out1 / "solve_summary.txt").read_bytes() == (out2 / "solve_summary.txt").read_bytes()
 
+    @pytest.mark.parametrize("index", [0, 9, 12])
+    def test_run_entry_runs_one_conjugacy_solve(self, index, monkeypatch):
+        import mongelab.solver_backward as sb
+        from mongelab.cli import default_battery, run_entry
+        from mongelab.diagnostics import CheckThresholds
+
+        calls = []
+        newton = sb.conjugacy_minimize
+
+        def counting(phi, y):
+            calls.append(len(y))
+            return newton(phi, y)
+
+        monkeypatch.setattr(sb, "conjugacy_minimize", counting)
+        outcome = run_entry(default_battery()[index], 0, CheckThresholds())
+        assert outcome["report"].all_passed()
+        assert len(calls) == 1
+
+    def test_dual_fit_with_too_few_nu_mass_nodes_is_reported(self, tmp_path):
+        entry = {
+            "name": "quartic-dual-14",
+            "dim": 1,
+            "degree": 10,
+            "dual_degree": 14,
+            "quadrature": {"kind": "tensor-hermite", "level": 30},
+            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
+            "solver": {"max_iters": 3000},
+        }
+        cfg = write_config(tmp_path, "cfg.json", {"battery": [entry]})
+        out = tmp_path / "out"
+        assert main(["battery", "--config", cfg, "--out", str(out)]) == 4
+        report = json.loads((out / "battery_report.json").read_text())
+        assert report["entries"] == [{
+            "name": "quartic-dual-14",
+            "error": "DegenerateWeightError: dual fit has 14 nu-mass nodes for 15 unknowns",
+        }]
+
     def test_seed_override_changes_monte_carlo(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "dim": 5,

@@ -11,6 +11,7 @@ from mongelab import (
     control_forward,
     div_second_moment_identity,
     dual_hessian_bound,
+    fit_dual,
     forward_el_residual,
     forward_sobolev_bound,
     gaussian_target,
@@ -300,22 +301,29 @@ class TestStandardReport:
         r2 = run_standard_checks(line80, target_21, res, dual)
         assert r1.to_json_dict() == r2.to_json_dict()
 
-    def test_nu_side_checks_share_one_conjugacy_solve(self, line80, target_21, monkeypatch):
+    def test_checks_on_a_fitted_dual_run_no_conjugacy_solve(self, line80, target_21,
+                                                             monkeypatch):
         import mongelab.solver_backward as sb
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi, grid=line80.nodes)
-        calls = []
-        newton = sb.conjugacy_minimize
+        dual = fit_dual(line80, target_21, res.phi)
 
-        def counting(phi, y):
-            calls.append(len(y))
-            return newton(phi, y)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a check re-ran the conjugacy solve")
 
-        monkeypatch.setattr(sb, "conjugacy_minimize", counting)
+        monkeypatch.setattr(sb, "conjugacy_minimize", no_solve)
         report = run_standard_checks(line80, target_21, res, dual)
         assert report.all_passed()
-        assert len(calls) == 1
+
+    def test_hessian_composition_reads_the_bound_left_hand_sides(self, line80, target_21):
+        res = solve(line80, target_21, SolveConfig(degree=2))
+        dual = fit_dual(line80, target_21, res.phi)
+        records = {r.name: r for r in run_standard_checks(line80, target_21, res, dual).records}
+        composition = records["hessian_composition"]
+        assert composition.lhs == records["control_forward"].lhs
+        assert composition.rhs == records["dual_hessian_bound"].lhs
+        assert (composition.lhs, composition.rhs) == hessian_composition_gap(
+            line80, target_21, res.phi, dual)
 
     def test_summary_lines_format(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))

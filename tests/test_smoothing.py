@@ -8,13 +8,18 @@ from mongelab import (
     DegenerateWeightError,
     GaussianSpace,
     HermiteBasis,
+    NonFiniteValueError,
     ScalarTarget,
     SolveConfig,
+    condition_first_n,
     convergence_study,
     gaussian_target,
+    mixture_target,
+    ou_semigroup,
     quartic_well_target,
     relative_entropy,
     smooth_target,
+    solve,
     truncate_density,
 )
 from mongelab.solver_forward import ForwardWorkspace
@@ -95,6 +100,23 @@ class TestSmoothTarget:
         b = sm.eval(np.array([[0.7, -2.0]]))
         assert a[0] == pytest.approx(b[0], abs=1e-12)
         assert sm.grad(np.array([[0.7, 3.0]]))[0, 1] == 0.0
+
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["quartic", "mixture"])
+    def test_matches_semigroup_then_conditioning(self, plane20, kind, n):
+        # e^{-f_n} = condition_first_n(ou_semigroup(e^{-f}, 1/n), min(n, d)),
+        # each operator with its own quadrature; n = 1 < d conditions on x1
+        if kind == "quartic":
+            base = quartic_well_target(0.05, -0.1, dim=2)
+        else:
+            base = mixture_target([0.3, 0.7], [[-0.8, 0.4], [0.6, -0.2]],
+                                  [[0.7, 1.2], [1.1, 0.8]], dim=2)
+        density = ou_semigroup(plane20, lambda x: np.exp(-base.eval(x)), 1.0 / n)
+        reference = condition_first_n(plane20, density, min(n, 2))
+        pts = np.random.default_rng(n).normal(scale=1.5, size=(13, 2))
+        sm = smooth_target(plane20, base, n)
+        np.testing.assert_allclose(np.exp(-sm.eval(pts)), reference(pts), rtol=1e-12)
 
 
 class TestTruncateDensity:
@@ -195,6 +217,24 @@ class TestValueAndGrad:
         relative_entropy(line30, target)
         assert calls == [line30.nodes.shape[0]]
 
+    def test_solve_evaluates_f_on_the_nodes_once(self, line30, target_21):
+        # with a fused evaluator the solver's own trial points bypass eval,
+        # so eval sees only the entropy / normalizer pass over the nodes
+        fused = replace(target_21, fused=lambda x: (target_21.eval(x), target_21.grad(x)))
+        target, calls = counting(fused)
+        assert solve(line30, target, SolveConfig(degree=2)).converged
+        assert calls == [line30.nodes.shape[0]]
+
+    def test_solve_rejects_non_finite_f(self, line30):
+        bad = ScalarTarget(
+            1, "bad", {},
+            eval=lambda x: np.where(x[:, 0] > 2.0, np.nan, 0.0),
+            grad=lambda x: np.zeros_like(x),
+            hess=lambda x: np.zeros((x.shape[0], 1, 1)),
+        )
+        with pytest.raises(NonFiniteValueError, match="target log-density not finite"):
+            solve(line30, bad, SolveConfig(degree=2))
+
 
 class TestConvergenceStudy:
     def test_ou_gaussian_decreasing(self):
@@ -240,6 +280,18 @@ class TestConvergenceStudy:
         assert len(table.rows) == 2
         errs = table.grad_errors()
         assert errs[-1] < errs[0]
+
+    @pytest.mark.parametrize("degree, reference", [(10, "raw"), (10, "finest"), (6, "raw")])
+    def test_underdetermined_dual_fit_leaves_psi_columns_nan(self, line30, degree, reference):
+        # the truncated quartic's nu-mass sits on 10 of 30 nodes for n = 6 and
+        # n = 12: too few for the 11 unknowns of a degree-10 fit, enough for 7
+        tgt = quartic_well_target(0.05, 0.0)
+        table = convergence_study(line30, tgt, "truncation", [6, 12],
+                                  SolveConfig(degree=degree, max_iters=3000),
+                                  reference=reference)
+        assert all(r.status == "ok" and np.isfinite(r.grad_phi_err) for r in table.rows)
+        psi = [r.psi_err for r in table.rows]
+        assert np.all(np.isnan(psi)) if degree == 10 else np.all(np.isfinite(psi))
 
     def test_failed_row_flagged_study_continues(self, line30, monkeypatch):
         import mongelab.smoothing as sm

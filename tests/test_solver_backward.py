@@ -41,7 +41,7 @@ def solved_quartic():
     tgt = quartic_well_target(0.02, 0.1)
     res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
     assert res.converged
-    dual = fit_dual(space, tgt, conjugate(space, res.phi, grid=space.nodes))
+    dual = fit_dual(space, tgt, res.phi)
     return space, tgt, res, dual
 
 
@@ -158,7 +158,7 @@ class TestConjugacyDerivatives:
 class TestInverseCheck:
     def test_gaussian_closed_form(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line60, target_21, conjugate(line60, res.phi, grid=line60.nodes))
+        dual = fit_dual(line60, target_21, res.phi)
         assert inverse_check(line60, res.phi, dual.as_field()) <= 1e-10
 
     def test_zero_potential(self, line60):
@@ -277,33 +277,48 @@ class TestDuality:
 
     def test_fit_residual_small_for_gaussian(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line80, target_21, conjugate(line80, res.phi, grid=line80.nodes))
+        dual = fit_dual(line80, target_21, res.phi)
         assert dual.fit_residual <= 1e-9
 
-    def test_fit_dual_runs_no_conjugacy_solve(self, line80, target_21, monkeypatch):
+    def test_fit_dual_solves_once_on_the_nu_mass_nodes(self, line80, target_21, monkeypatch):
         import mongelab.solver_backward as sb
+        from mongelab.gaussian import nu_masked_weights
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi, grid=line80.nodes)
+        _, mask = nu_masked_weights(line80, target_21)
+        assert 0 < mask.sum() < line80.nodes.shape[0]
+        calls = []
+        newton = sb.conjugacy_minimize
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("fit_dual re-ran the conjugacy solve")
+        def counting(phi, y):
+            calls.append(np.array(y))
+            return newton(phi, y)
 
-        monkeypatch.setattr(sb, "conjugacy_minimize", no_solve)
-        fitted = fit_dual(line80, target_21, dual)
+        monkeypatch.setattr(sb, "conjugacy_minimize", counting)
+        fitted = fit_dual(line80, target_21, res.phi)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], line80.nodes[mask])
+        np.testing.assert_array_equal(fitted.points, line80.nodes[mask])
+        assert fitted.converged.all()
         assert fitted.fit_residual <= 1e-9
-        np.testing.assert_array_equal(fitted.psi_values, dual.psi_values)
 
-    @pytest.mark.parametrize("grid", ["default", "shifted-nodes"])
-    def test_fit_dual_rejects_dual_off_the_nodes(self, line80, target_21, grid):
-        res = solve(line80, target_21, SolveConfig(degree=2))
-        pts = None if grid == "default" else line80.nodes + 0.5
-        with pytest.raises(ValueError, match="quadrature nodes"):
-            fit_dual(line80, target_21, conjugate(line80, res.phi, grid=pts))
+    def test_fit_dual_rejects_too_few_nu_mass_nodes(self):
+        from mongelab import DegenerateWeightError
+        from mongelab.gaussian import nu_masked_weights
+
+        # the quartic's nu-mass sits on 14 of 30 nodes: degree 13 has 14
+        # unknowns (with the constant), degree 14 has 15
+        space = GaussianSpace.tensor_hermite(1, 30)
+        tgt = quartic_well_target(0.05, 0.0)
+        assert nu_masked_weights(space, tgt)[1].sum() == 14
+        phi = PotentialField.zero(1, 10)
+        assert fit_dual(space, tgt, phi, degree=13).psi_fit.degree == 13
+        with pytest.raises(DegenerateWeightError, match="14 nu-mass nodes for 15 unknowns"):
+            fit_dual(space, tgt, phi, degree=14)
 
     def test_dual_serialization_round_trip(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line80, target_21, conjugate(line80, res.phi, grid=line80.nodes))
+        dual = fit_dual(line80, target_21, res.phi)
         data = dual.to_json_dict()
         assert data["provenance"] == "conjugacy"
         back = PotentialField.from_json_dict(data)
