@@ -171,8 +171,17 @@ def build_thresholds(cfg: dict, path: str = "tolerances.") -> CheckThresholds:
 _ENTRY_KEYS = {"name", "dim", "degree", "quadrature", "target", "solver", "seed", "dual_degree"}
 
 
+def error_text(exc: MongelabError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: str = ""):
-    """Solve + dual + diagnostics for one experiment; returns a result dict."""
+    """Solve + dual + diagnostics for one experiment; returns a result dict.
+
+    Errors in the config raise.  A MongelabError of the computation is
+    returned as the dict's "error" (error_text), next to the "solve" block
+    when the forward solve finished.
+    """
     _check_keys(cfg, _ENTRY_KEYS, path)
     dim = _positive_int(_require(cfg, "dim", path), path + "dim")
     degree = _positive_int(_require(cfg, "degree", path), path + "degree")
@@ -184,8 +193,6 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     if dual_degree is not None:
         _positive_int(dual_degree, path + "dual_degree")
 
-    result = solve(space, target, solver_cfg)
-    dual = fit_dual(space, target, result.phi, degree=dual_degree)
     metadata = {
         "name": cfg.get("name", f"{target.kind}-d{dim}"),
         "dim": dim,
@@ -195,20 +202,11 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         "quadrature": space.rule.description,
         "seed": seed,
     }
-    report = run_standard_checks(space, target, result, dual, thresholds=thresholds,
-                                 metadata=metadata)
-    w2, w2_ref = wasserstein_check(space, result, target)
-    if np.isfinite(w2_ref):
-        report.add_identity("wasserstein_vs_reference", w2, w2_ref, 1e-3,
-                            note="quadrature vs closed form / 1d rearrangement")
-    oracle_sup = None
-    if dim == 1:
-        oracle_sup = oracle_map_sup_error(result.phi, target)
-        report.add_identity("oracle_map_agreement", oracle_sup, 0.0, thresholds.oracle,
-                            note=f"sup|T_solver - T_oracle| on {ORACLE_WINDOW}")
-    return {
-        "metadata": metadata,
-        "solve": {
+    outcome = {"metadata": metadata}
+    try:
+        result = solve(space, target, solver_cfg)
+        outcome["converged"] = result.converged
+        outcome["solve"] = {
             "objective": result.objective,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -217,11 +215,24 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
             "variational_lhs": result.variational_lhs,
             "variational_gap": variational_gap(space, target, result),
             "phi": result.phi.to_json_dict(),
-        },
-        "dual": dual.to_json_dict(),
-        "report": report,
-        "converged": result.converged,
-    }
+        }
+        dual = fit_dual(space, target, result.phi, degree=dual_degree)
+        report = run_standard_checks(space, target, result, dual, thresholds=thresholds,
+                                     metadata=metadata)
+        w2, w2_ref = wasserstein_check(space, result, target)
+        if np.isfinite(w2_ref):
+            report.add_identity("wasserstein_vs_reference", w2, w2_ref, 1e-3,
+                                note="quadrature vs closed form / 1d rearrangement")
+        if dim == 1:
+            report.add_identity("oracle_map_agreement", oracle_map_sup_error(result.phi, target),
+                                0.0, thresholds.oracle,
+                                note=f"sup|T_solver - T_oracle| on {ORACLE_WINDOW}")
+    except MongelabError as exc:
+        outcome["error"] = error_text(exc)
+        return outcome
+    outcome["dual"] = dual.to_json_dict()
+    outcome["report"] = report
+    return outcome
 
 
 def oracle_map_sup_error(phi, target: ScalarTarget) -> float:
@@ -253,30 +264,35 @@ def cmd_solve(config_path: str, out_dir: Path, seed_override, threads: int) -> i
     entry_cfg = {k: v for k, v in cfg.items() if k in _ENTRY_KEYS}
     outcome = run_entry(entry_cfg, cfg.get("seed", 0), thresholds)
 
-    report = outcome["report"]
-    payload = {
-        "tool_version": TOOL_VERSION,
-        "config_hash": config_hash(cfg),
-        "metadata": outcome["metadata"],
-        "solve": outcome["solve"],
-        "dual": outcome["dual"],
-        "diagnostics": report.to_json_dict(),
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "solve_report.json", payload)
+    meta = outcome["metadata"]
+    payload = {"tool_version": TOOL_VERSION, "config_hash": config_hash(cfg), "metadata": meta}
     lines = [
         f"mongelab solve ({TOOL_VERSION})  config={config_hash(cfg)[:12]}",
-        f"target={outcome['metadata']['target_kind']} dim={outcome['metadata']['dim']} "
-        f"degree={outcome['metadata']['degree']}",
-        f"quadrature={outcome['metadata']['quadrature']}",
-        f"objective={outcome['solve']['objective']!r} "
-        f"gap={outcome['solve']['variational_gap']!r} "
-        f"w2sq={outcome['solve']['wasserstein2_sq']!r}",
-        f"converged={outcome['solve']['converged']} iterations={outcome['solve']['iterations']}",
-        "",
+        f"target={meta['target_kind']} dim={meta['dim']} degree={meta['degree']}",
+        f"quadrature={meta['quadrature']}",
     ]
-    lines.extend(report.summary_lines())
+    if "solve" in outcome:
+        solved = payload["solve"] = outcome["solve"]
+        lines += [
+            f"objective={solved['objective']!r} gap={solved['variational_gap']!r} "
+            f"w2sq={solved['wasserstein2_sq']!r}",
+            f"converged={solved['converged']} iterations={solved['iterations']}",
+        ]
+    error = outcome.get("error")
+    if error is None:
+        report = outcome["report"]
+        payload["dual"] = outcome["dual"]
+        payload["diagnostics"] = report.to_json_dict()
+        lines += ["", *report.summary_lines()]
+    else:
+        payload["error"] = error
+        lines.append(f"error: {error}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "solve_report.json", payload)
     write_text(out_dir / "solve_summary.txt", "\n".join(lines))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 4
     if not outcome["converged"]:
         return 3
     return 0 if report.all_passed() else 4
@@ -401,12 +417,14 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) ->
     def run_one(idx_entry):
         idx, entry = idx_entry
         try:
-            return run_entry(entry, seed, thresholds, path=f"battery[{idx}].")
+            outcome = run_entry(entry, seed, thresholds, path=f"battery[{idx}].")
         except ConfigError:
             raise
-        except MongelabError as exc:
-            return {"error": f"{type(exc).__name__}: {exc}",
-                    "metadata": {"name": entry.get("name", f"entry-{idx}")}}
+        except MongelabError as exc:  # raised while building the space or target
+            outcome = {"error": error_text(exc)}
+        if "error" in outcome:  # an unfinished entry is reported by its config name alone
+            outcome["metadata"] = {"name": entry.get("name", f"entry-{idx}")}
+        return outcome
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -549,7 +567,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MongelabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {error_text(exc)}", file=sys.stderr)
         return 4
 
 

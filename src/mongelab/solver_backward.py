@@ -170,8 +170,7 @@ def default_dual_grid(dim: int) -> np.ndarray:
     raise ValueError("tabulated dual grids are provided for d <= 2 only")
 
 
-def conjugate(space: GaussianSpace, phi: PotentialField,
-              grid: np.ndarray | None = None) -> DualPotential:
+def conjugate(phi: PotentialField, grid: np.ndarray | None = None) -> DualPotential:
     """psi(y) = -min_x [phi(x) + |x - y|^2 / 2] on the grid points."""
     pts = default_dual_grid(phi.dim) if grid is None else as_points(grid, phi.dim)
     x_star, ok = conjugacy_minimize(phi, pts)
@@ -202,7 +201,7 @@ def fit_dual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
     if nodes.shape[0] <= basis.size:
         raise DegenerateWeightError(
             f"dual fit has {nodes.shape[0]} nu-mass nodes for {basis.size + 1} unknowns")
-    dual = conjugate(space, phi, grid=nodes)
+    dual = conjugate(phi, grid=nodes)
     vals = dual.psi_values
     w = w[mask]
     design = np.concatenate([np.ones((nodes.shape[0], 1)), basis.value_table(nodes).T], axis=1)
@@ -272,8 +271,8 @@ def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual) -> fl
     return float(np.sum(w[mask] * np.sum(r**2, axis=1)))
 
 
-def young_gap(space: GaussianSpace, phi: PotentialField, dual: DualPotential,
-              n_pairs: int = 10000, seed: int = 0) -> float:
+def young_gap(phi: PotentialField, dual: DualPotential, n_pairs: int = 10000,
+              seed: int = 0) -> float:
     """min over probe pairs of F(x, y) = phi(x) + psi(y) + |x - y|^2 / 2.
 
     psi is evaluated by dual.eval at the probe points; for a conjugacy
@@ -325,27 +324,9 @@ class BackwardWorkspace(BarrierWorkspace):
 def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
                                config: SolveConfig) -> tuple[PotentialField, SolveResult]:
     """Cross-check mode: minimize J_b directly over psi coefficients."""
-    basis = HermiteBasis(space.dim, config.degree)
-    ws = BackwardWorkspace(space, target, basis, eig_floor=config.eig_floor)
-    c, val, grad, iterations, converged, history = minimize_with_barrier(
-        ws.objective_and_gradient,
-        np.zeros(basis.size),
-        config.max_iters,
-        config.grad_tol,
-        config.grad_tol_soft,
-        ws.coeff_scale,
-        use_bfgs=(config.optimizer == "quasi-newton"),
-    )
-    psi = PotentialField(basis, c)
-    g, _ = ws.fields(c)
-    result = SolveResult(
-        phi=psi,
-        objective=val,
-        iterations=iterations,
-        converged=converged,
-        grad_norm=float(np.linalg.norm(grad)),
-        wasserstein2_sq=float(np.sum(ws.w * np.sum(g**2, axis=1))),
-        variational_lhs=log_normalizer(space, target),  # -log nu(e^f) = log E[e^{-f}]
-        objective_history=history,
-    )
-    return psi, result
+    ws = BackwardWorkspace(space, target, HermiteBasis(space.dim, config.degree),
+                           eig_floor=config.eig_floor)
+    # -log nu(e^f) = log E[e^{-f}]
+    result = minimize_with_barrier(ws, np.zeros(ws.basis.size), config,
+                                   log_normalizer(space, target))
+    return result.phi, result

@@ -14,7 +14,6 @@ distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -64,6 +63,8 @@ class SolveResult:
 class BarrierWorkspace:
     """Per-node basis tables and the barrier -E_w[log det2(I + hess)] over
     Hermite coefficients, shared by the forward and backward objectives.
+    Each subclass defines objective_and_gradient(coeffs) -> (value,
+    gradient, margin), which minimize_with_barrier drives.
     """
 
     def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray,
@@ -115,27 +116,20 @@ class ForwardWorkspace(BarrierWorkspace):
         self.target = target
 
     def objective(self, coeffs: np.ndarray) -> float:
-        val, _, _ = self._evaluate(coeffs, want_grad=False)
-        return val
+        return self._evaluate(coeffs)[0]
 
     def objective_and_gradient(self, coeffs: np.ndarray):
-        return self._evaluate(coeffs, want_grad=True)
+        return self._evaluate(coeffs)
 
-    def _evaluate(self, coeffs: np.ndarray, want_grad: bool):
+    def _evaluate(self, coeffs: np.ndarray):
         g, jac, ld2, margin = self.barrier(coeffs)
         if margin <= 0:
             return np.inf, None, margin
-        shifted = self.nodes + g
-        if want_grad:
-            fvals, grad_f = self.target.value_and_grad(shifted)
-        else:
-            fvals = self.target.eval(shifted)
+        fvals, grad_f = self.target.value_and_grad(self.nodes + g)
         fvals = np.asarray(fvals, dtype=float).reshape(-1)
         if not np.all(np.isfinite(fvals)):
             raise NonFiniteValueError("target not finite at a transported node")
         obj = float(np.sum(self.w * (fvals + 0.5 * np.sum(g**2, axis=1) - ld2)))
-        if not want_grad:
-            return obj, None, margin
         grad_f = np.asarray(grad_f, dtype=float)
         lin = (grad_f + g) * self.w[:, None]                      # (N, d)
         grad = np.einsum("nk,akn->a", lin, self.bgrad)
@@ -157,47 +151,43 @@ def coefficient_scale(bhess: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + sens)
 
 
-def minimize_with_barrier(
-    fun_grad: Callable,
-    x0: np.ndarray,
-    max_iters: int,
-    grad_tol: float,
-    plateau_tol: float,
-    scale: np.ndarray,
-    use_bfgs: bool = True,
-):
-    """Deterministic BFGS (or plain descent) with Armijo backtracking.
+def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveConfig,
+                          variational_lhs: float) -> SolveResult:
+    """Deterministic BFGS (or plain descent, per config.optimizer) with
+    Armijo backtracking over the coefficients of ws, from x0.
 
-    fun_grad(x) returns (value, gradient, margin); value is +inf and the
-    gradient None when the margin (distance of the smallest eigenvalue
-    above the floor) is nonpositive.  Accepted steps must keep a fixed
-    fraction of the current margin (fraction-to-the-boundary rule), so
-    iterates approach the feasibility boundary at most geometrically and
-    never get pinned against it mid-path.  Restarts from steepest
-    descent whenever the curvature condition fails or the quasi-newton
-    direction is blocked.  When no acceptable step remains (descent
-    below floating-point resolution), the run counts as converged iff
-    the gradient norm is within plateau_tol.  scale is the diagonal
-    preconditioner that starts, and restarts, the inverse-Hessian
-    estimate (coefficient_scale).  Returns (x, value, grad,
-    iterations, converged, history).
+    ws.objective_and_gradient(x) returns (value, gradient, margin); value
+    is +inf and the gradient None when the margin (distance of the
+    smallest eigenvalue above the floor) is nonpositive.  Accepted steps
+    must keep a fixed fraction of the current margin
+    (fraction-to-the-boundary rule), so iterates approach the feasibility
+    boundary at most geometrically and never get pinned against it
+    mid-path.  Restarts from steepest descent whenever the curvature
+    condition fails or the quasi-newton direction is blocked.  Converges
+    at config.grad_tol; when no acceptable step remains (descent below
+    floating-point resolution), the run counts as converged iff the
+    gradient norm is within config.grad_tol_soft.  ws.coeff_scale is the
+    diagonal preconditioner that starts, and restarts, the inverse-Hessian
+    estimate.  Returns the SolveResult of the last accepted iterate x:
+    phi = PotentialField(ws.basis, x) and wasserstein2_sq = sum ws.w |grad phi|^2.
     """
+    use_bfgs = config.optimizer == "quasi-newton"
     x = np.array(x0, dtype=float)
-    val, grad, margin = fun_grad(x)
+    val, grad, margin = ws.objective_and_gradient(x)
     if not np.isfinite(val):
         raise SingularJacobianError("infeasible starting point")
     n = x.shape[0]
-    h0 = np.diag(scale)
+    h0 = np.diag(ws.coeff_scale)
     h_inv = h0.copy()
     history = [val]
     iterations = 0
-    converged = float(np.linalg.norm(grad)) <= grad_tol
+    converged = float(np.linalg.norm(grad)) <= config.grad_tol
 
     def backtrack(p, slope):
         alpha = 1.0
         while alpha > 1e-16:
             trial = x + alpha * p
-            new_val, new_grad, new_margin = fun_grad(trial)
+            new_val, new_grad, new_margin = ws.objective_and_gradient(trial)
             if (
                 np.isfinite(new_val)
                 and new_margin >= MARGIN_SHRINK * margin
@@ -207,7 +197,7 @@ def minimize_with_barrier(
             alpha *= 0.5
         return None, None, None, None
 
-    for _ in range(max_iters):
+    for _ in range(config.max_iters):
         if converged:
             break
         iterations += 1
@@ -229,7 +219,7 @@ def minimize_with_barrier(
                 alpha, new_val, new_grad, new_margin = backtrack(p, slope)
         if alpha is None:
             # no representable descent left; best iterate is the answer
-            converged = float(np.linalg.norm(grad)) <= plateau_tol
+            converged = float(np.linalg.norm(grad)) <= config.grad_tol_soft
             break
         s = alpha * p
         y = new_grad - grad
@@ -237,10 +227,10 @@ def minimize_with_barrier(
         x, val, grad, margin = x + s, new_val, new_grad, new_margin
         history.append(val)
         gn = float(np.linalg.norm(grad))
-        converged = gn <= grad_tol
+        converged = gn <= config.grad_tol
         if (
             not converged
-            and gn <= plateau_tol
+            and gn <= config.grad_tol_soft
             and decrease <= 1e-15 * (1.0 + abs(val))
         ):
             converged = True  # stationary within floating-point resolution
@@ -253,7 +243,17 @@ def minimize_with_barrier(
                 h_inv += rho * np.outer(s, s)
             else:
                 h_inv = h0.copy()
-    return x, val, grad, iterations, converged, history
+    g, _ = ws.fields(x)
+    return SolveResult(
+        phi=PotentialField(ws.basis, x),
+        objective=val,
+        iterations=iterations,
+        converged=converged,
+        grad_norm=float(np.linalg.norm(grad)),
+        wasserstein2_sq=float(np.sum(ws.w * np.sum(g**2, axis=1))),
+        variational_lhs=variational_lhs,
+        objective_history=history,
+    )
 
 
 def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -> float:
@@ -295,29 +295,8 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
     else:
         if initial.dim != space.dim or initial.degree != config.degree:
             raise ValueError("initial potential must match the space dim and config degree")
-        c0 = initial.coeffs.copy()
-    c, val, grad, iterations, converged, history = minimize_with_barrier(
-        ws.objective_and_gradient,
-        c0,
-        config.max_iters,
-        config.grad_tol,
-        config.grad_tol_soft,
-        ws.coeff_scale,
-        use_bfgs=(config.optimizer == "quasi-newton"),
-    )
-    phi = PotentialField(basis, c)
-    g, _ = ws.fields(c)
-    w2 = float(np.sum(space.weights * np.sum(g**2, axis=1)))
-    return SolveResult(
-        phi=phi,
-        objective=val,
-        iterations=iterations,
-        converged=converged,
-        grad_norm=float(np.linalg.norm(grad)),
-        wasserstein2_sq=w2,
-        variational_lhs=-log_c,
-        objective_history=history,
-    )
+        c0 = initial.coeffs
+    return minimize_with_barrier(ws, c0, config, -log_c)
 
 
 def gaussian_w2_sq(target: ScalarTarget) -> float:

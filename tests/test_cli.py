@@ -173,6 +173,28 @@ class TestSolveCommand:
             "error": "DegenerateWeightError: dual fit has 14 nu-mass nodes for 15 unknowns",
         }]
 
+    def test_error_after_the_solve_is_reported(self, tmp_path, capsys):
+        # the forward solve converges, then the dual fit has 14 nu-mass nodes for 15 unknowns
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dim": 1,
+            "degree": 10,
+            "dual_degree": 14,
+            "quadrature": {"kind": "tensor-hermite", "level": 30},
+            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
+            "solver": {"max_iters": 3000},
+        })
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
+        error = "DegenerateWeightError: dual fit has 14 nu-mass nodes for 15 unknowns"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["error"] == error
+        assert report["solve"]["converged"] is True
+        assert "diagnostics" not in report
+        summary = (out / "solve_summary.txt").read_text()
+        assert summary.splitlines()[-1] == f"error: {error}"
+        assert "converged=True" in summary
+
     def test_seed_override_changes_monte_carlo(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "dim": 5,

@@ -133,7 +133,7 @@ class TestDualHessianBound:
 
     def test_composition_two_routes(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         via_phi, via_psi = hessian_composition_gap(line80, target_21, res.phi, dual)
         assert abs(via_phi - via_psi) <= 1e-3
 
@@ -285,7 +285,7 @@ class TestL2OuBound:
 class TestStandardReport:
     def test_gaussian_report_all_pass(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         report = run_standard_checks(line80, target_21, res, dual,
                                      metadata={"name": "gaussian-21"})
         assert report.all_passed()
@@ -296,7 +296,7 @@ class TestStandardReport:
 
     def test_report_deterministic(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         r1 = run_standard_checks(line80, target_21, res, dual)
         r2 = run_standard_checks(line80, target_21, res, dual)
         assert r1.to_json_dict() == r2.to_json_dict()
@@ -327,7 +327,7 @@ class TestStandardReport:
 
     def test_summary_lines_format(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         report = run_standard_checks(line80, target_21, res, dual)
         lines = report.summary_lines()
         assert all(line.startswith(("PASS", "FAIL", "INFO", "SKIP")) for line in lines)

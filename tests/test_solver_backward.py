@@ -46,44 +46,44 @@ def solved_quartic():
 
 
 class TestConjugate:
-    def test_zero_potential(self, line60):
-        dual = conjugate(line60, PotentialField.zero(1, 2), grid=np.linspace(-3, 3, 41))
+    def test_zero_potential(self):
+        dual = conjugate(PotentialField.zero(1, 2), grid=np.linspace(-3, 3, 41))
         assert dual.converged.all()
         np.testing.assert_allclose(dual.psi_values, 0.0, atol=1e-12)
         np.testing.assert_allclose(dual.grad(np.linspace(-2, 2, 9)), 0.0, atol=1e-12)
 
-    def test_gaussian_dual_gradient(self, line60):
+    def test_gaussian_dual_gradient(self):
         # sigma=2, m=1: S(y) = (y-1)/2, grad psi(y) = (y-1)/2 - y
         phi = quadratic_phi(2.0, 1.0)
-        dual = conjugate(line60, phi)
+        dual = conjugate(phi)
         ys = np.linspace(-3, 3, 11).reshape(-1, 1)
         np.testing.assert_allclose(
             dual.grad(ys)[:, 0], (ys[:, 0] - 1) / 2 - ys[:, 0], atol=1e-10
         )
 
-    def test_mean_shift_values(self, line60):
+    def test_mean_shift_values(self):
         # phi = m x: psi(y) = -m y + m^2/2 including the constant
         m = 0.8
         phi = PotentialField.from_coeff_dict(1, 1, {(1,): m})
-        dual = conjugate(line60, phi, grid=np.linspace(-2, 2, 21))
+        dual = conjugate(phi, grid=np.linspace(-2, 2, 21))
         np.testing.assert_allclose(
             dual.psi_values, -m * dual.points[:, 0] + m**2 / 2, atol=1e-12
         )
 
-    def test_exact_hessian_via_forward(self, line60):
+    def test_exact_hessian_via_forward(self):
         phi = quadratic_phi(2.0, 1.0)
-        dual = conjugate(line60, phi)
+        dual = conjugate(phi)
         ys = np.linspace(-2, 2, 7)
         np.testing.assert_allclose(dual.hess(ys.reshape(-1, 1))[:, 0, 0], -0.5, atol=1e-12)
 
     def test_young_inequality_on_probe_pairs(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        dual = conjugate(line60, res.phi)
-        assert young_gap(line60, res.phi, dual, n_pairs=10000, seed=0) >= -1e-8
+        dual = conjugate(res.phi)
+        assert young_gap(res.phi, dual, n_pairs=10000, seed=0) >= -1e-8
 
     def test_zero_on_graph(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        dual = conjugate(line60, res.phi)
+        dual = conjugate(res.phi)
         xs = np.linspace(-3, 3, 17)
         assert graph_identity_gap(res.phi, dual, xs.reshape(-1, 1)) <= 1e-10
 
@@ -94,7 +94,7 @@ def quartic_dual():
     tgt = quartic_well_target(0.03, -0.1)
     res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
     assert res.converged
-    return conjugate(space, res.phi)
+    return conjugate(res.phi)
 
 
 class TestConjugacyDerivatives:
@@ -140,7 +140,7 @@ class TestConjugacyDerivatives:
     def test_2d_hess_matches_fd(self, plane20):
         tgt = gaussian_target([0.5, -0.3], [1.6, 0.7])
         res = solve(plane20, tgt, SolveConfig(degree=2))
-        dual = conjugate(plane20, res.phi)
+        dual = conjugate(res.phi)
         ys = np.array([[0.2, -0.4], [1.0, 0.8], [-1.5, 0.0]])
         h = 1e-6
         for k in range(2):
@@ -150,9 +150,7 @@ class TestConjugacyDerivatives:
             np.testing.assert_allclose(fd, dual.hess(ys)[:, k, :], rtol=1e-5, atol=1e-8)
 
     def test_young_gap_quartic(self, quartic_dual):
-        space = GaussianSpace.tensor_hermite(1, 30)
-        assert young_gap(space, quartic_dual.forward, quartic_dual,
-                         n_pairs=10000, seed=3) >= -1e-8
+        assert young_gap(quartic_dual.forward, quartic_dual, n_pairs=10000, seed=3) >= -1e-8
 
 
 class TestInverseCheck:
@@ -197,7 +195,7 @@ class TestBackwardObjective:
 
     def test_conjugate_dual_attains(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         assert backward_objective(line80, target_21, dual) == pytest.approx(LN2, abs=1e-6)
 
 
@@ -223,7 +221,7 @@ class TestBackwardElResidual:
 
     def test_conjugate_gaussian(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         assert backward_el_residual(line80, target_21, dual) <= 1e-8
 
     @pytest.mark.parametrize("sigma,m", [(0.5, 0.0), (2.0, 1.0), (1.5, -1.0)])
@@ -232,7 +230,7 @@ class TestBackwardElResidual:
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = gaussian_target([m], sigma)
         res = solve(space, tgt, SolveConfig(degree=2))
-        dual = conjugate(space, res.phi)
+        dual = conjugate(res.phi)
         assert backward_el_residual(space, tgt, dual) <= 1e-4
 
 
@@ -242,7 +240,7 @@ class TestDuality:
         from mongelab.gaussian import nu_masked_weights
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(line80, res.phi)
+        dual = conjugate(res.phi)
         w, mask = nu_masked_weights(line80, target_21)
         g = dual.grad(line80.nodes[mask])
         nu_side = float(np.sum(w[mask] * np.sum(g**2, axis=1)))
@@ -255,7 +253,7 @@ class TestDuality:
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.02, 0.1)
         res = solve(space, tgt, SolveConfig(degree=6, max_iters=3000))
-        dual_c = conjugate(space, res.phi)
+        dual_c = conjugate(res.phi)
         dual_v, res_b = solve_backward_variational(space, tgt,
                                                    SolveConfig(degree=6, max_iters=3000))
         assert res_b.converged

@@ -14,6 +14,8 @@ from mongelab import (
     quartic_well_target,
     smooth_target,
     solve,
+    solve_backward_variational,
+    truncate_density,
     variational_gap,
     wasserstein_check,
 )
@@ -66,6 +68,12 @@ def ou_quartic(line60):
     return smooth_target(line60, quartic_well_target(0.05, -0.1), 2)
 
 
+@pytest.fixture(scope="module")
+def truncated_21(line60, target_21):
+    """A regularized target: N(1, 4) with its density ratio cut to [1/2, 2]."""
+    return truncate_density(line60, target_21, 2)
+
+
 class TestCoefficientGradient:
     def test_zero_at_global_minimum(self, line60, flat_target):
         grad = objective_coefficient_gradient(line60, flat_target, PotentialField.zero(1, 3))
@@ -76,12 +84,14 @@ class TestCoefficientGradient:
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     # both objectives share the barrier kernel; forward cases on target_21 are named
-    # by seed alone, and the ou cases drive the fused value-and-gradient path
+    # by seed alone, and the ou and trunc cases drive the fused value-and-gradient path
     @pytest.mark.parametrize("workspace, seed, target_name", [
         *(pytest.param(ForwardWorkspace, seed, "target_21", id=str(seed)) for seed in range(10)),
         *(pytest.param(BackwardWorkspace, seed, "target_21", id=f"backward-{seed}")
           for seed in range(10)),
         *(pytest.param(ForwardWorkspace, seed, "ou_quartic", id=f"ou-{seed}") for seed in range(5)),
+        *(pytest.param(ForwardWorkspace, seed, "truncated_21", id=f"trunc-{seed}")
+          for seed in range(5)),
     ])
     def test_matches_finite_differences(self, request, line60, workspace, seed, target_name):
         rng = np.random.default_rng(seed)
@@ -89,7 +99,9 @@ class TestCoefficientGradient:
             1, 2, {(1,): rng.uniform(-0.5, 0.5), (2,): rng.uniform(-0.2, 0.3)}
         )
         ws = workspace(line60, request.getfixturevalue(target_name), HermiteBasis(1, 2))
-        _, grad, _ = ws.objective_and_gradient(phi.coeffs)
+        val, grad, _ = ws.objective_and_gradient(phi.coeffs)
+        if workspace is ForwardWorkspace:
+            assert ws.objective(phi.coeffs) == val  # the value of the one fused evaluation
         h = 1e-6
         for a in range(phi.coeffs.shape[0]):
             cp = phi.coeffs.copy()
@@ -98,6 +110,26 @@ class TestCoefficientGradient:
             cm[a] -= h
             fd = (ws.objective_and_gradient(cp)[0] - ws.objective_and_gradient(cm)[0]) / (2 * h)
             assert fd == pytest.approx(grad[a], rel=1e-5, abs=1e-9)
+
+
+class TestBarrierDriver:
+    """minimize_with_barrier builds the SolveResult of both solvers from its workspace."""
+
+    @pytest.mark.parametrize("mode", ["quasi-newton", "gradient-descent", "backward"])
+    def test_result_reads_the_workspace(self, line60, target_21, mode):
+        basis = HermiteBasis(1, 4)
+        if mode == "backward":
+            _, res = solve_backward_variational(line60, target_21, SolveConfig(degree=4))
+            ws = BackwardWorkspace(line60, target_21, basis)
+        else:
+            res = solve(line60, target_21, SolveConfig(degree=4, optimizer=mode, max_iters=2000))
+            ws = ForwardWorkspace(line60, target_21, basis)
+        assert res.converged
+        assert res.objective_history[-1] == res.objective
+        g, _ = ws.fields(res.phi.coeffs)
+        assert res.wasserstein2_sq == float(np.sum(ws.w * np.sum(g**2, axis=1)))
+        _, grad, _ = ws.objective_and_gradient(res.phi.coeffs)
+        assert res.grad_norm == float(np.linalg.norm(grad))
 
 
 class TestSolve:
