@@ -15,7 +15,7 @@ def main():
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump({"battery": "default", "seed": 0}, fh)
         cfg = fh.name
-    code = cli_main(["battery", "--config", cfg, "--out", str(out), "--threads", "2"])
+    code = cli_main(["battery", "--config", cfg, "--out", str(out)])
     print((out / "battery_summary.txt").read_text())
     print(f"exit code: {code}")
     return code

@@ -17,7 +17,6 @@ from .errors import (
 from .gaussian import (
     GaussianSpace,
     OperatorField,
-    QuadratureRule,
     VectorField,
     condition_first_n,
     constant_field,

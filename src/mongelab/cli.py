@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +174,17 @@ def error_text(exc: MongelabError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def build_problem(cfg: dict, default_seed: int, path: str = ""):
+    """(dim, degree, seed, space, target, solver config) of one solve config."""
+    dim = _positive_int(_require(cfg, "dim", path), path + "dim")
+    degree = _positive_int(_require(cfg, "degree", path), path + "degree")
+    seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
+    space = build_space(_require(cfg, "quadrature", path), dim, seed, path + "quadrature.")
+    target = build_target(_require(cfg, "target", path), dim, path + "target.")
+    solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
+    return dim, degree, seed, space, target, solver_cfg
+
+
 def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: str = ""):
     """Solve + dual + diagnostics for one experiment; returns a result dict.
 
@@ -183,12 +193,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     when the forward solve finished.
     """
     _check_keys(cfg, _ENTRY_KEYS, path)
-    dim = _positive_int(_require(cfg, "dim", path), path + "dim")
-    degree = _positive_int(_require(cfg, "degree", path), path + "degree")
-    seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
-    space = build_space(_require(cfg, "quadrature", path), dim, seed, path + "quadrature.")
-    target = build_target(_require(cfg, "target", path), dim, path + "target.")
-    solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
+    dim, degree, seed, space, target, solver_cfg = build_problem(cfg, default_seed, path)
     dual_degree = cfg.get("dual_degree")
     if dual_degree is not None:
         _positive_int(dual_degree, path + "dual_degree")
@@ -199,7 +204,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         "degree": degree,
         "target_kind": target.kind,
         "target_params": target.params,
-        "quadrature": space.rule.description,
+        "quadrature": space.description,
         "seed": seed,
     }
     outcome = {"metadata": metadata}
@@ -255,7 +260,7 @@ def _load_config(path: str) -> dict:
 _SOLVE_KEYS = _ENTRY_KEYS | {"tolerances"}
 
 
-def cmd_solve(config_path: str, out_dir: Path, seed_override, threads: int) -> int:
+def cmd_solve(config_path: str, out_dir: Path, seed_override) -> int:
     cfg = _load_config(config_path)
     _check_keys(cfg, _SOLVE_KEYS, "")
     if seed_override is not None:
@@ -301,7 +306,7 @@ def cmd_solve(config_path: str, out_dir: Path, seed_override, threads: int) -> i
 _STUDY_KEYS = {"dim", "degree", "quadrature", "target", "solver", "seed", "study"}
 
 
-def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> int:
+def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
     cfg = _load_config(config_path)
     _check_keys(cfg, _STUDY_KEYS, "")
     if seed_override is not None:
@@ -324,13 +329,7 @@ def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> i
     if reference not in ("raw", "finest"):
         raise ConfigError(f"study.reference must be 'raw' or 'finest', got {reference!r}")
 
-    dim = _positive_int(_require(cfg, "dim", ""), "dim")
-    degree = _positive_int(_require(cfg, "degree", ""), "degree")
-    seed = _nonnegative_int(cfg.get("seed", 0), "seed")
-    space = build_space(_require(cfg, "quadrature", ""), dim, seed)
-    target = build_target(_require(cfg, "target", ""), dim)
-    solver_cfg = build_solve_config(cfg.get("solver", {}), degree)
-
+    _, _, _, space, target, solver_cfg = build_problem(cfg, 0)
     table = convergence_study(space, target, scheme, n_list, solver_cfg, reference=reference)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text(out_dir / "study_table.csv", table.to_csv())
@@ -340,7 +339,7 @@ def cmd_study(config_path: str, out_dir: Path, seed_override, threads: int) -> i
         "scheme": scheme,
         "reference": table.reference,
         "threshold": threshold,
-        "quadrature": space.rule.description,
+        "quadrature": space.description,
         "rows": [
             {
                 "n": r.n,
@@ -397,7 +396,7 @@ def default_battery() -> list[dict]:
     return entries
 
 
-def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) -> int:
+def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
     cfg = _load_config(config_path)
     _check_keys(cfg, {"battery", "seed", "tolerances"}, "")
     if seed_override is not None:
@@ -414,24 +413,6 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) ->
     thresholds = build_thresholds(cfg.get("tolerances", {}))
     seed = _nonnegative_int(cfg.get("seed", 0), "seed")
 
-    def run_one(idx_entry):
-        idx, entry = idx_entry
-        try:
-            outcome = run_entry(entry, seed, thresholds, path=f"battery[{idx}].")
-        except ConfigError:
-            raise
-        except MongelabError as exc:  # raised while building the space or target
-            outcome = {"error": error_text(exc)}
-        if "error" in outcome:  # an unfinished entry is reported by its config name alone
-            outcome["metadata"] = {"name": entry.get("name", f"entry-{idx}")}
-        return outcome
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, enumerate(entries)))
-    else:
-        outcomes = [run_one(pair) for pair in enumerate(entries)]
-
     min_slack: dict = {}
     max_identity: dict = {}
     max_oracle = 0.0
@@ -439,8 +420,20 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) ->
     skipped = []
     failed_entries = []
     entry_payloads = []
-    for outcome in outcomes:
-        name = outcome["metadata"]["name"]
+    for idx, entry in enumerate(entries):
+        path = f"battery[{idx}]."
+        _require_object(entry, path)
+        name = entry.get("name", f"entry-{idx}")
+        # the aggregate and the summary tell entries apart by name alone
+        if not isinstance(name, str) or any(p["name"] == name for p in entry_payloads):
+            raise ConfigError(f"config key {path}name must be a string no other entry has, "
+                              f"got {name!r}")
+        try:
+            outcome = run_entry({**entry, "name": name}, seed, thresholds, path=path)
+        except ConfigError:
+            raise
+        except MongelabError as exc:  # raised while building the space or target
+            outcome = {"error": error_text(exc)}
         if "error" in outcome:
             failed_entries.append(name)
             entry_payloads.append({"name": name, "error": outcome["error"]})
@@ -507,7 +500,7 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override, threads: int) ->
     return 0 if ok else 4
 
 
-def cmd_oracle(config_path: str, out_dir: Path, seed_override, threads: int) -> int:
+def cmd_oracle(config_path: str, out_dir: Path, seed_override) -> int:
     cfg = _load_config(config_path)
     _check_keys(cfg, {"target", "grid", "seed"}, "")
     _nonnegative_int(cfg.get("seed", 0), "seed")  # accepted for symmetry; the oracle draws nothing
@@ -562,7 +555,8 @@ def main(argv=None) -> int:
         "oracle": cmd_oracle,
     }[args.command]
     try:
-        return handler(args.config, Path(args.out), args.seed, args.threads)
+        # --threads is accepted for compatibility and ignored: entries run in order
+        return handler(args.config, Path(args.out), args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ and the Gaussian / density-weighted divergence operators.
 Quadrature duality: tensor Gauss-Hermite rules (exact on polynomials of
 total degree <= 2L-1 per axis) for d <= 4, seeded Monte Carlo beyond.
 Expectations reduce in a fixed order (ascending node index, pairwise),
-so results are reproducible regardless of how evaluation is parallelized.
+so results are reproducible.
 
 Conventions used throughout the package:
 
@@ -20,7 +20,7 @@ and for a target density e^{-f} (dnu = e^{-f} dmu / c):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,13 +34,21 @@ WEIGHT_FLOOR = 1e-300
 NU_MASS_TOL = 1e-12  # nu-mass left off the nodes that nu-a.s. quantities read
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes (N, d) and nonnegative weights (N,) summing to one."""
+@dataclass(frozen=True, eq=False)
+class GaussianSpace:
+    """Standard Gaussian N(0, I_d) with a fixed quadrature rule.
 
+    Immutable: `nodes` (N, d) and `weights` (N,) are read-only, and
+    expectations reduce in ascending node order (numpy pairwise summation).
+    `level` is set for a tensor rule, `seed` for a Monte Carlo one.
+    """
+
+    dim: int
     nodes: np.ndarray
     weights: np.ndarray
     description: str
+    level: Optional[int] = None
+    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.weights.ndim != 1:
@@ -54,89 +62,43 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class TensorHermitePolicy:
-    level: int
-
-    def describe(self, dim: int) -> str:
-        return f"tensor-hermite(level={self.level}, dim={dim})"
-
-
-@dataclass(frozen=True)
-class MonteCarloPolicy:
-    samples: int
-    seed: int
-
-    def describe(self, dim: int) -> str:
-        return f"monte-carlo(samples={self.samples}, seed={self.seed}, dim={dim})"
-
-
-def _tensor_rule(dim: int, level: int) -> QuadratureRule:
-    if level < 1:
-        raise ValueError("tensor-hermite level must be >= 1")
-    if dim > 4:
-        raise ValueError("tensor-hermite quadrature is limited to dim <= 4")
-    if level**dim > MAX_TENSOR_NODES:
-        raise ValueError(f"tensor-hermite node count {level}^{dim} exceeds {MAX_TENSOR_NODES}")
-    x, w = hermegauss(level)
-    w = w / w.sum()
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(nodes.shape[0])
-    for j in range(dim):
-        weights *= w[np.unravel_index(np.arange(nodes.shape[0]), (level,) * dim)[j]]
-    weights /= weights.sum()
-    return QuadratureRule(nodes, weights, TensorHermitePolicy(level).describe(dim))
-
-
-def _mc_rule(dim: int, samples: int, seed: int) -> QuadratureRule:
-    if samples < 1:
-        raise ValueError("monte-carlo sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    nodes = rng.standard_normal((samples, dim))
-    weights = np.full(samples, 1.0 / samples)
-    return QuadratureRule(nodes, weights, MonteCarloPolicy(samples, seed).describe(dim))
-
-
-@dataclass(frozen=True)
-class GaussianSpace:
-    """Standard Gaussian N(0, I_d) with a fixed quadrature rule.
-
-    Immutable; evaluation over nodes may fan out but always reduces in
-    ascending node order (numpy pairwise summation).
-    """
-
-    dim: int
-    policy: TensorHermitePolicy | MonteCarloPolicy
-    rule: QuadratureRule = field(compare=False)
-
     @staticmethod
     def tensor_hermite(dim: int, level: int) -> "GaussianSpace":
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        return GaussianSpace(dim, TensorHermitePolicy(level), _tensor_rule(dim, level))
+        if level < 1:
+            raise ValueError("tensor-hermite level must be >= 1")
+        if dim > 4:
+            raise ValueError("tensor-hermite quadrature is limited to dim <= 4")
+        if level**dim > MAX_TENSOR_NODES:
+            raise ValueError(f"tensor-hermite node count {level}^{dim} exceeds {MAX_TENSOR_NODES}")
+        x, w = hermegauss(level)
+        w = w / w.sum()
+        grids = np.meshgrid(*([x] * dim), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=-1)
+        weights = np.ones(nodes.shape[0])
+        for j in range(dim):
+            weights *= w[np.unravel_index(np.arange(nodes.shape[0]), (level,) * dim)[j]]
+        weights /= weights.sum()
+        return GaussianSpace(dim, nodes, weights, f"tensor-hermite(level={level}, dim={dim})",
+                             level=level)
 
     @staticmethod
     def monte_carlo(dim: int, samples: int, seed: int) -> "GaussianSpace":
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        return GaussianSpace(dim, MonteCarloPolicy(samples, seed), _mc_rule(dim, samples, seed))
+        if samples < 1:
+            raise ValueError("monte-carlo sample count must be >= 1")
+        nodes = np.random.default_rng(seed).standard_normal((samples, dim))
+        return GaussianSpace(dim, nodes, np.full(samples, 1.0 / samples),
+                             f"monte-carlo(samples={samples}, seed={seed}, dim={dim})", seed=seed)
 
     def subspace(self, dim: int) -> "GaussianSpace":
-        """Space of a different dimension under the same quadrature policy."""
-        if isinstance(self.policy, TensorHermitePolicy):
-            return GaussianSpace.tensor_hermite(dim, self.policy.level)
+        """Space of a different dimension under the same quadrature kind."""
+        if self.level is not None:
+            return GaussianSpace.tensor_hermite(dim, self.level)
         # derived seed keeps nested integrations reproducible but decorrelated
-        return GaussianSpace.monte_carlo(dim, self.policy.samples, self.policy.seed + 7919 * dim)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.rule.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.rule.weights
+        return GaussianSpace.monte_carlo(dim, self.weights.shape[0], self.seed + 7919 * dim)
 
 
 def _eval_at_nodes(space: GaussianSpace, g: Callable) -> np.ndarray:

@@ -67,9 +67,6 @@ class PotentialField:
             key = tuple(int(v) for v in (alpha if hasattr(alpha, "__len__") else (alpha,)))
             if key not in lookup:
                 raise ValueError(f"multi-index {key} outside basis (dim={dim}, degree={degree})")
-        # second pass so the error above fires before any assignment
-        for alpha, c in coeffs.items():
-            key = tuple(int(v) for v in (alpha if hasattr(alpha, "__len__") else (alpha,)))
             vec[lookup[key]] = float(c)
         return PotentialField(basis, vec)
 

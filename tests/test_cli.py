@@ -60,6 +60,10 @@ class TestConfigErrors:
          "invalid target: a"),
         ("study", with_study(threshold=True), "study.threshold"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "grid": {"lo": True}}, "grid.lo"),
+        ("battery", {"battery": [GAUSSIAN_SOLVE, 5]}, "expected an object at battery[1]"),
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "name": ["a"]}]}, "battery[0].name"),
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "name": "entry-1"}, GAUSSIAN_SOLVE]},
+         "battery[1].name"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -275,7 +279,7 @@ class TestBatteryCommand:
     def test_default_battery_passes(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"battery": "default", "seed": 0})
         out = tmp_path / "out"
-        assert main(["battery", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        assert main(["battery", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "battery_report.json").read_text())
         agg = report["aggregate"]
         assert all(v >= -1e-6 for v in agg["min_inequality_slack"].values())
@@ -325,9 +329,30 @@ class TestBatteryCommand:
     def test_battery_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"battery": "default", "seed": 0})
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["battery", "--config", cfg, "--out", str(out1), "--threads", "1"])
-        main(["battery", "--config", cfg, "--out", str(out2), "--threads", "3"])
-        assert (out1 / "battery_report.json").read_bytes() == (out2 / "battery_report.json").read_bytes()
+        # --threads is accepted and ignored, so it cannot change a byte
+        main(["battery", "--config", cfg, "--out", str(out1)])
+        main(["battery", "--config", cfg, "--out", str(out2), "--threads", "2"])
+        for name in ("battery_report.json", "battery_summary.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_unnamed_entries_named_by_index(self, tmp_path):
+        # the first entry's dual fit fails, the second finishes: both keep
+        # their index name in the payload, the aggregate and the diagnostics
+        quartic = {
+            "dim": 1,
+            "degree": 10,
+            "quadrature": {"kind": "tensor-hermite", "level": 30},
+            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
+            "solver": {"max_iters": 3000},
+        }
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"battery": [{**quartic, "dual_degree": 14}, quartic]})
+        out = tmp_path / "out"
+        main(["battery", "--config", cfg, "--out", str(out)])
+        report = json.loads((out / "battery_report.json").read_text())
+        assert [e["name"] for e in report["entries"]] == ["entry-0", "entry-1"]
+        assert report["aggregate"]["failed_entries"] == ["entry-0"]
+        assert report["entries"][1]["diagnostics"]["metadata"]["name"] == "entry-1"
 
 
 class TestOracleCommand:

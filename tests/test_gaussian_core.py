@@ -69,6 +69,19 @@ class TestQuadrature:
         np.testing.assert_array_equal(a.nodes, b.nodes)
         assert not np.array_equal(a.nodes, c.nodes)
 
+    @pytest.mark.parametrize("space, direct", [
+        (GaussianSpace.tensor_hermite(3, 5), lambda k: GaussianSpace.tensor_hermite(k, 5)),
+        (GaussianSpace.monte_carlo(3, 200, seed=11),
+         lambda k: GaussianSpace.monte_carlo(k, 200, 11 + 7919 * k)),
+    ])
+    def test_subspace_matches_direct_build(self, space, direct):
+        for k in (1, 2):
+            sub, ref = space.subspace(k), direct(k)
+            assert sub.dim == k
+            np.testing.assert_array_equal(sub.nodes, ref.nodes)
+            np.testing.assert_array_equal(sub.weights, ref.weights)
+            assert sub.description == ref.description
+
 
 class TestExpectation:
     def test_second_moment(self, line60):
