@@ -5,9 +5,13 @@ Primary path: conjugacy from the solved forward potential,
     psi(y) = -min_x [phi(x) + |x - y|^2 / 2],
     S(y)   = argmin_x [...],   grad psi(y) = S(y) - y,
 
-evaluated by damped Newton per point (the inner objective is strongly
-convex when I + hess phi has a positive margin).  Higher derivatives of
-psi follow exactly from the implicit function theorem,
+evaluated by damped Newton on the residual grad phi(x) + x - y per point.
+A phi of degree >= 3 need not be convex off the quadrature nodes, so the
+inner objective may have saddles or no minimizer at all: a point whose
+backtracking stalls is retired, and a point counts as converged only where
+its minimizer is certified (residual within tolerance and I + hess phi(x*)
+positive definite above EIG_FLOOR; see conjugacy_minimize).  Higher
+derivatives of psi follow exactly from the implicit function theorem,
 
     I + hess psi(y)       = (I + hess phi(S(y)))^{-1},
     (I + hess psi)^{-1} - I = hess phi(S(y)),
@@ -49,12 +53,26 @@ from .targets import ScalarTarget
 
 _NEWTON_TOL = 1e-12
 _NEWTON_ITERS = 100
+# Smallest Newton step fraction tried is 2^-_MAX_HALVINGS.  Points on their
+# way to a minimizer took at most one halving in every battery, gaussian-3d
+# and study solve; stalled points crawl at lam ~ 1e-16 with |r| ~ 1, where
+# more search only burns phi.grad calls (Nocedal & Wright 3.4, 11.2).
+_MAX_HALVINGS = 20
 
 
 def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     """argmin_x [phi(x) + |x - y|^2 / 2] for each row of y, damped Newton.
 
-    Returns (x_star, converged mask).
+    Newton drives the residual r(x) = grad phi(x) + x - y to zero; each
+    step is halved until |r(x + lam p)| <= (1 - lam/2) |r(x)|.  A point
+    whose step still fails that test at lam = 2^-_MAX_HALVINGS is retired:
+    it keeps its last accepted iterate and takes no further steps.
+
+    Returns (x_star, converged mask).  A point counts as converged only as
+    a certified minimizer: its residual is within tolerance and the
+    smallest eigenvalue of I + hess phi(x_star) exceeds EIG_FLOOR.  Retired
+    points, points out of iterations and roots of r that are saddles of
+    the inner objective all come back unconverged.
     """
     y = as_points(y, phi.dim)
     x = y.copy()
@@ -66,9 +84,10 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     r = residual(x, y)
     rnorm = np.linalg.norm(r, axis=1)
     tol = _NEWTON_TOL * (1.0 + np.linalg.norm(y, axis=1))
+    live = np.ones(y.shape[0], dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        active = rnorm > tol
-        if not active.any():
+        active = np.flatnonzero(live & (rnorm > tol))
+        if active.size == 0:
             break
         jac = eye[None] + phi.hess(x[active])
         step = np.linalg.solve(jac, -r[active][..., None])[..., 0]
@@ -76,17 +95,19 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
         xa = x[active]
         ya = y[active]
         ra = rnorm[active]
-        for _ in range(60):
+        for halvings in range(_MAX_HALVINGS + 1):
             trial = xa + lam[:, None] * step
             trn = np.linalg.norm(residual(trial, ya), axis=1)
             bad = trn > (1.0 - 0.5 * lam) * ra
-            if not bad.any():
+            if not bad.any() or halvings == _MAX_HALVINGS:
                 break
             lam[bad] *= 0.5
-        x[active] = xa + lam[:, None] * step
+        x[active[~bad]] = trial[~bad]
+        live[active[bad]] = False
         r = residual(x, y)
         rnorm = np.linalg.norm(r, axis=1)
-    return x, rnorm <= tol
+    min_eig = np.linalg.eigvalsh(eye[None] + phi.hess(x))[:, 0]
+    return x, (rnorm <= tol) & (min_eig > EIG_FLOOR)
 
 
 def _conjugacy_psi(phi: PotentialField, x_star: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -108,7 +129,7 @@ class DualPotential:
     points: np.ndarray          # (M, d) evaluation points y
     psi_values: np.ndarray      # psi(y), including the conjugacy constant
     map_values: np.ndarray      # S(y) = argmin x
-    converged: np.ndarray       # per-point Newton convergence
+    converged: np.ndarray       # certified minimizer per point (conjugacy_minimize)
     psi_fit: Optional[PotentialField] = None
     fit_offset: float = 0.0
     fit_residual: Optional[float] = None

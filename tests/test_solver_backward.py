@@ -18,7 +18,8 @@ from mongelab import (
     solve_backward_variational,
     young_gap,
 )
-from mongelab.potentials import inverse_shift_jacobian
+import mongelab.solver_backward as sb
+from mongelab.potentials import EIG_FLOOR, inverse_shift_jacobian
 from mongelab.solver_backward import graph_identity_gap
 
 LN2 = math.log(2.0)
@@ -33,6 +34,50 @@ def quadratic_psi(sigma, m):
     return PotentialField.from_coeff_dict(
         1, 2, {(1,): -m / sigma, (2,): (1.0 / sigma - 1.0) / 2}
     )
+
+
+def reference_conjugacy_minimize(phi, y):
+    """Damped Newton on grad phi(x) + x - y with 60 halvings and no retirement.
+
+    The loop conjugacy_minimize ran before stalled points were retired; it
+    accepts the step left after the last halving.  Returns x only.
+    """
+    x = y.copy()
+    eye = np.eye(phi.dim)
+
+    def residual(pts, targets):
+        return phi.grad(pts) + pts - targets
+
+    r = residual(x, y)
+    rnorm = np.linalg.norm(r, axis=1)
+    tol = 1e-12 * (1.0 + np.linalg.norm(y, axis=1))
+    for _ in range(100):
+        active = rnorm > tol
+        if not active.any():
+            break
+        jac = eye[None] + phi.hess(x[active])
+        step = np.linalg.solve(jac, -r[active][..., None])[..., 0]
+        lam = np.ones(step.shape[0])
+        xa = x[active]
+        ya = y[active]
+        ra = rnorm[active]
+        for _ in range(60):
+            trial = xa + lam[:, None] * step
+            trn = np.linalg.norm(residual(trial, ya), axis=1)
+            bad = trn > (1.0 - 0.5 * lam) * ra
+            if not bad.any():
+                break
+            lam[bad] *= 0.5
+        x[active] = xa + lam[:, None] * step
+        r = residual(x, y)
+        rnorm = np.linalg.norm(r, axis=1)
+    return x
+
+
+def half_he3():
+    """phi = He_3 / 2: 1 + phi''(x) = 1 + 3x, so the inner objective is
+    nonconvex for x < -1/3 and unbounded below as x -> -inf."""
+    return PotentialField.from_coeff_dict(1, 3, {(3,): 0.5})
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +131,46 @@ class TestConjugate:
         dual = conjugate(res.phi)
         xs = np.linspace(-3, 3, 17)
         assert graph_identity_gap(res.phi, dual, xs.reshape(-1, 1)) <= 1e-10
+
+
+class TestConjugacyCertificate:
+    """conjugacy_minimize retires stalled points and certifies minimizers."""
+
+    def test_saddle_root_is_not_converged(self):
+        # at y = -1.5 the residual 1.5 x^2 + x has roots 0 (a minimizer) and
+        # -2/3, where 1 + phi'' = -1; Newton from x = y lands on the saddle
+        x_star, ok = sb.conjugacy_minimize(half_he3(), np.array([[-1.5]]))
+        np.testing.assert_allclose(x_star[0, 0], -2.0 / 3.0, atol=1e-12)
+        assert not ok[0]
+
+    def test_stalled_point_retired_early(self, monkeypatch):
+        # y = -3 has no real root (1.5 x^2 + x + 1.5 > 0); y = 1 and y = 2.5
+        # converge to the minimizers 1 and 4/3
+        phi = half_he3()
+        y = np.array([[-3.0], [1.0], [2.5]])
+        x_ref = reference_conjugacy_minimize(phi, y)
+        calls = []
+        grad = PotentialField.grad
+
+        def counting(self, x):
+            calls.append(len(x))
+            return grad(self, x)
+
+        monkeypatch.setattr(PotentialField, "grad", counting)
+        x_star, ok = sb.conjugacy_minimize(phi, y)
+        assert len(calls) <= 200
+        np.testing.assert_array_equal(ok, [False, True, True])
+        np.testing.assert_array_equal(x_star[1:], x_ref[1:])
+        np.testing.assert_allclose(x_star[1:, 0], [1.0, 4.0 / 3.0], atol=1e-12)
+
+    def test_study_raw_dual_has_no_certified_saddle(self):
+        space = GaussianSpace.tensor_hermite(2, 12)
+        tgt = quartic_well_target(0.03, 0.0, dim=2)
+        res = solve(space, tgt, SolveConfig(degree=4))
+        dual = fit_dual(space, tgt, res.phi)
+        jac = np.eye(2)[None] + res.phi.hess(dual.map_values)
+        indefinite = np.linalg.eigvalsh(jac)[:, 0] <= EIG_FLOOR
+        assert not (dual.converged & indefinite).any()
 
 
 @pytest.fixture(scope="module")
