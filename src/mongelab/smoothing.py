@@ -1,7 +1,8 @@
 """Target regularization schemes and their convergence studies.
 
 OU scheme:       e^{-f_n} = E[P_{1/n} e^{-f} | first min(n, d) coordinates],
-                 derivatives taken by differentiating the Mehler quadrature.
+                 one d-dimensional Mehler rule for both operators,
+                 derivatives taken by differentiating that quadrature.
 Truncation:      density scaled by a smooth cutoff theta_n(L) of the ratio
                  L = e^{-f}/c, equal to 1 on [1/n, n] and numerically
                  vanishing outside [1/(2n), 2n].
@@ -36,10 +37,12 @@ _RAMP_WIDTH = float(np.log(2.0))
 def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarTarget:
     """OU-regularized target: e^{-f_n} = E[P_{1/n} e^{-f} | V_{min(n,d)}].
 
-    f_n and its derivatives come from one log-sum-exp over the combined
-    (semigroup y, conditioning z) quadrature, so grad/hess are exact
-    derivatives of the evaluated f_n; value_and_grad shares that one
-    log-sum-exp between f_n and grad f_n.
+    With a = e^{-1/n} and b = sqrt(1 - a^2), the trailing a z + b y is
+    standard normal under mu, so one d-dimensional rule Y gives
+    E[P_{1/n} g | x_lead] = E_Y[g(a x_lead + b Y_lead, Y_trail)].  f_n and
+    its derivatives come from one log-sum-exp over that rule, so grad/hess
+    are exact derivatives of the evaluated f_n; value_and_grad shares that
+    one log-sum-exp between f_n and grad f_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -50,28 +53,19 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
     b = float(np.sqrt(1.0 - a * a))
 
     y_rule = space.subspace(d)
-    if keep < d:
-        z_rule = space.subspace(d - keep)
-        z_nodes, z_w = z_rule.nodes, z_rule.weights
-    else:
-        z_nodes = np.zeros((1, 0))
-        z_w = np.ones(1)
-    y_nodes, y_w = y_rule.nodes, y_rule.weights
-    log_omega = (np.log(y_w)[:, None] + np.log(z_w)[None, :]).ravel()  # (J*Z,)
+    y_nodes = y_rule.nodes
+    log_omega = np.log(y_rule.weights)
 
     def _args(pts):
-        # x with trailing coordinates replaced by z, then the Mehler mix with y
-        m = pts.shape[0]
-        full = np.repeat(pts[:, None, :], z_nodes.shape[0], axis=1)  # (M, Z, d)
+        args = a * pts[:, None, :] + b * y_nodes[None]  # (M, J, d)
         if keep < d:
-            full[:, :, keep:] = z_nodes[None, :, :]
-        mixed = a * full[:, None, :, :] + b * y_nodes[None, :, None, :]  # (M, J, Z, d)
-        return mixed.reshape(m, -1, d)
+            args[:, :, keep:] = y_nodes[None, :, keep:]
+        return args
 
     def _log_mix(pts):
         args = _args(pts)
-        m, jz, _ = args.shape
-        u = -np.asarray(target.eval(args.reshape(-1, d))).reshape(m, jz) + log_omega[None, :]
+        m, j, _ = args.shape
+        u = -np.asarray(target.eval(args.reshape(-1, d))).reshape(m, j) + log_omega[None, :]
         shift = u.max(axis=1, keepdims=True)
         if not np.all(np.isfinite(shift)):
             raise DegenerateWeightError("smoothed density underflowed at a point")
