@@ -38,7 +38,7 @@ from .gaussian import (
     weighted_divergence,
 )
 from .potentials import PotentialField, inverse_shift_jacobian
-from .solver_backward import DualPotential, backward_el_residual, conjugate
+from .solver_backward import backward_el_residual
 from .targets import ScalarTarget
 
 
@@ -353,18 +353,13 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
     """Assemble the full per-experiment report for a solved (phi, psi) pair.
 
     The nu-side checks evaluate the dual on the mass-floored nu-nodes, so a
-    fit_dual result serves them all from the minimizers it holds; a
-    conjugacy dual tabulated elsewhere is re-tabulated there once.
+    fit_dual result serves them all from the minimizers it holds.
     """
     from .gaussian import gradient_field
 
     tol = thresholds or CheckThresholds()
     report = DiagnosticsReport(metadata=dict(metadata or {}))
     phi = result.phi
-    if isinstance(dual, DualPotential):
-        nodes = space.nodes[nu_masked_weights(space, target)[1]]
-        if not np.array_equal(dual.points, nodes):
-            dual = conjugate(dual.forward, nodes)
 
     report.add_identity(
         "variational_gap",

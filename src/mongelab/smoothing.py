@@ -55,12 +55,14 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
     y_rule = space.subspace(d)
     y_nodes = y_rule.nodes
     log_omega = np.log(y_rule.weights)
+    # args = ca x + cb y: trailing coordinates come from the rule alone, so
+    # the chain rule through ca zeroes them in grad and hess
+    lead = np.arange(d) < keep
+    ca = np.where(lead, a, 0.0)
+    cb = np.where(lead, b, 1.0)
 
     def _args(pts):
-        args = a * pts[:, None, :] + b * y_nodes[None]  # (M, J, d)
-        if keep < d:
-            args[:, :, keep:] = y_nodes[None, :, keep:]
-        return args
+        return ca * pts[:, None, :] + cb * y_nodes[None]  # (M, J, d)
 
     def _log_mix(pts):
         args = _args(pts)
@@ -80,9 +82,7 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
 
     def _mean_grad(args, r):
         gf = np.asarray(target.grad(args.reshape(-1, d))).reshape(args.shape)
-        g = a * np.einsum("nj,njd->nd", r, gf)
-        g[:, keep:] = 0.0
-        return g
+        return ca * np.einsum("nj,njd->nd", r, gf)
 
     def grad(x):
         args, r, _ = _log_mix(as_points(x, d))
@@ -99,14 +99,11 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         gf = np.asarray(target.grad(flat)).reshape(args.shape)
         hf = np.asarray(target.hess(flat)).reshape(args.shape[:2] + (d, d))
         mean_g = np.einsum("nj,njd->nd", r, gf)
-        h = a * a * (
+        return np.outer(ca, ca) * (
             np.einsum("nj,njde->nde", r, hf)
             - np.einsum("nj,njd,nje->nde", r, gf, gf)
             + np.einsum("nd,ne->nde", mean_g, mean_g)
         )
-        h[:, keep:, :] = 0.0
-        h[:, :, keep:] = 0.0
-        return h
 
     smoothed = ScalarTarget(
         d,

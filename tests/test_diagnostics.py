@@ -315,32 +315,6 @@ class TestStandardReport:
         report = run_standard_checks(line80, target_21, res, dual)
         assert report.all_passed()
 
-    def test_grid_dual_is_solved_once_on_the_nu_mass_nodes(self, line80, target_21,
-                                                            monkeypatch):
-        # a dual tabulated off the nu-mass nodes is re-tabulated there once,
-        # for the same numbers as a conjugacy solve inside every dual call
-        import mongelab.solver_backward as sb
-
-        res = solve(line80, target_21, SolveConfig(degree=2))
-        solves = []
-        minimize = sb.conjugacy_minimize
-
-        def counted(phi, pts):
-            solves.append(pts.shape[0])
-            return minimize(phi, pts)
-
-        monkeypatch.setattr(sb, "conjugacy_minimize", counted)
-        dual = conjugate(res.phi)
-        records = {r.name: r for r in run_standard_checks(line80, target_21, res, dual).records}
-        assert len(solves) == 2
-        expected = {"el_backward": (sb.backward_el_residual(line80, target_21, dual), 0.0),
-                    "dual_hessian_bound": dual_hessian_bound(line80, target_21, res.phi, dual)}
-        for eps in (0.1, 0.5, 0.9):
-            expected[f"l2_ou_bound(eps={eps})"] = l2_ou_bound(line80, target_21, dual, eps)
-        for name, (lhs, rhs) in expected.items():
-            assert (records[name].lhs, records[name].rhs) == (lhs, rhs), name
-        assert records["hessian_composition"].rhs == expected["dual_hessian_bound"][0]
-
     def test_hessian_composition_reads_the_bound_left_hand_sides(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = fit_dual(line80, target_21, res.phi)
