@@ -75,9 +75,16 @@ def _probe_points(dim: int) -> np.ndarray:
 
 
 def check_consistency(target: ScalarTarget) -> None:
-    """Gradient-vs-finite-difference and Hessian-symmetry self-check."""
+    """Finiteness, gradient-vs-finite-difference and Hessian-symmetry self-check.
+
+    A non-finite parameter (NaN or inf, which no `<= 0` test catches)
+    shows up as a non-finite f, grad or hess at the probe points.
+    """
     pts = _probe_points(target.dim)
     grad = target.grad(pts)
+    hess = target.hess(pts)
+    if not all(np.all(np.isfinite(v)) for v in (target.eval(pts), grad, hess)):
+        raise ValueError(f"{target.kind}: f, grad or hess is not finite at the probe points")
     for k in range(target.dim):
         step = np.zeros(target.dim)
         step[k] = _FD_STEP
@@ -86,7 +93,6 @@ def check_consistency(target: ScalarTarget) -> None:
         scale = np.maximum(np.abs(grad[:, k]), 1e-3)
         if np.any(err / scale > 1e-5):
             raise ValueError(f"{target.kind}: gradient does not match finite differences")
-    hess = target.hess(pts)
     if np.max(np.abs(hess - np.transpose(hess, (0, 2, 1)))) > 1e-12:
         raise ValueError(f"{target.kind}: Hessian not symmetric")
 
@@ -129,13 +135,15 @@ def quartic_well_target(a: float, b: float, dim: int = 1) -> ScalarTarget:
         raise ValueError("quartic coefficient a must be > 0")
     d = dim
 
+    # products, not pts**4 / pts**3: numpy sends exponents other than 2 to libm pow
     def f(x):
         pts = as_points(x, d)
-        return np.sum(a * pts**4 + b * pts**2, axis=1)
+        p2 = pts * pts
+        return np.sum(p2 * (a * p2 + b), axis=1)
 
     def grad(x):
         pts = as_points(x, d)
-        return 4 * a * pts**3 + 2 * b * pts
+        return pts * (4 * a * (pts * pts) + 2 * b)
 
     def hess(x):
         pts = as_points(x, d)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,44 @@ def test_quartic_derivatives():
     xs = np.array([[0.5], [-1.5]])
     np.testing.assert_allclose(tgt.grad(xs)[:, 0], 0.2 * xs[:, 0] ** 3 - 0.4 * xs[:, 0])
     np.testing.assert_allclose(tgt.hess(xs)[:, 0, 0], 0.6 * xs[:, 0] ** 2 - 0.4)
+
+
+@pytest.mark.parametrize("a, b", [(0.03, 0.0), (0.05, -0.2), (0.03, -0.5), (1e-3, 2.0)])
+def test_quartic_matches_exact_rationals(a, b):
+    # f and grad against Fraction arithmetic on the same doubles, |x| up to 40
+    # (the oracle's widened scan range) and, for b < 0, next to the root of
+    # a x^2 + b, where the two terms cancel
+    rng = np.random.default_rng(7)
+    xs = [0.0, 1e-3, 1.0, -40.0, 40.0, *rng.uniform(-40.0, 40.0, 41)]
+    if b < 0:
+        root = np.sqrt(-b / a)
+        xs += [root, -root, np.nextafter(root, 0.0), np.nextafter(root, 50.0),
+               root * (1 + 1e-9), -root * (1 - 1e-9)]
+    pts = np.array(xs).reshape(-1, 2)
+    tgt = quartic_well_target(a, b, dim=2)
+    vals, grads = tgt.eval(pts), tgt.grad(pts)
+    eps = np.finfo(float).eps
+    fa, fb = Fraction(a), Fraction(b)
+    for n, row in enumerate(pts):
+        fx = [Fraction(v) for v in row]
+        exact = sum(fa * x**4 + fb * x**2 for x in fx)
+        scale = sum(abs(fa * x**4) + abs(fb * x**2) for x in fx)
+        assert abs(Fraction(vals[n]) - exact) <= 4 * eps * scale
+        for k, x in enumerate(fx):
+            g_exact = 4 * fa * x**3 + 2 * fb * x
+            g_scale = abs(4 * fa * x**3) + abs(2 * fb * x)
+            assert abs(Fraction(grads[n, k]) - g_exact) <= 4 * eps * g_scale
+
+
+def test_non_finite_parameters_rejected():
+    with pytest.raises(ValueError, match="not finite"):
+        quartic_well_target(float("nan"), 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        quartic_well_target(0.03, float("inf"))
+    with pytest.raises(ValueError, match="not finite"):
+        gaussian_target([0.0], float("nan"))
+    with pytest.raises(ValueError, match="not finite"):
+        mixture_target([0.5, 0.5], [float("inf"), 0.0], [1.0, 1.0])
 
 
 def test_mixture_is_normalized(line80):
