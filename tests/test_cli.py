@@ -58,18 +58,18 @@ class TestConfigErrors:
          "invalid solver: grad_tol"),
         ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "quartic-well", "a": True, "b": 0.0}},
          "invalid target: a"),
-        # json reads NaN / Infinity; a non-finite target parameter is a config error
-        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [float("nan")], "sigma": 1.0}},
-         "invalid target: gaussian"),
-        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
-                                                "means": [float("inf"), 0.0], "sigmas": [1.0, 1.0]}},
-         "invalid target: mixture"),
         ("study", with_study(threshold=True), "study.threshold"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "grid": {"lo": True}}, "grid.lo"),
         ("battery", {"battery": [GAUSSIAN_SOLVE, 5]}, "expected an object at battery[1]"),
         ("battery", {"battery": [{**GAUSSIAN_SOLVE, "name": ["a"]}]}, "battery[0].name"),
         ("battery", {"battery": [{**GAUSSIAN_SOLVE, "name": "entry-1"}, GAUSSIAN_SOLVE]},
          "battery[1].name"),
+        # json reads NaN / Infinity; a non-finite target parameter is a config error
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [float("nan")], "sigma": 1.0}},
+         "invalid target: gaussian"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
+                                                "means": [float("inf"), 0.0], "sigmas": [1.0, 1.0]}},
+         "invalid target: mixture"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
