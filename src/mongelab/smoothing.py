@@ -42,7 +42,10 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
     E[P_{1/n} g | x_lead] = E_Y[g(a x_lead + b Y_lead, Y_trail)].  f_n and
     its derivatives come from one log-sum-exp over that rule, so grad/hess
     are exact derivatives of the evaluated f_n; value_and_grad shares that
-    one log-sum-exp between f_n and grad f_n.
+    one log-sum-exp between f_n and grad f_n.  The (M J, d) rule arguments
+    are built along the long axis: ca x repeated J times per point, plus the
+    row cb Y (fixed per target) added over all M points, which gives the
+    same bits as broadcasting ca x[:, None] + cb Y[None].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -53,16 +56,20 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
     b = float(np.sqrt(1.0 - a * a))
 
     y_rule = space.subspace(d)
-    y_nodes = y_rule.nodes
+    n_rule = y_rule.nodes.shape[0]
     log_omega = np.log(y_rule.weights)
     # args = ca x + cb y: trailing coordinates come from the rule alone, so
     # the chain rule through ca zeroes them in grad and hess
     lead = np.arange(d) < keep
     ca = np.where(lead, a, 0.0)
     cb = np.where(lead, b, 1.0)
+    y_row = (cb * y_rule.nodes).reshape(1, -1)
 
     def _args(pts):
-        return ca * pts[:, None, :] + cb * y_nodes[None]  # (M, J, d)
+        m = pts.shape[0]
+        args = np.repeat(ca * pts, n_rule, axis=0).reshape(m, n_rule * d)
+        args += y_row
+        return args.reshape(m, n_rule, d)
 
     def _log_mix(pts):
         args = _args(pts)

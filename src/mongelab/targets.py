@@ -78,7 +78,9 @@ def check_consistency(target: ScalarTarget) -> None:
     """Finiteness, gradient-vs-finite-difference and Hessian-symmetry self-check.
 
     A non-finite parameter (NaN or inf, which no `<= 0` test catches)
-    shows up as a non-finite f, grad or hess at the probe points.
+    shows up as a non-finite f, grad or hess at the probe points.  An
+    infinite sigma does not (1/sigma^2 = 0 keeps all three finite), so the
+    gaussian and mixture constructors test their sigmas themselves.
     """
     pts = _probe_points(target.dim)
     grad = target.grad(pts)
@@ -97,6 +99,20 @@ def check_consistency(target: ScalarTarget) -> None:
         raise ValueError(f"{target.kind}: Hessian not symmetric")
 
 
+def _sum_last(q: np.ndarray) -> np.ndarray:
+    """np.sum(q, axis=-1), one long-axis add per column.
+
+    numpy reduces a short last axis as one tiny loop per row; adding whole
+    columns runs the same additions in the same order, so for a last axis
+    of length <= 7 the result equals np.sum bit for bit (longer axes reach
+    numpy's pairwise blocks and may differ in the last ulp).
+    """
+    out = q[..., 0].copy()
+    for k in range(1, q.shape[-1]):
+        out += q[..., k]
+    return out
+
+
 def gaussian_target(mean, sigma, dim: int | None = None) -> ScalarTarget:
     """f(x) = sum_i [(x_i - m_i)^2 / (2 s_i^2) - x_i^2 / 2], so nu = N(m, diag(s^2)).
 
@@ -108,11 +124,13 @@ def gaussian_target(mean, sigma, dim: int | None = None) -> ScalarTarget:
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (d,)).copy()
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("sigma is not finite")
     inv2 = 1.0 / sigma**2
 
     def f(x):
         pts = as_points(x, d)
-        return 0.5 * np.sum((pts - mean) ** 2 * inv2 - pts**2, axis=1)
+        return 0.5 * _sum_last((pts - mean) ** 2 * inv2 - pts**2)
 
     def grad(x):
         pts = as_points(x, d)
@@ -139,7 +157,7 @@ def quartic_well_target(a: float, b: float, dim: int = 1) -> ScalarTarget:
     def f(x):
         pts = as_points(x, d)
         p2 = pts * pts
-        return np.sum(p2 * (a * p2 + b), axis=1)
+        return _sum_last(p2 * (a * p2 + b))
 
     def grad(x):
         pts = as_points(x, d)
@@ -171,13 +189,15 @@ def mixture_target(weights, means, sigmas, dim: int = 1) -> ScalarTarget:
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float).reshape(n_comp, -1), (n_comp, d)).copy()
     if np.any(sigmas <= 0):
         raise ValueError("mixture sigmas must be positive")
+    if not np.all(np.isfinite(sigmas)):
+        raise ValueError("mixture sigmas are not finite")
     inv2 = 1.0 / sigmas**2
     log_norm = np.sum(np.log(sigmas), axis=1)  # per-component E[e^{-f_k - log_norm_k}] = 1
 
     def _component_f(pts):
         # (N, K): f_k(x) including the normalizing log sigma term
         diff = pts[:, None, :] - means[None, :, :]
-        return 0.5 * np.sum(diff**2 * inv2[None] - pts[:, None, :] ** 2, axis=2) + log_norm[None, :]
+        return 0.5 * _sum_last(diff**2 * inv2[None] - pts[:, None, :] ** 2) + log_norm[None, :]
 
     def _responsibilities(pts):
         logs = np.log(pi)[None, :] - _component_f(pts)

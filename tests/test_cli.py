@@ -70,6 +70,12 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
                                                 "means": [float("inf"), 0.0], "sigmas": [1.0, 1.0]}},
          "invalid target: mixture"),
+        # an infinite sigma keeps f, grad and hess finite, so it is tested by itself
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [1.0], "sigma": float("inf")}},
+         "invalid target: sigma is not finite"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
+                                                "means": [-1.0, 1.0], "sigmas": [float("inf"), 1.0]}},
+         "invalid target: mixture sigmas are not finite"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

@@ -273,6 +273,106 @@ class TestValueAndGrad:
             solve(line30, bad, SolveConfig(degree=2))
 
 
+def np_sum_quartic(a, b):
+    """Quartic-well f summed over coordinates by np.sum."""
+    def f(x):
+        p2 = x * x
+        return np.sum(p2 * (a * p2 + b), axis=1)
+    return f
+
+
+def np_sum_mixture(weights, means, sigmas):
+    """Mixture (f, grad, hess) with np.sum over coordinates, as mixture_target computes them."""
+    pi, means, sigmas = (np.asarray(v, dtype=float) for v in (weights, means, sigmas))
+    inv2 = 1.0 / sigmas**2
+    log_norm = np.sum(np.log(sigmas), axis=1)
+
+    def responsibilities(x):
+        comp = 0.5 * np.sum((x[:, None, :] - means[None]) ** 2 * inv2[None] - x[:, None, :] ** 2,
+                            axis=2) + log_norm[None, :]
+        logs = np.log(pi)[None, :] - comp
+        shift = logs.max(axis=1, keepdims=True)
+        r = np.exp(logs - shift)
+        total = r.sum(axis=1, keepdims=True)
+        return r / total, shift[:, 0] + np.log(total[:, 0])
+
+    def component_grads(x):
+        return (x[:, None, :] - means[None]) * inv2[None] - x[:, None, :]
+
+    def f(x):
+        return -responsibilities(x)[1]
+
+    def grad(x):
+        return np.einsum("nk,nkd->nd", responsibilities(x)[0], component_grads(x))
+
+    def hess(x):
+        r, _ = responsibilities(x)
+        gk = component_grads(x)
+        g = np.einsum("nk,nkd->nd", r, gk)
+        d = x.shape[1]
+        h = np.zeros((x.shape[0], d, d))
+        h[:, np.arange(d), np.arange(d)] = np.einsum("nk,kd->nd", r, inv2 - 1.0)
+        h -= np.einsum("nk,nkd,nke->nde", r, gk, gk)
+        h += np.einsum("nd,ne->nde", g, g)
+        return h
+
+    return f, grad, hess
+
+
+def broadcast_smoothed(space, n, f, grad, hess, pts):
+    """smooth_target's (f_n, grad f_n, hess f_n) with the rule arguments built by broadcasting."""
+    d = space.dim
+    a = float(np.exp(-1.0 / n))
+    b = float(np.sqrt(1.0 - a * a))
+    lead = np.arange(d) < min(n, d)
+    ca, cb = np.where(lead, a, 0.0), np.where(lead, b, 1.0)
+    args = ca * pts[:, None, :] + cb * space.nodes[None]
+    m, j, _ = args.shape
+    flat = args.reshape(-1, d)
+    u = -f(flat).reshape(m, j) + np.log(space.weights)[None, :]
+    shift = u.max(axis=1, keepdims=True)
+    r = np.exp(u - shift)
+    total = r.sum(axis=1, keepdims=True)
+    r = r / total
+    gf = grad(flat).reshape(args.shape)
+    hf = hess(flat).reshape(m, j, d, d)
+    mean_g = np.einsum("nj,njd->nd", r, gf)
+    h = np.outer(ca, ca) * (
+        np.einsum("nj,njde->nde", r, hf)
+        - np.einsum("nj,njd,nje->nde", r, gf, gf)
+        + np.einsum("nd,ne->nde", mean_g, mean_g)
+    )
+    return -(shift[:, 0] + np.log(total[:, 0])), ca * mean_g, h
+
+
+class TestLongAxisArithmetic:
+    """Long-axis rule arguments and coordinate sums leave every bit of f_n as it was."""
+
+    MIXTURE = ([0.4, 0.6], [[-0.8, 0.3], [0.9, -0.2]], [[0.8, 1.1], [1.2, 0.9]])
+
+    @pytest.fixture(scope="class")
+    def plane12(self):
+        return GaussianSpace.tensor_hermite(2, 12)
+
+    @pytest.mark.parametrize("base", ["quartic", "mixture"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_equals_broadcast_reference(self, plane12, base, n):
+        if base == "quartic":
+            target = quartic_well_target(0.03, -0.1, dim=2)
+            ref = (np_sum_quartic(0.03, -0.1), target.grad, target.hess)
+        else:
+            target = mixture_target(*self.MIXTURE, dim=2)
+            ref = np_sum_mixture(*self.MIXTURE)
+        sm = smooth_target(plane12, target, n)
+        pts = np.vstack([plane12.nodes, np.random.default_rng(n).normal(scale=1.5, size=(9, 2))])
+        f_ref, g_ref, h_ref = broadcast_smoothed(plane12, n, *ref, pts)
+        assert np.array_equal(sm.eval(pts), f_ref)
+        assert np.array_equal(sm.grad(pts), g_ref)
+        vals, grads = sm.value_and_grad(pts)
+        assert np.array_equal(vals, f_ref) and np.array_equal(grads, g_ref)
+        assert np.array_equal(sm.hess(pts), h_ref)
+
+
 class TestConvergenceStudy:
     def test_ou_gaussian_decreasing(self):
         space = GaussianSpace.tensor_hermite(1, 40)

@@ -13,6 +13,7 @@ from mongelab import (
     quartic_well_target,
     tabulated_target_1d,
 )
+from mongelab.targets import _sum_last
 
 
 def test_gaussian_normalizer(line80):
@@ -87,6 +88,20 @@ def test_non_finite_parameters_rejected():
         gaussian_target([0.0], float("nan"))
     with pytest.raises(ValueError, match="not finite"):
         mixture_target([0.5, 0.5], [float("inf"), 0.0], [1.0, 1.0])
+    # 1/inf**2 = 0 keeps f, grad and hess finite: the constructors test sigma itself
+    with pytest.raises(ValueError, match="sigma is not finite"):
+        gaussian_target([0.0], float("inf"))
+    with pytest.raises(ValueError, match="sigmas are not finite"):
+        mixture_target([0.5, 0.5], [-1.0, 1.0], [float("inf"), 1.0])
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_column_sum_equals_np_sum(d):
+    # entries spread over 16 decades, so any change of summation order shows
+    rng = np.random.default_rng(d)
+    for shape in [(500, d), (40, 7, d)]:
+        q = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        assert np.array_equal(_sum_last(q), np.sum(q, axis=-1))
 
 
 def test_mixture_is_normalized(line80):
