@@ -35,7 +35,6 @@ from .diagnostics import CheckThresholds, run_standard_checks
 from .errors import ConfigError, MongelabError
 from .gaussian import GaussianSpace
 from .oracle1d import monotone_map, potential_from_map, wasserstein2_sq
-from .potentials import EIG_FLOOR
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
 from .smoothing import convergence_study
 from .solver_backward import fit_dual
@@ -136,17 +135,14 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
 
 
 def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveConfig:
-    _check_keys(cfg, {"optimizer", "max_iters", "grad_tol", "grad_tol_soft", "eig_floor"}, path)
+    _check_keys(cfg, {"optimizer", "max_iters", "grad_tol"}, path)
     max_iters = _positive_int(cfg.get("max_iters", 500), path + "max_iters")
     try:
-        return SolveConfig(
-            degree=degree,
-            optimizer=cfg.get("optimizer", "quasi-newton"),
-            max_iters=max_iters,
-            grad_tol=_finite_float(cfg.get("grad_tol", 1e-8), "grad_tol"),
-            grad_tol_soft=_finite_float(cfg.get("grad_tol_soft", 1e-4), "grad_tol_soft"),
-            eig_floor=_finite_float(cfg.get("eig_floor", EIG_FLOOR), "eig_floor"),
-        )
+        optimizer = cfg.get("optimizer", "quasi-newton")  # kept for the documented config format
+        if optimizer != "quasi-newton":
+            raise ValueError(f"unknown optimizer {optimizer!r}")
+        return SolveConfig(degree=degree, max_iters=max_iters,
+                           grad_tol=_finite_float(cfg.get("grad_tol", 1e-8), "grad_tol"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
 

@@ -133,18 +133,12 @@ def forward_el_residual(space: GaussianSpace, target: ScalarTarget, phi: Potenti
     return float(np.sum(space.weights * np.sum(r**2, axis=1)))
 
 
-def trace_positivity(space: GaussianSpace, phi: PotentialField,
-                     directions: np.ndarray | None = None,
-                     max_nodes: int = 100) -> float:
-    """min over nodes and directions of trace(K A K A), A = third(phi)(K e).
+def trace_positivity(space: GaussianSpace, phi: PotentialField, max_nodes: int = 100) -> float:
+    """min over nodes and coordinate directions e of trace(K A K A), A = third(phi)(K e).
 
     A is symmetric and K positive, so trace(KAKA) = |K^{1/2} A K^{1/2}|_HS^2
     is nonnegative up to roundoff.
     """
-    d = phi.dim
-    if directions is None:
-        directions = np.eye(d)
-    directions = np.asarray(directions, dtype=float).reshape(-1, d)
     n_nodes = space.nodes.shape[0]
     if n_nodes > max_nodes:
         sel = np.unique(np.linspace(0, n_nodes - 1, max_nodes).astype(int))
@@ -154,7 +148,7 @@ def trace_positivity(space: GaussianSpace, phi: PotentialField,
     k = inverse_shift_jacobian(phi, pts)
     third = phi.third(pts)  # (N, d, d, d), symmetric
     worst = np.inf
-    for e in directions:
+    for e in np.eye(phi.dim):
         ke = k @ e                                   # (N, d)
         a = np.einsum("nijl,nl->nij", third, ke)      # (N, d, d)
         ka = k @ a
@@ -227,16 +221,12 @@ def certify_semiconvexity(space: GaussianSpace, target: ScalarTarget) -> float:
     return eps
 
 
-def forward_sobolev_bound(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
-                          eps: float | None = None) -> tuple[float, float, float]:
-    """(eps E[|hess phi|^2], 2 E[|grad phi|^2] + 8 E_nu[|grad f|^2], eps).
-
-    eps defaults to the largest node-certified semiconvexity margin.
+def forward_sobolev_bound(space: GaussianSpace, target: ScalarTarget,
+                          phi: PotentialField) -> tuple[float, float, float]:
+    """(eps E[|hess phi|^2], 2 E[|grad phi|^2] + 8 E_nu[|grad f|^2], eps)
+    for eps the largest node-certified semiconvexity margin.
     """
-    if eps is None:
-        eps = certify_semiconvexity(space, target)
-    elif not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = certify_semiconvexity(space, target)
     h = phi.hess(space.nodes)
     lhs = eps * float(np.sum(space.weights * np.sum(h**2, axis=(1, 2))))
     e_grad_phi, e_grad_f = _grad_energies(space, target, phi)

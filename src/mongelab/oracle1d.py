@@ -153,18 +153,18 @@ class TabulatedPotential1D:
         return self._interp(np.asarray(x, dtype=float))
 
 
-def potential_from_map(transport: MonotoneMap1D, grid: np.ndarray | None = None) -> TabulatedPotential1D:
+def potential_from_map(transport: MonotoneMap1D) -> TabulatedPotential1D:
     """Antiderivative of the shift, trapezoid on the map's own grid."""
-    x = transport.x if grid is None else np.asarray(grid, dtype=float)
+    x = transport.x
     shift = transport(x) - x
     vals = np.concatenate([[0.0], np.cumsum(0.5 * (shift[1:] + shift[:-1]) * np.diff(x))])
     anchor = np.interp(0.0, x, vals)
     return TabulatedPotential1D(x, vals - anchor)
 
 
-def wasserstein2_sq(target: ScalarTarget, grid: np.ndarray | None = None) -> float:
-    """E_mu[(T(x) - x)^2] by trapezoid over the tabulated map."""
-    transport = monotone_map(target, grid)
+def wasserstein2_sq(target: ScalarTarget) -> float:
+    """E_mu[(T(x) - x)^2] by trapezoid over the map tabulated on GRID."""
+    transport = monotone_map(target)
     x = transport.x
     integrand = (transport.t - x) ** 2 * np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
     return float(np.trapezoid(integrand, x))

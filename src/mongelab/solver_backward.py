@@ -292,9 +292,9 @@ def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual) -> fl
     return float(np.sum(w[mask] * np.sum(r**2, axis=1)))
 
 
-def young_gap(phi: PotentialField, dual: DualPotential, n_pairs: int = 10000,
-              seed: int = 0) -> float:
-    """min over probe pairs of F(x, y) = phi(x) + psi(y) + |x - y|^2 / 2.
+def young_gap(phi: PotentialField, dual: DualPotential, seed: int = 0) -> float:
+    """min of F(x, y) = phi(x) + psi(y) + |x - y|^2 / 2 over 10000
+    standard normal probe pairs (x, y) drawn from seed.
 
     psi is evaluated by dual.eval at the probe points; for a conjugacy
     dual of phi that runs the inner minimization itself, so this checks
@@ -302,8 +302,8 @@ def young_gap(phi: PotentialField, dual: DualPotential, n_pairs: int = 10000,
     construction at exact minimizers).
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_pairs, phi.dim))
-    y = rng.standard_normal((n_pairs, phi.dim))
+    x = rng.standard_normal((10000, phi.dim))
+    y = rng.standard_normal((10000, phi.dim))
     f_vals = phi.eval(x) + dual.eval(y) + 0.5 * np.sum((x - y) ** 2, axis=1)
     return float(f_vals.min())
 
@@ -319,11 +319,10 @@ def graph_identity_gap(phi: PotentialField, dual: DualPotential, x: np.ndarray) 
 class BackwardWorkspace(BarrierWorkspace):
     """J_b and its coefficient gradient over psi on the mass-floored nu-nodes."""
 
-    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis,
-                 eig_floor: float = EIG_FLOOR):
+    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
         w, mask = nu_masked_weights(space, target)
         nodes = space.nodes[mask]
-        super().__init__(basis, nodes, w[mask], eig_floor)
+        super().__init__(basis, nodes, w[mask])
         self.bval = basis.value_table(nodes)
         fvals = np.asarray(target.eval(nodes), dtype=float).reshape(-1)
         self.const = float(np.sum(self.w * (-fvals)))
@@ -345,8 +344,7 @@ class BackwardWorkspace(BarrierWorkspace):
 def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
                                config: SolveConfig) -> tuple[PotentialField, SolveResult]:
     """Cross-check mode: minimize J_b directly over psi coefficients."""
-    ws = BackwardWorkspace(space, target, HermiteBasis(space.dim, config.degree),
-                           eig_floor=config.eig_floor)
+    ws = BackwardWorkspace(space, target, HermiteBasis(space.dim, config.degree))
     # -log nu(e^f) = log E[e^{-f}]
     result = minimize_with_barrier(ws, np.zeros(ws.basis.size), config,
                                    log_normalizer(space, target))

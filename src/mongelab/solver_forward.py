@@ -5,7 +5,7 @@
 over Hermite coefficients of phi.  The -log det2 term is a natural log
 barrier at the monotonicity constraint I + hess phi > 0, enforced at
 every quadrature node: the line search never accepts a step whose
-smallest eigenvalue falls below the configured floor.
+smallest eigenvalue falls to EIG_FLOOR or below.
 
 At the minimizer, J* = -log E[e^{-f}] and grad phi is the Brenier shift
 transporting mu onto nu, with E[|grad phi|^2] the squared Wasserstein
@@ -26,26 +26,22 @@ from .targets import ScalarTarget
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Basis degree and stopping rule of the one quasi-Newton barrier solve;
+    the eigenvalue floor (EIG_FLOOR) and the soft gradient tolerance
+    (GRAD_TOL_SOFT) are constants.
+    """
+
     degree: int
-    optimizer: str = "quasi-newton"  # or "gradient-descent"
     max_iters: int = 500
     grad_tol: float = 1e-8
-    grad_tol_soft: float = 1e-4  # accepted when descent is fp-limited
-    eig_floor: float = EIG_FLOOR  # phi = 0 has every eigenvalue 1, so the floor lies in [0, 1)
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be > 0")
-        if self.grad_tol_soft < self.grad_tol:
-            raise ValueError("grad_tol_soft must be >= grad_tol")
-        if self.optimizer not in ("quasi-newton", "gradient-descent"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not 0 <= self.eig_floor < 1:
-            raise ValueError(f"eig_floor must lie in [0, 1), got {self.eig_floor!r}")
+        for name in ("degree", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0 < self.grad_tol <= GRAD_TOL_SOFT:  # false for NaN
+            raise ValueError(f"grad_tol must lie in (0, {GRAD_TOL_SOFT}], got {self.grad_tol!r}")
 
 
 @dataclass
@@ -67,10 +63,8 @@ class BarrierWorkspace:
     gradient, margin), which minimize_with_barrier drives.
     """
 
-    def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray,
-                 eig_floor: float):
+    def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray):
         self.basis = basis
-        self.eig_floor = eig_floor
         self.nodes = nodes
         self.w = weights
         self.bgrad = basis.grad_table(nodes)    # (A, d, N)
@@ -89,7 +83,7 @@ class BarrierWorkspace:
         g, h = self.fields(coeffs)
         jac = self.eye[None] + h
         eigs = np.linalg.eigvalsh(jac)
-        margin = float(eigs.min()) - self.eig_floor
+        margin = float(eigs.min()) - EIG_FLOOR
         if margin <= 0:
             return g, jac, None, margin
         return g, jac, np.sum(np.log(eigs) - (eigs - 1.0), axis=1), margin
@@ -108,11 +102,10 @@ class ForwardWorkspace(BarrierWorkspace):
     evaluate to +inf, which the backtracking line search rejects.
     """
 
-    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis,
-                 eig_floor: float = EIG_FLOOR):
+    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
         if basis.dim != space.dim:
             raise ValueError("basis dimension does not match space")
-        super().__init__(basis, space.nodes, space.weights, eig_floor)
+        super().__init__(basis, space.nodes, space.weights)
         self.target = target
 
     def objective(self, coeffs: np.ndarray) -> float:
@@ -138,6 +131,7 @@ class ForwardWorkspace(BarrierWorkspace):
 
 
 MARGIN_SHRINK = 0.2  # fraction-to-the-boundary: a step keeps >= 20% of the margin
+GRAD_TOL_SOFT = 1e-4  # gradient norm accepted when descent is floating-point limited
 
 
 def coefficient_scale(bhess: np.ndarray) -> np.ndarray:
@@ -153,8 +147,8 @@ def coefficient_scale(bhess: np.ndarray) -> np.ndarray:
 
 def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveConfig,
                           variational_lhs: float) -> SolveResult:
-    """Deterministic BFGS (or plain descent, per config.optimizer) with
-    Armijo backtracking over the coefficients of ws, from x0.
+    """Deterministic BFGS with Armijo backtracking over the coefficients
+    of ws, from x0.
 
     ws.objective_and_gradient(x) returns (value, gradient, margin); value
     is +inf and the gradient None when the margin (distance of the
@@ -166,12 +160,11 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
     condition fails or the quasi-newton direction is blocked.  Converges
     at config.grad_tol; when no acceptable step remains (descent below
     floating-point resolution), the run counts as converged iff the
-    gradient norm is within config.grad_tol_soft.  ws.coeff_scale is the
+    gradient norm is within GRAD_TOL_SOFT.  ws.coeff_scale is the
     diagonal preconditioner that starts, and restarts, the inverse-Hessian
     estimate.  Returns the SolveResult of the last accepted iterate x:
     phi = PotentialField(ws.basis, x) and wasserstein2_sq = sum ws.w |grad phi|^2.
     """
-    use_bfgs = config.optimizer == "quasi-newton"
     x = np.array(x0, dtype=float)
     val, grad, margin = ws.objective_and_gradient(x)
     if not np.isfinite(val):
@@ -201,7 +194,7 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
         if converged:
             break
         iterations += 1
-        p = -h_inv @ grad if use_bfgs else -(h0 @ grad)
+        p = -h_inv @ grad
         slope = float(p @ grad)
         if slope >= 0:
             h_inv = h0.copy()
@@ -210,7 +203,7 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
             if slope == 0.0:
                 break
         alpha, new_val, new_grad, new_margin = backtrack(p, slope)
-        if alpha is None and use_bfgs:
+        if alpha is None:
             # quasi-newton direction blocked; restart from scaled descent
             h_inv = h0.copy()
             p = -(h0 @ grad)
@@ -219,7 +212,7 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
                 alpha, new_val, new_grad, new_margin = backtrack(p, slope)
         if alpha is None:
             # no representable descent left; best iterate is the answer
-            converged = float(np.linalg.norm(grad)) <= config.grad_tol_soft
+            converged = float(np.linalg.norm(grad)) <= GRAD_TOL_SOFT
             break
         s = alpha * p
         y = new_grad - grad
@@ -230,19 +223,18 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
         converged = gn <= config.grad_tol
         if (
             not converged
-            and gn <= config.grad_tol_soft
+            and gn <= GRAD_TOL_SOFT
             and decrease <= 1e-15 * (1.0 + abs(val))
         ):
             converged = True  # stationary within floating-point resolution
-        if use_bfgs:
-            sy = float(s @ y)
-            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-                rho = 1.0 / sy
-                sy_outer = np.outer(s, y)
-                h_inv = (np.eye(n) - rho * sy_outer) @ h_inv @ (np.eye(n) - rho * sy_outer.T)
-                h_inv += rho * np.outer(s, s)
-            else:
-                h_inv = h0.copy()
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            rho = 1.0 / sy
+            sy_outer = np.outer(s, y)
+            h_inv = (np.eye(n) - rho * sy_outer) @ h_inv @ (np.eye(n) - rho * sy_outer.T)
+            h_inv += rho * np.outer(s, s)
+        else:
+            h_inv = h0.copy()
     g, _ = ws.fields(x)
     return SolveResult(
         phi=PotentialField(ws.basis, x),
@@ -289,7 +281,7 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
     if not np.isfinite(h_rel):
         raise NonFiniteValueError("relative entropy of the target is not finite")
     basis = HermiteBasis(space.dim, config.degree)
-    ws = ForwardWorkspace(space, target, basis, eig_floor=config.eig_floor)
+    ws = ForwardWorkspace(space, target, basis)
     if initial is None:
         c0 = np.zeros(basis.size)
     else:

@@ -45,13 +45,16 @@ class TestConfigErrors:
         ("study", {**with_study(), "seed": "x"}, "config key seed"),
         ("battery", {"battery": [{**GAUSSIAN_SOLVE, "seed": -1}]}, "battery[0].seed"),
         ("battery", {"battery": [GAUSSIAN_SOLVE], "seed": "x"}, "config key seed"),
-        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": 2.0}}, "invalid solver: eig_floor"),
-        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": True}}, "invalid solver: eig_floor"),
-        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": -1.0}}, "invalid solver: eig_floor"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": 2.0}},
+         "unknown config key: solver.eig_floor"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": True}},
+         "unknown config key: solver.eig_floor"),
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"eig_floor": -1.0}},
+         "unknown config key: solver.eig_floor"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "seed": "x"}, "config key seed"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "seed": -3}, "config key seed"),
         ("solve", {**GAUSSIAN_SOLVE, "solver": {"grad_tol_soft": True}},
-         "invalid solver: grad_tol_soft"),
+         "unknown config key: solver.grad_tol_soft"),
         ("solve", {**GAUSSIAN_SOLVE, "tolerances": {"identity": True}},
          "invalid tolerances: identity"),
         ("solve", {**GAUSSIAN_SOLVE, "solver": {"grad_tol": float("nan")}},
@@ -76,6 +79,9 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
                                                 "means": [-1.0, 1.0], "sigmas": [float("inf"), 1.0]}},
          "invalid target: mixture sigmas are not finite"),
+        # quasi-newton is the only solver
+        ("solve", {**GAUSSIAN_SOLVE, "solver": {"optimizer": "gradient-descent"}},
+         "invalid solver: unknown optimizer"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

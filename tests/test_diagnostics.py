@@ -158,10 +158,6 @@ class TestSobolevBound:
         with pytest.raises(NotApplicableError):
             forward_sobolev_bound(line60, tgt, PotentialField.zero(1, 2))
 
-    def test_explicit_eps_validated(self, line60, flat):
-        with pytest.raises(ValueError):
-            forward_sobolev_bound(line60, flat, PotentialField.zero(1, 2), eps=1.5)
-
 
 class TestDivSecondMoment:
     def test_worked_constant_field(self, line80, target_21):

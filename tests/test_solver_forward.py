@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,14 +116,14 @@ class TestCoefficientGradient:
 class TestBarrierDriver:
     """minimize_with_barrier builds the SolveResult of both solvers from its workspace."""
 
-    @pytest.mark.parametrize("mode", ["quasi-newton", "gradient-descent", "backward"])
+    @pytest.mark.parametrize("mode", ["quasi-newton", "backward"])
     def test_result_reads_the_workspace(self, line60, target_21, mode):
         basis = HermiteBasis(1, 4)
         if mode == "backward":
             _, res = solve_backward_variational(line60, target_21, SolveConfig(degree=4))
             ws = BackwardWorkspace(line60, target_21, basis)
         else:
-            res = solve(line60, target_21, SolveConfig(degree=4, optimizer=mode, max_iters=2000))
+            res = solve(line60, target_21, SolveConfig(degree=4, max_iters=2000))
             ws = ForwardWorkspace(line60, target_21, basis)
         assert res.converged
         assert res.objective_history[-1] == res.objective
@@ -130,6 +131,31 @@ class TestBarrierDriver:
         assert res.wasserstein2_sq == float(np.sum(ws.w * np.sum(g**2, axis=1)))
         _, grad, _ = ws.objective_and_gradient(res.phi.coeffs)
         assert res.grad_norm == float(np.linalg.norm(grad))
+
+
+class TestSolveConfig:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == ["degree", "max_iters",
+                                                                     "grad_tol"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("grad_tol", float("nan")),
+        ("grad_tol", float("inf")),
+        ("grad_tol", 0.0),
+        ("grad_tol", 1e-3),  # above the soft tolerance
+        ("max_iters", 2.5),
+        ("max_iters", True),
+        ("max_iters", 0),
+        ("degree", 2.0),
+        ("degree", True),
+    ])
+    def test_rejects_invalid_value(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolveConfig(**{"degree": 2, field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SolveConfig(degree=np.int64(2), max_iters=np.int32(5))
+        assert (cfg.degree, cfg.max_iters) == (2, 5)
 
 
 class TestSolve:
@@ -168,12 +194,6 @@ class TestSolve:
         res1 = solve(line60, target_21, SolveConfig(degree=4))
         res2 = solve(line60, target_21, SolveConfig(degree=4))
         np.testing.assert_array_equal(res1.phi.coeffs, res2.phi.coeffs)
-
-    def test_gradient_descent_variant(self, line60, target_21):
-        res = solve(line60, target_21, SolveConfig(degree=2, optimizer="gradient-descent",
-                                                   max_iters=5000))
-        assert res.converged
-        assert res.phi.coeff_dict()[(1,)] == pytest.approx(1.0, abs=1e-4)
 
     def test_degree_monotonicity(self):
         # level 16 keeps every nested degree at an interior optimum
@@ -248,6 +268,23 @@ class TestMultiDim:
         lhs, rhs = wasserstein_check(plane40, res, tgt)
         assert rhs == pytest.approx(0.25 + 1.0 + 0.25, abs=1e-12)
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    @pytest.mark.parametrize("a, b", [(0.03, 0.0), (0.02, 0.1), (0.03, -0.1)])
+    def test_separable_quartic_reduces_to_1d(self, a, b, degree):
+        # f(x) = g(x1) + g(x2) on a tensor rule: the 2d minimizer is two copies
+        # of the 1d one, so J and E[|grad phi|^2] double and no cross term enters
+        cfg = SolveConfig(degree=degree, max_iters=3000)
+        res1 = solve(GaussianSpace.tensor_hermite(1, 12), quartic_well_target(a, b, dim=1), cfg)
+        res2 = solve(GaussianSpace.tensor_hermite(2, 12), quartic_well_target(a, b, dim=2), cfg)
+        assert res1.converged and res2.converged
+        assert abs(res2.objective - 2 * res1.objective) <= 1e-12
+        c1, c2 = (dict(zip(r.phi.basis.indices, r.phi.coeffs)) for r in (res1, res2))
+        for (k,), value in c1.items():
+            assert c2[(k, 0)] == pytest.approx(value, abs=1e-8)
+            assert c2[(0, k)] == pytest.approx(value, abs=1e-8)
+        assert max(abs(v) for alpha, v in c2.items() if min(alpha) > 0) <= 1e-8
+        assert res2.wasserstein2_sq == pytest.approx(2 * res1.wasserstein2_sq, abs=1e-8)
 
     def test_3d_mean_shift(self):
         space = GaussianSpace.tensor_hermite(3, 8)
