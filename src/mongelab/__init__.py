@@ -25,7 +25,6 @@ from .gaussian import (
     expectation,
     gradient_field,
     hessian_operator,
-    inverse_jacobian_operator,
     linear_field,
     log_normalizer,
     nu_expectation,
@@ -73,6 +72,7 @@ from .solver_backward import (
 from .diagnostics import (
     CheckThresholds,
     DiagnosticsReport,
+    NodeTables,
     control_forward,
     div_second_moment_identity,
     dual_hessian_bound,

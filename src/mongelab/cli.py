@@ -324,6 +324,8 @@ def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
     reference = study_cfg.get("reference", "raw")
     if reference not in ("raw", "finest"):
         raise ConfigError(f"study.reference must be 'raw' or 'finest', got {reference!r}")
+    if reference == "finest" and len(set(n_list)) < 2:
+        raise ConfigError("study.n_list needs two distinct values for reference 'finest'")
 
     _, _, _, space, target, solver_cfg = build_problem(cfg, 0)
     table = convergence_study(space, target, scheme, n_list, solver_cfg, reference=reference)

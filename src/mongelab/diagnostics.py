@@ -24,6 +24,7 @@ Implemented checks (nu is the target measure, phi/psi the potentials):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,13 +33,14 @@ from .errors import NotApplicableError
 from .gaussian import (
     GaussianSpace,
     VectorField,
-    inverse_jacobian_operator,
+    constant_field,
+    gradient_field,
     nu_masked_weights,
     nu_weights,
     weighted_divergence,
 )
 from .potentials import PotentialField, inverse_shift_jacobian
-from .solver_backward import backward_el_residual
+from .solver_backward import DualPotential, backward_el_residual
 from .targets import ScalarTarget
 
 
@@ -122,15 +124,86 @@ class DiagnosticsReport:
         return lines
 
 
-def forward_el_residual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -> float:
-    """E_mu[|grad phi + grad f o T - delta((I+hess phi)^{-1} - I)|^2]."""
-    from .gaussian import operator_divergence
+@dataclass(frozen=True, eq=False)
+class NodeTables:
+    """The node tables the checks share, each computed when first read, so a
+    check called alone evaluates, and raises, only what it reads.  dual (a
+    DualPotential or a PotentialField) is tabulated on the nu-mass nodes."""
 
-    x = space.nodes
-    g = phi.grad(x)
-    m = inverse_jacobian_operator(phi)
-    r = g + target.grad(x + g) - operator_divergence(space, m)(x)
-    return float(np.sum(space.weights * np.sum(r**2, axis=1)))
+    space: GaussianSpace
+    target: ScalarTarget
+    phi: Optional[PotentialField] = None
+    dual: object = None
+
+    @cached_property
+    def grad_phi(self) -> np.ndarray:
+        return self.phi.grad(self.space.nodes)
+
+    @cached_property
+    def inv_jacobian(self) -> np.ndarray:
+        """K = (I + hess phi)^{-1} on the nodes."""
+        return inverse_shift_jacobian(self.phi, self.space.nodes)
+
+    @cached_property
+    def grad_f(self) -> np.ndarray:
+        return self.target.grad(self.space.nodes)
+
+    @cached_property
+    def hess_f(self) -> np.ndarray:
+        return self.target.hess(self.space.nodes)
+
+    @cached_property
+    def nu_weights(self) -> np.ndarray:
+        return nu_weights(self.space, self.target)
+
+    @cached_property
+    def nu_mask(self) -> tuple[np.ndarray, np.ndarray]:
+        """(renormalized nu-weights, points) of the nu-mass nodes."""
+        w, mask = nu_masked_weights(self.nu_weights)
+        return w[mask], self.space.nodes[mask]
+
+    @cached_property
+    def grad_f_mask(self) -> np.ndarray:
+        return self.target.grad(self.nu_mask[1])
+
+    @cached_property
+    def e_grad_phi(self) -> float:
+        return float(np.sum(self.space.weights * np.sum(self.grad_phi**2, axis=1)))
+
+    @cached_property
+    def e_grad_f(self) -> float:
+        return float(np.sum(self.nu_weights * np.sum(self.grad_f**2, axis=1)))
+
+    @cached_property
+    def backward(self) -> tuple:
+        """(grad psi, hess psi, M, sum_i d_i M_ij) on the nu-mass points, with
+        M = (I + hess psi)^{-1} - I.  A conjugacy dual reads all four off S(y) and
+        K = (I + hess phi(S(y)))^{-1}: hess psi = K - I, M = hess phi(S(y)) and
+        sum_i d_i M_ij = sum_{i,e} K_ie phi'''_eij(S(y))."""
+        y = self.nu_mask[1]
+        if isinstance(self.dual, DualPotential):
+            phi = self.dual.forward
+            _, x_star = self.dual._minimizers(y)
+            k = inverse_shift_jacobian(phi, x_star)
+            pdiv = np.einsum("nie,neij->nj", k, phi.third(x_star))
+            return x_star - y, k - np.eye(self.space.dim), phi.hess(x_star), pdiv
+        m, pdiv = _shift_inverse_operator(inverse_shift_jacobian(self.dual, y), self.dual.third(y))
+        return self.dual.grad(y), self.dual.hess(y), m, pdiv
+
+
+def _shift_inverse_operator(k: np.ndarray, third: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K - I, sum_i d_i K_ij) for K = (I + hess u)^{-1}: d_i K = -K (d_i hess u) K."""
+    dk = -np.einsum("nab,nibc,ncd->niad", k, third, k)
+    return k - np.eye(k.shape[1]), np.einsum("niij->nj", dk)
+
+
+def forward_el_residual(tables: NodeTables) -> float:
+    """E_mu[|grad phi + grad f o T - delta((I+hess phi)^{-1} - I)|^2]."""
+    x = tables.space.nodes
+    g = tables.grad_phi
+    m, pdiv = _shift_inverse_operator(tables.inv_jacobian, tables.phi.third(x))
+    r = g + tables.target.grad(x + g) - (np.einsum("nij,ni->nj", m, x) - pdiv)
+    return float(np.sum(tables.space.weights * np.sum(r**2, axis=1)))
 
 
 def trace_positivity(space: GaussianSpace, phi: PotentialField, max_nodes: int = 100) -> float:
@@ -157,43 +230,26 @@ def trace_positivity(space: GaussianSpace, phi: PotentialField, max_nodes: int =
     return worst
 
 
-def _grad_energies(space: GaussianSpace, target: ScalarTarget,
-                   phi: PotentialField) -> tuple[float, float]:
-    """(E[|grad phi|^2], E_nu[|grad f|^2]), the right-hand sides' ingredients."""
-    g = phi.grad(space.nodes)
-    e_grad_phi = float(np.sum(space.weights * np.sum(g**2, axis=1)))
-    w = nu_weights(space, target)
-    gf = target.grad(space.nodes)
-    return e_grad_phi, float(np.sum(w * np.sum(gf**2, axis=1)))
-
-
-def control_forward(space: GaussianSpace, target: ScalarTarget,
-                    phi: PotentialField) -> tuple[float, float]:
+def control_forward(tables: NodeTables) -> tuple[float, float]:
     """(E[|K - I|_HS^2], 2 E[|grad phi|^2] + 2 E_nu[|grad f|^2])."""
-    k = inverse_shift_jacobian(phi, space.nodes)
-    m = k - np.eye(phi.dim)
-    lhs = float(np.sum(space.weights * np.sum(m**2, axis=(1, 2))))
-    e_grad_phi, e_grad_f = _grad_energies(space, target, phi)
-    return lhs, 2.0 * e_grad_phi + 2.0 * e_grad_f
+    m = tables.inv_jacobian - np.eye(tables.space.dim)
+    lhs = float(np.sum(tables.space.weights * np.sum(m**2, axis=(1, 2))))
+    return lhs, 2.0 * tables.e_grad_phi + 2.0 * tables.e_grad_f
 
 
-def dual_hessian_bound(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
-                       dual) -> tuple[float, float]:
+def dual_hessian_bound(tables: NodeTables) -> tuple[float, float]:
     """(E_nu[|hess psi|_HS^2], 2 E_nu[|grad f|^2] + 2 E[|grad phi|^2]).
 
     The nu-expectation of the dual Hessian runs over the mass-floored
-    node set (see nu_masked_weights); dual may be a DualPotential or a
-    PotentialField.
+    node set (see nu_masked_weights).
     """
-    w, mask = nu_masked_weights(space, target)
-    h = dual.hess(space.nodes[mask])
-    lhs = float(np.sum(w[mask] * np.sum(h**2, axis=(1, 2))))
-    e_grad_phi, e_grad_f = _grad_energies(space, target, phi)
-    return lhs, 2.0 * e_grad_f + 2.0 * e_grad_phi
+    w, _ = tables.nu_mask
+    _, h, _, _ = tables.backward
+    lhs = float(np.sum(w * np.sum(h**2, axis=(1, 2))))
+    return lhs, 2.0 * tables.e_grad_f + 2.0 * tables.e_grad_phi
 
 
-def hessian_composition_gap(space: GaussianSpace, target: ScalarTarget,
-                            phi: PotentialField, dual) -> tuple[float, float]:
+def hessian_composition_gap(tables: NodeTables) -> tuple[float, float]:
     """Two routes to the same number via (I+hess phi)^{-1} = (I+hess psi) o T.
 
     Returns the left-hand sides of control_forward and dual_hessian_bound,
@@ -201,9 +257,7 @@ def hessian_composition_gap(space: GaussianSpace, target: ScalarTarget,
     E_nu[|hess psi|^2] exactly, so their gap measures conjugacy/transport
     consistency.
     """
-    via_phi, _ = control_forward(space, target, phi)
-    via_psi, _ = dual_hessian_bound(space, target, phi, dual)
-    return via_phi, via_psi
+    return control_forward(tables)[0], dual_hessian_bound(tables)[0]
 
 
 def certify_semiconvexity(space: GaussianSpace, target: ScalarTarget) -> float:
@@ -221,54 +275,47 @@ def certify_semiconvexity(space: GaussianSpace, target: ScalarTarget) -> float:
     return eps
 
 
-def forward_sobolev_bound(space: GaussianSpace, target: ScalarTarget,
-                          phi: PotentialField) -> tuple[float, float, float]:
+def forward_sobolev_bound(tables: NodeTables) -> tuple[float, float, float]:
     """(eps E[|hess phi|^2], 2 E[|grad phi|^2] + 8 E_nu[|grad f|^2], eps)
     for eps the largest node-certified semiconvexity margin.
     """
-    eps = certify_semiconvexity(space, target)
-    h = phi.hess(space.nodes)
-    lhs = eps * float(np.sum(space.weights * np.sum(h**2, axis=(1, 2))))
-    e_grad_phi, e_grad_f = _grad_energies(space, target, phi)
-    return lhs, 2.0 * e_grad_phi + 8.0 * e_grad_f, eps
+    eps = certify_semiconvexity(tables.space, tables.target)
+    h = tables.phi.hess(tables.space.nodes)
+    lhs = eps * float(np.sum(tables.space.weights * np.sum(h**2, axis=(1, 2))))
+    return lhs, 2.0 * tables.e_grad_phi + 8.0 * tables.e_grad_f, eps
 
 
-def div_second_moment_identity(space: GaussianSpace, target: ScalarTarget,
-                               xi: VectorField) -> tuple[float, float]:
+def div_second_moment_identity(tables: NodeTables, xi: VectorField) -> tuple[float, float]:
     """E_nu[(delta_nu xi)^2] vs E_nu[|xi|^2 + <hess f xi, xi> + tr(grad xi grad xi)]."""
-    w = nu_weights(space, target)
-    x = space.nodes
-    dnu = weighted_divergence(space, target, xi)(x)
+    w = tables.nu_weights
+    x = tables.space.nodes
+    dnu = weighted_divergence(tables.space, tables.target, xi)(x)
     lhs = float(np.sum(w * dnu**2))
     v = xi.value(x)
     jac = xi.jacobian(x)
-    hf = target.hess(x)
     rhs_vals = (
         np.sum(v**2, axis=1)
-        + np.einsum("nij,ni,nj->n", hf, v, v)
+        + np.einsum("nij,ni,nj->n", tables.hess_f, v, v)
         + np.einsum("nij,nji->n", jac, jac)
     )
     rhs = float(np.sum(w * rhs_vals))
     return lhs, rhs
 
 
-def weighted_div_second_moment_identity(space: GaussianSpace, target: ScalarTarget,
-                                        h, alpha) -> tuple[float, float]:
+def weighted_div_second_moment_identity(tables: NodeTables, h, alpha) -> tuple[float, float]:
     """Constant-field variant with a scalar weight alpha (a potential-like object):
 
         E_nu[alpha (delta_nu h)^2]
             = E_nu[(alpha I + hess alpha + alpha hess f, h (x) h)].
     """
     h = np.asarray(h, dtype=float).reshape(-1)
-    from .gaussian import constant_field
-
-    w = nu_weights(space, target)
-    x = space.nodes
-    dnu = weighted_divergence(space, target, constant_field(h))(x)
+    w = tables.nu_weights
+    x = tables.space.nodes
+    dnu = weighted_divergence(tables.space, tables.target, constant_field(h))(x)
     avals = np.asarray(alpha.eval(x), dtype=float).reshape(-1)
     lhs = float(np.sum(w * avals * dnu**2))
     ha = alpha.hess(x)
-    hf = target.hess(x)
+    hf = tables.hess_f
     quad = (
         avals * float(h @ h)
         + np.einsum("nij,i,j->n", ha, h, h)
@@ -278,26 +325,21 @@ def weighted_div_second_moment_identity(space: GaussianSpace, target: ScalarTarg
     return lhs, rhs
 
 
-def quartic_ratio(space: GaussianSpace, target: ScalarTarget,
-                  phi: PotentialField) -> tuple[float, float, float, bool]:
+def quartic_ratio(tables: NodeTables) -> tuple[float, float, float, bool]:
     """(E[|grad phi|^4], E_nu[|grad f|^4], ratio, degenerate_flag).
 
     The universal constant relating the two sides is unknown, so the
     ratio is logged, never asserted; 0/0 is reported as ratio 0 with the
     degenerate flag set.
     """
-    g = phi.grad(space.nodes)
-    lhs = float(np.sum(space.weights * np.sum(g**2, axis=1) ** 2))
-    w = nu_weights(space, target)
-    gf = target.grad(space.nodes)
-    rhs = float(np.sum(w * np.sum(gf**2, axis=1) ** 2))
+    lhs = float(np.sum(tables.space.weights * np.sum(tables.grad_phi**2, axis=1) ** 2))
+    rhs = float(np.sum(tables.nu_weights * np.sum(tables.grad_f**2, axis=1) ** 2))
     if rhs < 1e-300:
         return lhs, rhs, 0.0, True
     return lhs, rhs, lhs / rhs, False
 
 
-def l2_ou_bound(space: GaussianSpace, target: ScalarTarget, dual,
-                eps: float) -> tuple[float, float]:
+def l2_ou_bound(tables: NodeTables, eps: float) -> tuple[float, float]:
     """((1-eps) E_nu[(L_nu psi)^2], displayed right-hand side).
 
     L_nu psi = L psi + <grad f, grad psi> with L psi = <y, grad psi> - lap psi
@@ -307,13 +349,10 @@ def l2_ou_bound(space: GaussianSpace, target: ScalarTarget, dual,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    w, mask = nu_masked_weights(space, target)
-    w = w[mask]
-    y = space.nodes[mask]
-    g = dual.grad(y)
-    h = dual.hess(y)
+    w, y = tables.nu_mask
+    g, h, _, _ = tables.backward
     l_psi = np.einsum("ni,ni->n", y, g) - np.einsum("nii->n", h)
-    gf = target.grad(y)
+    gf = tables.grad_f_mask
     l_nu = l_psi + np.einsum("ni,ni->n", gf, g)
     lhs = (1.0 - eps) * float(np.sum(w * l_nu**2))
     e_grad_f2 = float(np.sum(w * np.sum(gf**2, axis=1)))
@@ -342,14 +381,13 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
                         metadata: dict | None = None) -> DiagnosticsReport:
     """Assemble the full per-experiment report for a solved (phi, psi) pair.
 
-    The nu-side checks evaluate the dual on the mass-floored nu-nodes, so a
-    fit_dual result serves them all from the minimizers it holds.
+    Every check reads one NodeTables; its nu-side tables evaluate the dual on
+    the nu-mass nodes, where a fit_dual result holds its minimizers.
     """
-    from .gaussian import gradient_field
-
     tol = thresholds or CheckThresholds()
     report = DiagnosticsReport(metadata=dict(metadata or {}))
     phi = result.phi
+    tables = NodeTables(space, target, phi, dual)
 
     report.add_identity(
         "variational_gap",
@@ -360,44 +398,43 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
     )
     report.add_identity(
         "el_forward",
-        forward_el_residual(space, target, phi),
+        forward_el_residual(tables),
         0.0,
         tol.identity_solved,
         note="mean-square forward stationarity residual",
     )
     report.add_identity(
         "el_backward",
-        backward_residual_of(space, target, dual),
+        backward_residual_of(tables),
         0.0,
         tol.identity_solved,
         note="mean-square backward stationarity residual",
     )
-    lhs, rhs = div_second_moment_identity(space, target, gradient_field(phi))
+    lhs, rhs = div_second_moment_identity(tables, gradient_field(phi))
     report.add_identity("div_second_moment", lhs, rhs, tol.identity_solved,
                         note="xi = grad phi")
-    forward_lhs, forward_rhs = control_forward(space, target, phi)
-    dual_lhs, dual_rhs = dual_hessian_bound(space, target, phi, dual)
-    report.add_identity("hessian_composition", forward_lhs, dual_lhs, tol.identity_solved)
+    report.add_identity("hessian_composition", *hessian_composition_gap(tables),
+                        tol.identity_solved)
 
     report.add_inequality("trace_positivity", 0.0, trace_positivity(space, phi),
                           tol.trace, note="min trace(KAKA)")
-    report.add_inequality("control_forward", forward_lhs, forward_rhs, tol.inequality)
-    report.add_inequality("dual_hessian_bound", dual_lhs, dual_rhs, tol.inequality)
+    report.add_inequality("control_forward", *control_forward(tables), tol.inequality)
+    report.add_inequality("dual_hessian_bound", *dual_hessian_bound(tables), tol.inequality)
     try:
-        lhs, rhs, eps = forward_sobolev_bound(space, target, phi)
+        lhs, rhs, eps = forward_sobolev_bound(tables)
         report.add_inequality("forward_sobolev_bound", lhs, rhs, tol.inequality,
                               note=f"eps={eps:.6g}")
     except NotApplicableError as exc:
         report.add_skipped("forward_sobolev_bound", str(exc))
     for eps in L2_EPS:
-        lhs, rhs = l2_ou_bound(space, target, dual, eps)
+        lhs, rhs = l2_ou_bound(tables, eps)
         report.add_inequality(f"l2_ou_bound(eps={eps})", lhs, rhs, tol.inequality)
 
-    lhs, rhs, ratio, degenerate = quartic_ratio(space, target, phi)
+    lhs, rhs, ratio, degenerate = quartic_ratio(tables)
     report.add_ratio("quartic_ratio", lhs, rhs,
                      note=f"ratio={ratio:.6g}" + (" (degenerate)" if degenerate else ""))
     return report
 
 
-def backward_residual_of(space: GaussianSpace, target: ScalarTarget, dual) -> float:
-    return backward_el_residual(space, target, dual)
+def backward_residual_of(tables: NodeTables) -> float:
+    return backward_el_residual(tables)

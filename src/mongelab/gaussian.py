@@ -160,8 +160,8 @@ def shifted_nu_weights(space: GaussianSpace, target, underflow: str):
     return fvals, np.exp(logw - shift), shift
 
 
-def nu_masked_weights(space: GaussianSpace, target):
-    """Renormalized nu-weights on the smallest node set of mass >= 1 - NU_MASS_TOL.
+def nu_masked_weights(w: np.ndarray):
+    """The nu-weights w renormalized on the smallest node set of mass >= 1 - NU_MASS_TOL.
 
     nu-a.s. conditions (backward potentials, dual Hessians) are checked on
     this set only: polynomial potentials and conjugacy solves are
@@ -169,7 +169,6 @@ def nu_masked_weights(space: GaussianSpace, target):
     combined nu-mass below NU_MASS_TOL.  Returns (weights, mask) with the
     weights zeroed off-mask and renormalized.
     """
-    w = nu_weights(space, target)
     order = np.argsort(w)[::-1]
     cum = np.cumsum(w[order])
     keep = int(np.searchsorted(cum, 1.0 - NU_MASS_TOL)) + 1
@@ -311,28 +310,6 @@ def hessian_operator(phi) -> OperatorField:
         return np.einsum("niij->nj", third)
 
     return OperatorField(phi.dim, phi.hess, pdiv)
-
-
-def inverse_jacobian_operator(phi) -> OperatorField:
-    """M = (I + hess phi)^{-1} - I, with exact derivatives.
-
-    d_i M = -K (d_i hess phi) K for K = (I + hess phi)^{-1}; the identity
-    shift does not affect derivatives.
-    """
-    from .potentials import inverse_shift_jacobian  # local import to avoid a cycle
-
-    d = phi.dim
-
-    def value(x):
-        return inverse_shift_jacobian(phi, x) - np.eye(d)
-
-    def pdiv(x):
-        k = inverse_shift_jacobian(phi, x)
-        third = phi.third(x)  # (N, d, d, d); third[n, i] = d_i hess
-        dk = -np.einsum("nab,nibc,ncd->niad", k, third, k)
-        return np.einsum("niij->nj", dk)
-
-    return OperatorField(d, value, pdiv)
 
 
 def divergence(space: GaussianSpace, xi: VectorField) -> Callable:

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .gaussian import GaussianSpace, inverse_jacobian_operator, log_normalizer, nu_masked_weights
+from .gaussian import GaussianSpace, log_normalizer, nu_masked_weights, nu_weights
 from .hermite import HermiteBasis, as_points
 from .potentials import EIG_FLOOR, PotentialField, inverse_shift_jacobian, logdet2
 from .solver_forward import BarrierWorkspace, SolveConfig, SolveResult, minimize_with_barrier
@@ -216,7 +216,7 @@ def fit_dual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
     The constant term (excluded from the basis) is kept as fit_offset; all
     residual diagnostics only use derivatives of the fit.
     """
-    w, mask = nu_masked_weights(space, target)
+    w, mask = nu_masked_weights(nu_weights(space, target))
     basis = HermiteBasis(space.dim, phi.degree if degree is None else degree)
     nodes = space.nodes[mask]
     if nodes.shape[0] <= basis.size:
@@ -249,7 +249,7 @@ def backward_objective(space: GaussianSpace, target: ScalarTarget, dual) -> floa
     nu-expectation runs over the mass-floored node set (the backward
     conditions are nu-a.s.).
     """
-    w, mask = nu_masked_weights(space, target)
+    w, mask = nu_masked_weights(nu_weights(space, target))
     y = space.nodes[mask]
     h = dual.hess(y)
     ld2 = logdet2(h)
@@ -260,36 +260,16 @@ def backward_objective(space: GaussianSpace, target: ScalarTarget, dual) -> floa
     return float(np.sum(w[mask] * (-fvals - log_lambda)))
 
 
-def _backward_operator(dual, y):
-    """M = (I + hess psi)^{-1} - I and its contracted derivative at y.
-
-    For a conjugacy dual, M(y) = hess phi(S(y)) exactly and
-    sum_i d_i M_ij = sum_{i,e} K_ie phi'''_eij(S(y)); for a coefficient
-    psi, M = K_psi - I with d_i M = -K_psi (d_i hess psi) K_psi.
-    """
-    if isinstance(dual, DualPotential):
-        phi = dual.forward
-        y, x_star = dual._minimizers(y)
-        m = phi.hess(x_star)
-        k = inverse_shift_jacobian(phi, x_star)
-        t3 = phi.third(x_star)
-        pdiv = np.einsum("nie,neij->nj", k, t3)
-        grad_psi = x_star - y
-        return m, pdiv, grad_psi
-    op = inverse_jacobian_operator(dual)
-    return op.value(y), op.partial_divergence(y), dual.grad(y)
-
-
-def backward_el_residual(space: GaussianSpace, target: ScalarTarget, dual) -> float:
-    """E_nu[|delta_nu((I + hess psi)^{-1} - I) - grad psi + grad f|^2]."""
-    w, mask = nu_masked_weights(space, target)
-    y = space.nodes[mask]
-    m, pdiv, grad_psi = _backward_operator(dual, y)
+def backward_el_residual(tables) -> float:
+    """E_nu[|delta_nu((I + hess psi)^{-1} - I) - grad psi + grad f|^2] on the
+    nu-mass nodes, for psi the dual of tables (a diagnostics.NodeTables)."""
+    w, y = tables.nu_mask
+    grad_psi, _, m, pdiv = tables.backward
     delta_m = np.einsum("nij,ni->nj", m, y) - pdiv
-    gf = target.grad(y)
+    gf = tables.grad_f_mask
     delta_nu_m = delta_m + np.einsum("nij,ni->nj", m, gf)
     r = delta_nu_m - grad_psi + gf
-    return float(np.sum(w[mask] * np.sum(r**2, axis=1)))
+    return float(np.sum(w * np.sum(r**2, axis=1)))
 
 
 def young_gap(phi: PotentialField, dual: DualPotential, seed: int = 0) -> float:
@@ -320,7 +300,7 @@ class BackwardWorkspace(BarrierWorkspace):
     """J_b and its coefficient gradient over psi on the mass-floored nu-nodes."""
 
     def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
-        w, mask = nu_masked_weights(space, target)
+        w, mask = nu_masked_weights(nu_weights(space, target))
         nodes = space.nodes[mask]
         super().__init__(basis, nodes, w[mask])
         self.bval = basis.value_table(nodes)

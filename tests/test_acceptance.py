@@ -14,6 +14,7 @@ import pytest
 
 from mongelab import (
     GaussianSpace,
+    NodeTables,
     PotentialField,
     SolveConfig,
     backward_el_residual,
@@ -101,7 +102,7 @@ def test_criterion_2_forward_el_identity(battery_outcomes):
     worst_closed = 0.0
     for m, s in GAUSS_GRID:
         target = gaussian_target([m], s)
-        residual = forward_el_residual(space, target, quadratic_phi_1d(s, m))
+        residual = forward_el_residual(NodeTables(space, target, quadratic_phi_1d(s, m)))
         assert residual <= 1e-8
         worst_closed = max(worst_closed, residual)
     worst_solved = 0.0
@@ -123,7 +124,7 @@ def test_criterion_3_backward_el_identity(battery_outcomes):
     worst_closed = 0.0
     for m, s in GAUSS_GRID:
         target = gaussian_target([m], s)
-        residual = backward_el_residual(space, target, quadratic_psi_1d(s, m))
+        residual = backward_el_residual(NodeTables(space, target, dual=quadratic_psi_1d(s, m)))
         assert residual <= 1e-8
         worst_closed = max(worst_closed, residual)
     worst_solved = 0.0
@@ -143,7 +144,7 @@ def test_criterion_3_backward_el_identity(battery_outcomes):
 def test_criterion_4_divergence_identities():
     space = GaussianSpace.tensor_hermite(1, 80)
     target = gaussian_target([1.0], 2.0)
-    lhs, rhs = div_second_moment_identity(space, target, constant_field([1.0]))
+    lhs, rhs = div_second_moment_identity(NodeTables(space, target), constant_field([1.0]))
     assert lhs == pytest.approx(0.25, abs=1e-8)
     assert rhs == pytest.approx(0.25, abs=1e-8)
     worst = abs(lhs - rhs)
@@ -154,7 +155,7 @@ def test_criterion_4_divergence_identities():
             gradient_field(PotentialField.from_coeff_dict(1, 2, {(1,): 0.5, (2,): 0.2})),
             gradient_field(PotentialField.from_coeff_dict(1, 3, {(3,): 0.1})),
         ):
-            lhs, rhs = div_second_moment_identity(space, tgt, xi)
+            lhs, rhs = div_second_moment_identity(NodeTables(space, tgt), xi)
             assert abs(lhs - rhs) <= 1e-8
             worst = max(worst, abs(lhs - rhs))
     report_line(
@@ -172,9 +173,9 @@ def test_criterion_5_inequality_suite(battery_outcomes):
     phi = quadratic_phi_1d(2.0, 1.0)
     psi = quadratic_psi_1d(2.0, 1.0)
     pairs = {
-        "control_forward": control_forward(space, target, phi),
-        "dual_hessian_bound": dual_hessian_bound(space, target, phi, psi),
-        "forward_sobolev_bound": forward_sobolev_bound(space, target, phi)[:2],
+        "control_forward": control_forward(NodeTables(space, target, phi)),
+        "dual_hessian_bound": dual_hessian_bound(NodeTables(space, target, phi, psi)),
+        "forward_sobolev_bound": forward_sobolev_bound(NodeTables(space, target, phi))[:2],
     }
     assert pairs["control_forward"][0] == pytest.approx(0.25, abs=1e-5)
     assert pairs["control_forward"][1] == pytest.approx(10.5, abs=1e-4)

@@ -82,6 +82,8 @@ class TestConfigErrors:
         # quasi-newton is the only solver
         ("solve", {**GAUSSIAN_SOLVE, "solver": {"optimizer": "gradient-descent"}},
          "invalid solver: unknown optimizer"),
+        # the finest reference is the largest n, so the rows need another n to compare
+        ("study", with_study(n_list=[2], reference="finest"), "study.n_list"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

@@ -3,9 +3,11 @@ import pytest
 
 from mongelab import (
     GaussianSpace,
+    NodeTables,
     NotApplicableError,
     PotentialField,
     SolveConfig,
+    backward_el_residual,
     conjugate,
     constant_field,
     control_forward,
@@ -26,7 +28,7 @@ from mongelab import (
     trace_positivity,
     weighted_div_second_moment_identity,
 )
-from mongelab.diagnostics import certify_semiconvexity, hessian_composition_gap
+from mongelab.diagnostics import L2_EPS, certify_semiconvexity, hessian_composition_gap
 
 
 def quadratic_phi(sigma, m):
@@ -47,16 +49,16 @@ def flat():
 class TestForwardElResidual:
     def test_gaussian_closed_form(self, line80, target_21):
         # both sides equal (1-sigma)x/sigma symbolically; residual vanishes
-        assert forward_el_residual(line80, target_21, quadratic_phi(2.0, 1.0)) <= 1e-8
+        assert forward_el_residual(NodeTables(line80, target_21, quadratic_phi(2.0, 1.0))) <= 1e-8
 
     def test_flat(self, line60, flat):
-        assert forward_el_residual(line60, flat, PotentialField.zero(1, 2)) <= 1e-16
+        assert forward_el_residual(NodeTables(line60, flat, PotentialField.zero(1, 2))) <= 1e-16
 
     def test_solved_quartic(self):
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.02, 0.1)
         res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
-        assert forward_el_residual(space, tgt, res.phi) <= 1e-3
+        assert forward_el_residual(NodeTables(space, tgt, res.phi)) <= 1e-3
 
 
 class TestTracePositivity:
@@ -100,12 +102,12 @@ class TestTracePositivity:
 
 class TestControlForward:
     def test_worked_gaussian(self, line80, target_21):
-        lhs, rhs = control_forward(line80, target_21, quadratic_phi(2.0, 1.0))
+        lhs, rhs = control_forward(NodeTables(line80, target_21, quadratic_phi(2.0, 1.0)))
         assert lhs == pytest.approx(0.25, abs=1e-8)
         assert rhs == pytest.approx(10.5, abs=1e-5)
 
     def test_flat(self, line60, flat):
-        lhs, rhs = control_forward(line60, flat, PotentialField.zero(1, 2))
+        lhs, rhs = control_forward(NodeTables(line60, flat, PotentialField.zero(1, 2)))
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert rhs == pytest.approx(0.0, abs=1e-14)
 
@@ -114,39 +116,40 @@ class TestControlForward:
         for a, b in ((0.02, 0.1), (0.05, 0.0), (0.03, -0.1)):
             tgt = quartic_well_target(a, b)
             res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
-            lhs, rhs = control_forward(space, tgt, res.phi)
+            lhs, rhs = control_forward(NodeTables(space, tgt, res.phi))
             assert rhs - lhs >= -1e-6
 
 
 class TestDualHessianBound:
     def test_worked_gaussian(self, line80, target_21):
         phi = quadratic_phi(2.0, 1.0)
-        lhs, rhs = dual_hessian_bound(line80, target_21, phi, quadratic_psi(2.0, 1.0))
+        lhs, rhs = dual_hessian_bound(NodeTables(line80, target_21, phi, quadratic_psi(2.0, 1.0)))
         assert lhs == pytest.approx(0.25, abs=1e-8)
         assert rhs == pytest.approx(10.5, abs=1e-5)
 
     def test_flat(self, line60, flat):
-        lhs, rhs = dual_hessian_bound(line60, flat, PotentialField.zero(1, 2),
-                                      PotentialField.zero(1, 2))
+        lhs, rhs = dual_hessian_bound(NodeTables(line60, flat, PotentialField.zero(1, 2),
+                                                 PotentialField.zero(1, 2)))
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_composition_two_routes(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = conjugate(res.phi)
-        via_phi, via_psi = hessian_composition_gap(line80, target_21, res.phi, dual)
+        via_phi, via_psi = hessian_composition_gap(NodeTables(line80, target_21, res.phi, dual))
         assert abs(via_phi - via_psi) <= 1e-3
 
 
 class TestSobolevBound:
     def test_worked_gaussian(self, line80, target_21):
-        lhs, rhs, eps = forward_sobolev_bound(line80, target_21, quadratic_phi(2.0, 1.0))
+        lhs, rhs, eps = forward_sobolev_bound(
+            NodeTables(line80, target_21, quadratic_phi(2.0, 1.0)))
         assert eps == pytest.approx(0.25, abs=1e-12)
         assert lhs == pytest.approx(0.25, abs=1e-8)
         assert rhs == pytest.approx(30.0, abs=1e-4)
 
     def test_flat_full_margin(self, line60, flat):
-        lhs, rhs, eps = forward_sobolev_bound(line60, flat, PotentialField.zero(1, 2))
+        lhs, rhs, eps = forward_sobolev_bound(NodeTables(line60, flat, PotentialField.zero(1, 2)))
         assert eps == 1.0
         assert lhs == 0.0
         assert rhs == 0.0
@@ -156,31 +159,32 @@ class TestSobolevBound:
         with pytest.raises(NotApplicableError):
             certify_semiconvexity(line60, tgt)
         with pytest.raises(NotApplicableError):
-            forward_sobolev_bound(line60, tgt, PotentialField.zero(1, 2))
+            forward_sobolev_bound(NodeTables(line60, tgt, PotentialField.zero(1, 2)))
 
 
 class TestDivSecondMoment:
     def test_worked_constant_field(self, line80, target_21):
         # lhs = E_nu[((x-1)/4)^2] = 0.25; rhs = 1 + (1/4 - 1) = 0.25
-        lhs, rhs = div_second_moment_identity(line80, target_21, constant_field([1.0]))
+        lhs, rhs = div_second_moment_identity(NodeTables(line80, target_21), constant_field([1.0]))
         assert lhs == pytest.approx(0.25, abs=1e-9)
         assert rhs == pytest.approx(0.25, abs=1e-12)
         assert abs(lhs - rhs) <= 1e-8
 
     def test_flat_constant_field(self, line60, flat):
         h = np.array([0.7])
-        lhs, rhs = div_second_moment_identity(line60, flat, constant_field(h))
+        lhs, rhs = div_second_moment_identity(NodeTables(line60, flat), constant_field(h))
         assert lhs == pytest.approx(float(h @ h), abs=1e-12)
         assert rhs == pytest.approx(float(h @ h), abs=1e-12)
 
     def test_linear_field(self, line80, target_21):
-        lhs, rhs = div_second_moment_identity(line80, target_21, linear_field(np.eye(1)))
+        lhs, rhs = div_second_moment_identity(NodeTables(line80, target_21),
+                                              linear_field(np.eye(1)))
         assert abs(lhs - rhs) <= 1e-8
 
     def test_gradient_field_2d(self, plane40):
         tgt = gaussian_target([0.5, -0.5], [1.5, 0.8])
         xi = gradient_field(PotentialField.from_coeff_dict(2, 2, {(1, 1): 0.3, (2, 0): 0.2}))
-        lhs, rhs = div_second_moment_identity(plane40, tgt, xi)
+        lhs, rhs = div_second_moment_identity(NodeTables(plane40, tgt), xi)
         assert abs(lhs - rhs) <= 1e-8
 
     def test_weighted_variant(self, line80, target_21):
@@ -197,7 +201,7 @@ class TestDivSecondMoment:
                 return alpha.hess(x)
 
         lhs, rhs = weighted_div_second_moment_identity(
-            line80, target_21, np.array([1.0]), Shifted()
+            NodeTables(line80, target_21), np.array([1.0]), Shifted()
         )
         assert abs(lhs - rhs) <= 1e-8
 
@@ -216,7 +220,7 @@ class TestDivSecondMoment:
                 return out
 
         lhs, rhs = weighted_div_second_moment_identity(
-            line80, target_21, np.array([1.0]), Alpha()
+            NodeTables(line80, target_21), np.array([1.0]), Alpha()
         )
         assert lhs == pytest.approx(3.25, abs=1e-7)
         assert rhs == pytest.approx(3.25, abs=1e-7)
@@ -233,19 +237,22 @@ class TestDivSecondMoment:
                 out[:, 0, 0] = 2.0
                 return out
 
-        lhs, rhs = weighted_div_second_moment_identity(line60, flat, np.array([1.0]), Alpha())
+        lhs, rhs = weighted_div_second_moment_identity(NodeTables(line60, flat), np.array([1.0]),
+                                                       Alpha())
         assert lhs == pytest.approx(3.0, abs=1e-10)
         assert rhs == pytest.approx(3.0, abs=1e-10)
 
 
 class TestQuarticRatio:
     def test_flat_degenerate_guard(self, line60, flat):
-        lhs, rhs, ratio, degenerate = quartic_ratio(line60, flat, PotentialField.zero(1, 2))
+        lhs, rhs, ratio, degenerate = quartic_ratio(
+            NodeTables(line60, flat, PotentialField.zero(1, 2)))
         assert degenerate
         assert ratio == 0.0
 
     def test_worked_gaussian(self, line80, target_21):
-        lhs, rhs, ratio, degenerate = quartic_ratio(line80, target_21, quadratic_phi(2.0, 1.0))
+        lhs, rhs, ratio, degenerate = quartic_ratio(
+            NodeTables(line80, target_21, quadratic_phi(2.0, 1.0)))
         assert not degenerate
         assert lhs == pytest.approx(10.0, abs=1e-7)
         assert rhs == pytest.approx(29.6875, abs=1e-6)
@@ -256,12 +263,12 @@ class TestL2OuBound:
     def test_gaussian_symbolic_lhs(self, line80, target_21):
         # L_nu psi = 5/8 - y^2/8 under nu = N(1,4): E[(L_nu psi)^2] = 0.75
         psi = quadratic_psi(2.0, 1.0)
-        lhs, rhs = l2_ou_bound(line80, target_21, psi, eps=0.5)
+        lhs, rhs = l2_ou_bound(NodeTables(line80, target_21, dual=psi), eps=0.5)
         assert lhs == pytest.approx(0.5 * 0.75, abs=1e-6)
         assert rhs - lhs >= -1e-6
 
     def test_flat(self, line60, flat):
-        lhs, rhs = l2_ou_bound(line60, flat, PotentialField.zero(1, 2), eps=0.5)
+        lhs, rhs = l2_ou_bound(NodeTables(line60, flat, dual=PotentialField.zero(1, 2)), eps=0.5)
         assert lhs == 0.0
         assert rhs >= 0.0
 
@@ -270,12 +277,12 @@ class TestL2OuBound:
         for sigma, m in ((0.5, 0.0), (2.0, 1.0), (1.0, -1.0)):
             tgt = gaussian_target([m], sigma)
             psi = quadratic_psi(sigma, m)
-            lhs, rhs = l2_ou_bound(line80, tgt, psi, eps=eps)
+            lhs, rhs = l2_ou_bound(NodeTables(line80, tgt, dual=psi), eps=eps)
             assert rhs - lhs >= -1e-6
 
     def test_eps_validated(self, line60, flat):
         with pytest.raises(ValueError):
-            l2_ou_bound(line60, flat, PotentialField.zero(1, 2), eps=0.0)
+            l2_ou_bound(NodeTables(line60, flat, dual=PotentialField.zero(1, 2)), eps=0.0)
 
 
 class TestStandardReport:
@@ -319,7 +326,59 @@ class TestStandardReport:
         assert composition.lhs == records["control_forward"].lhs
         assert composition.rhs == records["dual_hessian_bound"].lhs
         assert (composition.lhs, composition.rhs) == hessian_composition_gap(
-            line80, target_21, res.phi, dual)
+            NodeTables(line80, target_21, res.phi, dual))
+
+        # every record equals, bit for bit, its public check on fresh tables:
+        # no check writes into a table that a later check of the run reads
+        def fresh():
+            return NodeTables(line80, target_21, res.phi, dual)
+
+        expected = {
+            "variational_gap": (res.objective, res.variational_lhs),
+            "el_forward": (forward_el_residual(fresh()), 0.0),
+            "el_backward": (backward_el_residual(fresh()), 0.0),
+            "div_second_moment": div_second_moment_identity(fresh(), gradient_field(res.phi)),
+            "hessian_composition": hessian_composition_gap(fresh()),
+            "trace_positivity": (0.0, trace_positivity(line80, res.phi)),
+            "control_forward": control_forward(fresh()),
+            "dual_hessian_bound": dual_hessian_bound(fresh()),
+            "forward_sobolev_bound": forward_sobolev_bound(fresh())[:2],
+            "quartic_ratio": quartic_ratio(fresh())[:2],
+        }
+        for eps in L2_EPS:
+            expected[f"l2_ou_bound(eps={eps})"] = l2_ou_bound(fresh(), eps)
+        assert set(expected) == set(records)
+        for name, (lhs, rhs) in expected.items():
+            assert (records[name].lhs, records[name].rhs) == (lhs, rhs), name
+
+    def test_one_tabulation_per_run(self, line80, target_21, monkeypatch):
+        # a run weighs nu once, inverts I + hess phi once on the nodes, once on
+        # the nu-mass nodes and once in trace_positivity, and solves the
+        # conjugacy problem once for a dual tabulated off the nu-mass nodes
+        import mongelab.diagnostics as di
+        import mongelab.gaussian as ga
+        import mongelab.potentials as po
+        import mongelab.solver_backward as sb
+
+        res = solve(line80, target_21, SolveConfig(degree=2))
+        fitted = fit_dual(line80, target_21, res.phi)
+        grid_dual = conjugate(res.phi)
+        calls = dict.fromkeys(("nu_weights", "inverse_shift_jacobian", "conjugacy_minimize"), 0)
+        for name in calls:
+            for module in (ga, po, sb, di):
+                if hasattr(module, name):
+                    def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _f(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+
+        run_standard_checks(line80, target_21, res, fitted)
+        assert calls["nu_weights"] == 1
+        assert calls["inverse_shift_jacobian"] <= 3
+        calls["conjugacy_minimize"] = 0
+        run_standard_checks(line80, target_21, res, grid_dual)
+        assert calls["conjugacy_minimize"] == 1
 
     def test_summary_lines_format(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))

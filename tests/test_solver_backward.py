@@ -5,6 +5,7 @@ import pytest
 
 from mongelab import (
     GaussianSpace,
+    NodeTables,
     PotentialField,
     SolveConfig,
     backward_el_residual,
@@ -286,28 +287,28 @@ class TestBackwardObjective:
 
 class TestBackwardElResidual:
     def test_gaussian_closed_form(self, line80, target_21):
-        assert backward_el_residual(line80, target_21, quadratic_psi(2.0, 1.0)) <= 1e-8
+        tables = NodeTables(line80, target_21, dual=quadratic_psi(2.0, 1.0))
+        assert backward_el_residual(tables) <= 1e-8
 
     def test_flat(self, line60):
         flat = gaussian_target([0.0], 1.0)
-        assert backward_el_residual(line60, flat, PotentialField.zero(1, 2)) == pytest.approx(
-            0.0, abs=1e-16
-        )
+        tables = NodeTables(line60, flat, dual=PotentialField.zero(1, 2))
+        assert backward_el_residual(tables) == pytest.approx(0.0, abs=1e-16)
 
     def test_perturbed_dual_positive(self, line80, target_21):
         psi = quadratic_psi(2.0, 1.0)
         bumped = PotentialField(psi.basis, psi.coeffs + np.array([0.0, 0.1]))
-        residual = backward_el_residual(line80, target_21, bumped)
+        residual = backward_el_residual(NodeTables(line80, target_21, dual=bumped))
         assert residual > 1e-3
 
     def test_solved_quartic(self, solved_quartic):
         space, tgt, res, dual = solved_quartic
-        assert backward_el_residual(space, tgt, dual) <= 1e-3
+        assert backward_el_residual(NodeTables(space, tgt, dual=dual)) <= 1e-3
 
     def test_conjugate_gaussian(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = conjugate(res.phi)
-        assert backward_el_residual(line80, target_21, dual) <= 1e-8
+        assert backward_el_residual(NodeTables(line80, target_21, dual=dual)) <= 1e-8
 
     @pytest.mark.parametrize("sigma,m", [(0.5, 0.0), (2.0, 1.0), (1.5, -1.0)])
     def test_conjugate_gaussian_level30(self, sigma, m):
@@ -316,24 +317,24 @@ class TestBackwardElResidual:
         tgt = gaussian_target([m], sigma)
         res = solve(space, tgt, SolveConfig(degree=2))
         dual = conjugate(res.phi)
-        assert backward_el_residual(space, tgt, dual) <= 1e-4
+        assert backward_el_residual(NodeTables(space, tgt, dual=dual)) <= 1e-4
 
 
 class TestDuality:
     def test_gradient_second_moments_match(self, line80, target_21):
         # E_nu[|grad psi|^2] = E_mu[|grad phi|^2] (both are d2^2)
-        from mongelab.gaussian import nu_masked_weights
+        from mongelab.gaussian import nu_masked_weights, nu_weights
 
         res = solve(line80, target_21, SolveConfig(degree=2))
         dual = conjugate(res.phi)
-        w, mask = nu_masked_weights(line80, target_21)
+        w, mask = nu_masked_weights(nu_weights(line80, target_21))
         g = dual.grad(line80.nodes[mask])
         nu_side = float(np.sum(w[mask] * np.sum(g**2, axis=1)))
         assert nu_side == pytest.approx(res.wasserstein2_sq, abs=1e-3)
 
     def test_variational_mode_on_quartic(self):
         # cross-check: direct J_b minimization agrees with the conjugacy dual
-        from mongelab.gaussian import nu_masked_weights
+        from mongelab.gaussian import nu_masked_weights, nu_weights
 
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.02, 0.1)
@@ -343,12 +344,12 @@ class TestDuality:
                                                    SolveConfig(degree=6, max_iters=3000))
         assert res_b.converged
         assert res_b.objective == pytest.approx(res_b.variational_lhs, abs=1e-8)
-        w, mask = nu_masked_weights(space, tgt)
+        w, mask = nu_masked_weights(nu_weights(space, tgt))
         gv = dual_v.grad(space.nodes[mask])
         gc = dual_c.grad(space.nodes[mask])
         dist = np.sqrt(np.sum(w[mask] * np.sum((gv - gc) ** 2, axis=1)))
         assert dist <= 1e-3
-        assert backward_el_residual(space, tgt, dual_v) <= 1e-6
+        assert backward_el_residual(NodeTables(space, tgt, dual=dual_v)) <= 1e-6
 
     def test_variational_mode_matches_conjugacy(self, line80, target_21):
         dual_var, res_b = solve_backward_variational(line80, target_21, SolveConfig(degree=2))
@@ -365,10 +366,10 @@ class TestDuality:
 
     def test_fit_dual_solves_once_on_the_nu_mass_nodes(self, line80, target_21, monkeypatch):
         import mongelab.solver_backward as sb
-        from mongelab.gaussian import nu_masked_weights
+        from mongelab.gaussian import nu_masked_weights, nu_weights
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        _, mask = nu_masked_weights(line80, target_21)
+        _, mask = nu_masked_weights(nu_weights(line80, target_21))
         assert 0 < mask.sum() < line80.nodes.shape[0]
         calls = []
         newton = sb.conjugacy_minimize
@@ -387,13 +388,13 @@ class TestDuality:
 
     def test_fit_dual_rejects_too_few_nu_mass_nodes(self):
         from mongelab import DegenerateWeightError
-        from mongelab.gaussian import nu_masked_weights
+        from mongelab.gaussian import nu_masked_weights, nu_weights
 
         # the quartic's nu-mass sits on 14 of 30 nodes: degree 13 has 14
         # unknowns (with the constant), degree 14 has 15
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.05, 0.0)
-        assert nu_masked_weights(space, tgt)[1].sum() == 14
+        assert nu_masked_weights(nu_weights(space, tgt))[1].sum() == 14
         phi = PotentialField.zero(1, 10)
         assert fit_dual(space, tgt, phi, degree=13).psi_fit.degree == 13
         with pytest.raises(DegenerateWeightError, match="14 nu-mass nodes for 15 unknowns"):
