@@ -36,7 +36,7 @@ from .errors import ConfigError, MongelabError
 from .gaussian import GaussianSpace
 from .oracle1d import monotone_map, potential_from_map, wasserstein2_sq
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
-from .smoothing import convergence_study
+from .smoothing import StudyTable, convergence_study
 from .solver_backward import fit_dual
 from .solver_forward import SolveConfig, solve, variational_gap, wasserstein_check
 from .targets import (
@@ -217,7 +217,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
             "variational_gap": variational_gap(space, target, result),
             "phi": result.phi.to_json_dict(),
         }
-        dual = fit_dual(space, target, result.phi, degree=dual_degree)
+        dual = fit_dual(space, result.nu_weights, result.phi, degree=dual_degree)
         report = run_standard_checks(space, target, result, dual, thresholds=thresholds,
                                      metadata=metadata)
         w2, w2_ref = wasserstein_check(space, result, target)
@@ -328,7 +328,12 @@ def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
         raise ConfigError("study.n_list needs two distinct values for reference 'finest'")
 
     _, _, _, space, target, solver_cfg = build_problem(cfg, 0)
-    table = convergence_study(space, target, scheme, n_list, solver_cfg, reference=reference)
+    error = None
+    try:
+        table = convergence_study(space, target, scheme, n_list, solver_cfg, reference=reference)
+    except MongelabError as exc:  # the reference solve failed: no row can be measured
+        error = error_text(exc)
+        table = StudyTable(scheme=scheme, reference=reference)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text(out_dir / "study_table.csv", table.to_csv())
     payload = {
@@ -350,7 +355,12 @@ def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
             for r in table.rows
         ],
     }
+    if error is not None:
+        payload["error"] = error
     write_json(out_dir / "study_report.json", payload)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 4
     final = table.rows[-1]
     if final.status != "ok" or not np.isfinite(final.grad_phi_err):
         return 4

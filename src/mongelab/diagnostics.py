@@ -30,16 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotApplicableError
-from .gaussian import (
-    GaussianSpace,
-    VectorField,
-    constant_field,
-    gradient_field,
-    nu_masked_weights,
-    nu_weights,
-    weighted_divergence,
-)
-from .potentials import PotentialField, inverse_shift_jacobian
+from .gaussian import GaussianSpace, nu_masked_weights, nu_weights
+from .potentials import PotentialField, floor_checked_inverse
 from .solver_backward import DualPotential, backward_el_residual
 from .targets import ScalarTarget
 
@@ -128,21 +120,31 @@ class DiagnosticsReport:
 class NodeTables:
     """The node tables the checks share, each computed when first read, so a
     check called alone evaluates, and raises, only what it reads.  dual (a
-    DualPotential or a PotentialField) is tabulated on the nu-mass nodes."""
+    DualPotential or a PotentialField) is tabulated on the nu-mass nodes.
+    w_nu, when given (a solve's nu_weights), is used as the nu-weights."""
 
     space: GaussianSpace
     target: ScalarTarget
     phi: Optional[PotentialField] = None
     dual: object = None
+    w_nu: Optional[np.ndarray] = None
 
     @cached_property
     def grad_phi(self) -> np.ndarray:
         return self.phi.grad(self.space.nodes)
 
     @cached_property
+    def hess_phi(self) -> np.ndarray:
+        return self.phi.hess(self.space.nodes)
+
+    @cached_property
+    def third_phi(self) -> np.ndarray:
+        return self.phi.third(self.space.nodes)
+
+    @cached_property
     def inv_jacobian(self) -> np.ndarray:
         """K = (I + hess phi)^{-1} on the nodes."""
-        return inverse_shift_jacobian(self.phi, self.space.nodes)
+        return floor_checked_inverse(self.hess_phi)
 
     @cached_property
     def grad_f(self) -> np.ndarray:
@@ -154,17 +156,13 @@ class NodeTables:
 
     @cached_property
     def nu_weights(self) -> np.ndarray:
-        return nu_weights(self.space, self.target)
+        return nu_weights(self.space, self.target) if self.w_nu is None else self.w_nu
 
     @cached_property
-    def nu_mask(self) -> tuple[np.ndarray, np.ndarray]:
-        """(renormalized nu-weights, points) of the nu-mass nodes."""
+    def nu_mask(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(renormalized nu-weights, points, grad f) of the nu-mass nodes."""
         w, mask = nu_masked_weights(self.nu_weights)
-        return w[mask], self.space.nodes[mask]
-
-    @cached_property
-    def grad_f_mask(self) -> np.ndarray:
-        return self.target.grad(self.nu_mask[1])
+        return w[mask], self.space.nodes[mask], self.grad_f[mask]
 
     @cached_property
     def e_grad_phi(self) -> float:
@@ -184,11 +182,13 @@ class NodeTables:
         if isinstance(self.dual, DualPotential):
             phi = self.dual.forward
             _, x_star = self.dual._minimizers(y)
-            k = inverse_shift_jacobian(phi, x_star)
+            hess = phi.hess(x_star)
+            k = floor_checked_inverse(hess)
             pdiv = np.einsum("nie,neij->nj", k, phi.third(x_star))
-            return x_star - y, k - np.eye(self.space.dim), phi.hess(x_star), pdiv
-        m, pdiv = _shift_inverse_operator(inverse_shift_jacobian(self.dual, y), self.dual.third(y))
-        return self.dual.grad(y), self.dual.hess(y), m, pdiv
+            return x_star - y, k - np.eye(self.space.dim), hess, pdiv
+        hess = self.dual.hess(y)
+        m, pdiv = _shift_inverse_operator(floor_checked_inverse(hess), self.dual.third(y))
+        return self.dual.grad(y), hess, m, pdiv
 
 
 def _shift_inverse_operator(k: np.ndarray, third: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,27 +201,26 @@ def forward_el_residual(tables: NodeTables) -> float:
     """E_mu[|grad phi + grad f o T - delta((I+hess phi)^{-1} - I)|^2]."""
     x = tables.space.nodes
     g = tables.grad_phi
-    m, pdiv = _shift_inverse_operator(tables.inv_jacobian, tables.phi.third(x))
+    m, pdiv = _shift_inverse_operator(tables.inv_jacobian, tables.third_phi)
     r = g + tables.target.grad(x + g) - (np.einsum("nij,ni->nj", m, x) - pdiv)
     return float(np.sum(tables.space.weights * np.sum(r**2, axis=1)))
 
 
-def trace_positivity(space: GaussianSpace, phi: PotentialField, max_nodes: int = 100) -> float:
+def trace_positivity(tables: NodeTables, max_nodes: int = 100) -> float:
     """min over nodes and coordinate directions e of trace(K A K A), A = third(phi)(K e).
 
     A is symmetric and K positive, so trace(KAKA) = |K^{1/2} A K^{1/2}|_HS^2
     is nonnegative up to roundoff.
     """
-    n_nodes = space.nodes.shape[0]
+    n_nodes = tables.space.nodes.shape[0]
     if n_nodes > max_nodes:
         sel = np.unique(np.linspace(0, n_nodes - 1, max_nodes).astype(int))
     else:
         sel = np.arange(n_nodes)
-    pts = space.nodes[sel]
-    k = inverse_shift_jacobian(phi, pts)
-    third = phi.third(pts)  # (N, d, d, d), symmetric
+    k = tables.inv_jacobian[sel]
+    third = tables.third_phi[sel]  # (N, d, d, d), symmetric
     worst = np.inf
-    for e in np.eye(phi.dim):
+    for e in np.eye(tables.space.dim):
         ke = k @ e                                   # (N, d)
         a = np.einsum("nijl,nl->nij", third, ke)      # (N, d, d)
         ka = k @ a
@@ -243,7 +242,7 @@ def dual_hessian_bound(tables: NodeTables) -> tuple[float, float]:
     The nu-expectation of the dual Hessian runs over the mass-floored
     node set (see nu_masked_weights).
     """
-    w, _ = tables.nu_mask
+    w, _, _ = tables.nu_mask
     _, h, _, _ = tables.backward
     lhs = float(np.sum(w * np.sum(h**2, axis=(1, 2))))
     return lhs, 2.0 * tables.e_grad_f + 2.0 * tables.e_grad_phi
@@ -260,12 +259,12 @@ def hessian_composition_gap(tables: NodeTables) -> tuple[float, float]:
     return control_forward(tables)[0], dual_hessian_bound(tables)[0]
 
 
-def certify_semiconvexity(space: GaussianSpace, target: ScalarTarget) -> float:
-    """Largest eps in (0, 1] with (1-eps) I + hess f >= 0 at all nodes.
+def certify_semiconvexity(hess_f: np.ndarray) -> float:
+    """Largest eps in (0, 1] with (1-eps) I + hess f >= 0 at all nodes (hess_f).
 
     Raises NotApplicableError when no positive eps certifies.
     """
-    eigs = np.linalg.eigvalsh(target.hess(space.nodes))
+    eigs = np.linalg.eigvalsh(hess_f)
     lam_min = float(eigs.min())
     eps = min(1.0, 1.0 + lam_min)
     if eps <= 1e-12:
@@ -279,20 +278,21 @@ def forward_sobolev_bound(tables: NodeTables) -> tuple[float, float, float]:
     """(eps E[|hess phi|^2], 2 E[|grad phi|^2] + 8 E_nu[|grad f|^2], eps)
     for eps the largest node-certified semiconvexity margin.
     """
-    eps = certify_semiconvexity(tables.space, tables.target)
-    h = tables.phi.hess(tables.space.nodes)
+    eps = certify_semiconvexity(tables.hess_f)
+    h = tables.hess_phi
     lhs = eps * float(np.sum(tables.space.weights * np.sum(h**2, axis=(1, 2))))
     return lhs, 2.0 * tables.e_grad_phi + 8.0 * tables.e_grad_f, eps
 
 
-def div_second_moment_identity(tables: NodeTables, xi: VectorField) -> tuple[float, float]:
-    """E_nu[(delta_nu xi)^2] vs E_nu[|xi|^2 + <hess f xi, xi> + tr(grad xi grad xi)]."""
+def div_second_moment_identity(tables: NodeTables, v: np.ndarray,
+                               jac: np.ndarray) -> tuple[float, float]:
+    """E_nu[(delta_nu xi)^2] vs E_nu[|xi|^2 + <hess f xi, xi> + tr(grad xi grad xi)]
+    for xi with node values v (N, d) and Jacobians jac (N, d, d)."""
     w = tables.nu_weights
     x = tables.space.nodes
-    dnu = weighted_divergence(tables.space, tables.target, xi)(x)
+    dnu = (np.einsum("ni,ni->n", x, v) - np.einsum("nii->n", jac)
+           + np.einsum("ni,ni->n", tables.grad_f, v))
     lhs = float(np.sum(w * dnu**2))
-    v = xi.value(x)
-    jac = xi.jacobian(x)
     rhs_vals = (
         np.sum(v**2, axis=1)
         + np.einsum("nij,ni,nj->n", tables.hess_f, v, v)
@@ -311,7 +311,7 @@ def weighted_div_second_moment_identity(tables: NodeTables, h, alpha) -> tuple[f
     h = np.asarray(h, dtype=float).reshape(-1)
     w = tables.nu_weights
     x = tables.space.nodes
-    dnu = weighted_divergence(tables.space, tables.target, constant_field(h))(x)
+    dnu = (x + tables.grad_f) @ h  # delta_nu h = <x, h> + <grad f, h>
     avals = np.asarray(alpha.eval(x), dtype=float).reshape(-1)
     lhs = float(np.sum(w * avals * dnu**2))
     ha = alpha.hess(x)
@@ -349,10 +349,9 @@ def l2_ou_bound(tables: NodeTables, eps: float) -> tuple[float, float]:
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    w, y = tables.nu_mask
+    w, y, gf = tables.nu_mask
     g, h, _, _ = tables.backward
     l_psi = np.einsum("ni,ni->n", y, g) - np.einsum("nii->n", h)
-    gf = tables.grad_f_mask
     l_nu = l_psi + np.einsum("ni,ni->n", gf, g)
     lhs = (1.0 - eps) * float(np.sum(w * l_nu**2))
     e_grad_f2 = float(np.sum(w * np.sum(gf**2, axis=1)))
@@ -381,13 +380,13 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
                         metadata: dict | None = None) -> DiagnosticsReport:
     """Assemble the full per-experiment report for a solved (phi, psi) pair.
 
-    Every check reads one NodeTables; its nu-side tables evaluate the dual on
-    the nu-mass nodes, where a fit_dual result holds its minimizers.
+    Every check reads one NodeTables, weighted by the solve's nu-weights
+    (result belongs to (space, target)); its nu-side tables evaluate the dual
+    on the nu-mass nodes, where a fit_dual result holds its minimizers.
     """
     tol = thresholds or CheckThresholds()
     report = DiagnosticsReport(metadata=dict(metadata or {}))
-    phi = result.phi
-    tables = NodeTables(space, target, phi, dual)
+    tables = NodeTables(space, target, result.phi, dual, result.nu_weights)
 
     report.add_identity(
         "variational_gap",
@@ -410,13 +409,13 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
         tol.identity_solved,
         note="mean-square backward stationarity residual",
     )
-    lhs, rhs = div_second_moment_identity(tables, gradient_field(phi))
+    lhs, rhs = div_second_moment_identity(tables, tables.grad_phi, tables.hess_phi)
     report.add_identity("div_second_moment", lhs, rhs, tol.identity_solved,
                         note="xi = grad phi")
     report.add_identity("hessian_composition", *hessian_composition_gap(tables),
                         tol.identity_solved)
 
-    report.add_inequality("trace_positivity", 0.0, trace_positivity(space, phi),
+    report.add_inequality("trace_positivity", 0.0, trace_positivity(tables),
                           tol.trace, note="min trace(KAKA)")
     report.add_inequality("control_forward", *control_forward(tables), tol.inequality)
     report.add_inequality("dual_hessian_bound", *dual_hessian_bound(tables), tol.inequality)

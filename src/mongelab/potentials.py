@@ -176,8 +176,12 @@ def logdet2(a):
 
 def inverse_shift_jacobian(phi: PotentialField, x) -> np.ndarray:
     """K = (I + hess phi)^{-1} at a batch of points, floor-checked."""
-    pts = as_points(x, phi.dim)
-    jac = np.eye(phi.dim)[None] + phi.hess(pts)
+    return floor_checked_inverse(phi.hess(as_points(x, phi.dim)))
+
+
+def floor_checked_inverse(hess: np.ndarray) -> np.ndarray:
+    """(I + hess)^{-1} for a batch (N, d, d) of Hessians, floor-checked."""
+    jac = np.eye(hess.shape[1])[None] + hess
     eigs = np.linalg.eigvalsh(jac)
     if np.any(eigs <= EIG_FLOOR):
         raise SingularJacobianError(f"I + hess phi has eigenvalue at or below {EIG_FLOOR}")
@@ -208,12 +212,13 @@ def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:
     return float(np.sum(space.weights * vals))
 
 
-def relative_entropy_terms(space: GaussianSpace, target) -> tuple[float, float]:
-    """(H(nu | mu), log E[e^{-f}]), from one evaluation of f on the nodes."""
-    fvals, w, shift = shifted_nu_weights(space, target, "normalizer underflowed everywhere")
+def relative_entropy_terms(space: GaussianSpace, target) -> tuple[float, float, np.ndarray]:
+    """(H(nu | mu), log E[e^{-f}], nu-weights), from one evaluation of f on the nodes."""
+    fvals, w, shift = shifted_nu_weights(space, target)
     total = np.sum(w)
     log_c = float(shift + np.log(total))
-    return float(np.sum(w / total * -fvals)) - log_c, log_c
+    w = w / total
+    return float(np.sum(w * -fvals)) - log_c, log_c, w
 
 
 def relative_entropy(space: GaussianSpace, target) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeightError, MongelabError
-from .gaussian import GaussianSpace, log_normalizer, nu_weights
+from .gaussian import GaussianSpace, nu_weights, shifted_nu_weights
 from .hermite import as_points
 from .solver_forward import SolveConfig, solve
 from .solver_backward import fit_dual
@@ -165,7 +165,8 @@ def truncate_density(space: GaussianSpace, target: ScalarTarget, n: int) -> Scal
     if n < 1:
         raise ValueError("n must be >= 1")
     d = space.dim
-    log_c = log_normalizer(space, target)
+    fvals, w, shift = shifted_nu_weights(space, target)  # the one evaluation of f on the nodes
+    log_c = float(shift + np.log(np.sum(w)))
     edge = float(np.log(n))
 
     def _penalty(s):
@@ -209,9 +210,8 @@ def truncate_density(space: GaussianSpace, target: ScalarTarget, n: int) -> Scal
         hess,
         value_and_grad,
     )
-    w = nu_weights(space, target)
-    v, _, _ = _penalty(_s(target.eval(space.nodes)))
-    theta_mass = float(np.sum(w * np.exp(-v)))
+    v, _, _ = _penalty(_s(fvals))
+    theta_mass = float(np.sum(w / w.sum() * np.exp(-v)))
     if theta_mass < 1e-300:
         raise DegenerateWeightError("truncation removed essentially all mass")
     truncated.params["normalizer"] = 1.0 / theta_mass
@@ -280,7 +280,7 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
         if not res.converged:
             raise MongelabError("solver did not converge")
         try:
-            return res, fit_dual(space, tgt, res.phi)
+            return res, fit_dual(space, res.nu_weights, res.phi)
         except DegenerateWeightError:
             return res, None
 

@@ -204,10 +204,11 @@ def conjugate(phi: PotentialField, grid: np.ndarray | None = None) -> DualPotent
     )
 
 
-def fit_dual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
+def fit_dual(space: GaussianSpace, w_nu: np.ndarray, phi: PotentialField,
              degree: int | None = None) -> DualPotential:
-    """Conjugacy dual of phi on the nu-mass nodes (nu_masked_weights; the
-    backward conditions are nu-a.s.), with psi fitted there under nu.
+    """Conjugacy dual of phi on the nu-mass nodes (nu_masked_weights of the
+    nu-weights w_nu, e.g. a solve's SolveResult.nu_weights; the backward
+    conditions are nu-a.s.), with psi fitted there under nu.
 
     This is the one conjugacy solve: the nu-side checks read its
     minimizers.  Raises DegenerateWeightError when the nodes are fewer
@@ -216,7 +217,7 @@ def fit_dual(space: GaussianSpace, target: ScalarTarget, phi: PotentialField,
     The constant term (excluded from the basis) is kept as fit_offset; all
     residual diagnostics only use derivatives of the fit.
     """
-    w, mask = nu_masked_weights(nu_weights(space, target))
+    w, mask = nu_masked_weights(w_nu)
     basis = HermiteBasis(space.dim, phi.degree if degree is None else degree)
     nodes = space.nodes[mask]
     if nodes.shape[0] <= basis.size:
@@ -263,10 +264,9 @@ def backward_objective(space: GaussianSpace, target: ScalarTarget, dual) -> floa
 def backward_el_residual(tables) -> float:
     """E_nu[|delta_nu((I + hess psi)^{-1} - I) - grad psi + grad f|^2] on the
     nu-mass nodes, for psi the dual of tables (a diagnostics.NodeTables)."""
-    w, y = tables.nu_mask
+    w, y, gf = tables.nu_mask
     grad_psi, _, m, pdiv = tables.backward
     delta_m = np.einsum("nij,ni->nj", m, y) - pdiv
-    gf = tables.grad_f_mask
     delta_nu_m = delta_m + np.einsum("nij,ni->nj", m, gf)
     r = delta_nu_m - grad_psi + gf
     return float(np.sum(w * np.sum(r**2, axis=1)))

@@ -13,7 +13,7 @@ distance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class SolveResult:
     wasserstein2_sq: float
     variational_lhs: float  # -log E[e^{-f}]
     objective_history: list = field(default_factory=list)
+    nu_weights: np.ndarray | None = None  # normalized nu-weights on the nodes, set by solve
 
 
 class BarrierWorkspace:
@@ -277,7 +278,7 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
     converged=False when the gradient tolerance was not reached within
     max_iters; deterministic for a fixed (space, target, config, initial).
     """
-    h_rel, log_c = relative_entropy_terms(space, target)
+    h_rel, log_c, w_nu = relative_entropy_terms(space, target)
     if not np.isfinite(h_rel):
         raise NonFiniteValueError("relative entropy of the target is not finite")
     basis = HermiteBasis(space.dim, config.degree)
@@ -288,7 +289,7 @@ def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,
         if initial.dim != space.dim or initial.degree != config.degree:
             raise ValueError("initial potential must match the space dim and config degree")
         c0 = initial.coeffs
-    return minimize_with_barrier(ws, c0, config, -log_c)
+    return replace(minimize_with_barrier(ws, c0, config, -log_c), nu_weights=w_nu)
 
 
 def gaussian_w2_sq(target: ScalarTarget) -> float:

@@ -144,7 +144,9 @@ def test_criterion_3_backward_el_identity(battery_outcomes):
 def test_criterion_4_divergence_identities():
     space = GaussianSpace.tensor_hermite(1, 80)
     target = gaussian_target([1.0], 2.0)
-    lhs, rhs = div_second_moment_identity(NodeTables(space, target), constant_field([1.0]))
+    xi = constant_field([1.0])
+    lhs, rhs = div_second_moment_identity(NodeTables(space, target),
+                                          xi.value(space.nodes), xi.jacobian(space.nodes))
     assert lhs == pytest.approx(0.25, abs=1e-8)
     assert rhs == pytest.approx(0.25, abs=1e-8)
     worst = abs(lhs - rhs)
@@ -155,7 +157,8 @@ def test_criterion_4_divergence_identities():
             gradient_field(PotentialField.from_coeff_dict(1, 2, {(1,): 0.5, (2,): 0.2})),
             gradient_field(PotentialField.from_coeff_dict(1, 3, {(3,): 0.1})),
         ):
-            lhs, rhs = div_second_moment_identity(NodeTables(space, tgt), xi)
+            lhs, rhs = div_second_moment_identity(NodeTables(space, tgt),
+                                                  xi.value(space.nodes), xi.jacobian(space.nodes))
             assert abs(lhs - rhs) <= 1e-8
             worst = max(worst, abs(lhs - rhs))
     report_line(
@@ -215,7 +218,7 @@ def test_criterion_6_trace_positivity(battery_outcomes):
     phi = PotentialField.from_coeff_dict(
         2, 4, {(2, 1): 0.02, (1, 2): -0.015, (4, 0): 0.004, (0, 3): 0.01}
     )
-    direct = trace_positivity(space, phi, max_nodes=100)
+    direct = trace_positivity(NodeTables(space, None, phi), max_nodes=100)
     worst = min(worst, direct)
     assert worst >= -1e-12
     report_line("criterion-6 trace positivity", f"battery+sweep min {worst:.2e} (tol -1e-12)")

@@ -166,6 +166,9 @@ class TestSolveCommand:
         from mongelab.cli import default_battery, run_entry
         from mongelab.diagnostics import CheckThresholds
 
+        import mongelab.gaussian as ga
+        import mongelab.potentials as po
+
         calls = []
         newton = sb.conjugacy_minimize
 
@@ -174,9 +177,19 @@ class TestSolveCommand:
             return newton(phi, y)
 
         monkeypatch.setattr(sb, "conjugacy_minimize", counting)
+        weighings = []
+        weigh = ga.shifted_nu_weights
+
+        def counting_weights(space, target):
+            weighings.append(target.kind)
+            return weigh(space, target)
+
+        for module in (ga, po):
+            monkeypatch.setattr(module, "shifted_nu_weights", counting_weights)
         outcome = run_entry(default_battery()[index], 0, CheckThresholds())
         assert outcome["report"].all_passed()
         assert len(calls) == 1
+        assert len(weighings) == 1
 
     def test_dual_fit_with_too_few_nu_mass_nodes_is_reported(self, tmp_path):
         entry = {
@@ -285,6 +298,27 @@ class TestStudyCommand:
         assert any(s.startswith("failed") for s in statuses)
         assert statuses[-1] == "ok"
         assert code == 0
+
+    def test_unconverged_reference_still_writes_reports(self, tmp_path, capsys):
+        # five iterations cannot solve this quartic: the reference solve fails,
+        # and the study still writes both files, with the error, and exits 4
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dim": 1,
+            "degree": 3,
+            "quadrature": {"kind": "tensor-hermite", "level": 5},
+            "target": {"kind": "quartic-well", "a": 0.03, "b": 10},
+            "solver": {"max_iters": 5},
+            "study": {"scheme": "ou", "n_list": [1, 2]},
+        })
+        out = tmp_path / "out"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 4
+        error = "MongelabError: solver did not converge"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (out / "study_table.csv").read_text() == (
+            "n,grad_phi_err,psi_err,psi_err_smoothed,w2sq,status\n")
+        report = json.loads((out / "study_report.json").read_text())
+        assert report["rows"] == []
+        assert report["error"] == error
 
     def test_bad_scheme_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {

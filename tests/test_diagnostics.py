@@ -31,6 +31,11 @@ from mongelab import (
 from mongelab.diagnostics import L2_EPS, certify_semiconvexity, hessian_composition_gap
 
 
+def on_nodes(xi, space):
+    """(values, Jacobians) of the vector field xi on the space's nodes."""
+    return xi.value(space.nodes), xi.jacobian(space.nodes)
+
+
 def quadratic_phi(sigma, m):
     return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
 
@@ -63,7 +68,7 @@ class TestForwardElResidual:
 
 class TestTracePositivity:
     def test_quadratic_exactly_zero(self, line60):
-        assert trace_positivity(line60, quadratic_phi(2.0, 1.0)) == 0.0
+        assert trace_positivity(NodeTables(line60, None, quadratic_phi(2.0, 1.0))) == 0.0
 
     def test_1d_cubic_worked_value(self):
         # phi with phi''(0) = 1, phi'''(0) = 1: K = 1/2, A = phi''' (K e) = 1/2,
@@ -76,7 +81,7 @@ class TestTracePositivity:
         val = (k * a) ** 2
         assert val == pytest.approx(1.0 / 16.0, abs=1e-14)
         # the sweep over nodes must sit at or above 0 regardless
-        assert trace_positivity(space, phi) >= -1e-12
+        assert trace_positivity(NodeTables(space, None, phi)) >= -1e-12
 
     def test_random_degree4_sweep(self, line60):
         rng = np.random.default_rng(0)
@@ -93,11 +98,11 @@ class TestTracePositivity:
             ).min()
             if margin <= 1e-6:
                 continue
-            assert trace_positivity(line60, phi, max_nodes=100) >= -1e-12
+            assert trace_positivity(NodeTables(line60, None, phi), max_nodes=100) >= -1e-12
 
     def test_2d_directions(self, plane20):
         phi = PotentialField.from_coeff_dict(2, 3, {(2, 1): 0.03, (1, 2): -0.02, (3, 0): 0.01})
-        assert trace_positivity(plane20, phi) >= -1e-12
+        assert trace_positivity(NodeTables(plane20, None, phi)) >= -1e-12
 
 
 class TestControlForward:
@@ -157,7 +162,7 @@ class TestSobolevBound:
     def test_non_semiconvex_mixture_not_applicable(self, line60):
         tgt = mixture_target([0.5, 0.5], [[-2.0], [2.0]], [[0.5], [0.5]])
         with pytest.raises(NotApplicableError):
-            certify_semiconvexity(line60, tgt)
+            certify_semiconvexity(tgt.hess(line60.nodes))
         with pytest.raises(NotApplicableError):
             forward_sobolev_bound(NodeTables(line60, tgt, PotentialField.zero(1, 2)))
 
@@ -165,26 +170,28 @@ class TestSobolevBound:
 class TestDivSecondMoment:
     def test_worked_constant_field(self, line80, target_21):
         # lhs = E_nu[((x-1)/4)^2] = 0.25; rhs = 1 + (1/4 - 1) = 0.25
-        lhs, rhs = div_second_moment_identity(NodeTables(line80, target_21), constant_field([1.0]))
+        lhs, rhs = div_second_moment_identity(NodeTables(line80, target_21),
+                                              *on_nodes(constant_field([1.0]), line80))
         assert lhs == pytest.approx(0.25, abs=1e-9)
         assert rhs == pytest.approx(0.25, abs=1e-12)
         assert abs(lhs - rhs) <= 1e-8
 
     def test_flat_constant_field(self, line60, flat):
         h = np.array([0.7])
-        lhs, rhs = div_second_moment_identity(NodeTables(line60, flat), constant_field(h))
+        lhs, rhs = div_second_moment_identity(NodeTables(line60, flat),
+                                              *on_nodes(constant_field(h), line60))
         assert lhs == pytest.approx(float(h @ h), abs=1e-12)
         assert rhs == pytest.approx(float(h @ h), abs=1e-12)
 
     def test_linear_field(self, line80, target_21):
         lhs, rhs = div_second_moment_identity(NodeTables(line80, target_21),
-                                              linear_field(np.eye(1)))
+                                              *on_nodes(linear_field(np.eye(1)), line80))
         assert abs(lhs - rhs) <= 1e-8
 
     def test_gradient_field_2d(self, plane40):
         tgt = gaussian_target([0.5, -0.5], [1.5, 0.8])
         xi = gradient_field(PotentialField.from_coeff_dict(2, 2, {(1, 1): 0.3, (2, 0): 0.2}))
-        lhs, rhs = div_second_moment_identity(NodeTables(plane40, tgt), xi)
+        lhs, rhs = div_second_moment_identity(NodeTables(plane40, tgt), *on_nodes(xi, plane40))
         assert abs(lhs - rhs) <= 1e-8
 
     def test_weighted_variant(self, line80, target_21):
@@ -309,7 +316,7 @@ class TestStandardReport:
         import mongelab.solver_backward as sb
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line80, target_21, res.phi)
+        dual = fit_dual(line80, res.nu_weights, res.phi)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a check re-ran the conjugacy solve")
@@ -320,7 +327,7 @@ class TestStandardReport:
 
     def test_hessian_composition_reads_the_bound_left_hand_sides(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line80, target_21, res.phi)
+        dual = fit_dual(line80, res.nu_weights, res.phi)
         records = {r.name: r for r in run_standard_checks(line80, target_21, res, dual).records}
         composition = records["hessian_composition"]
         assert composition.lhs == records["control_forward"].lhs
@@ -337,9 +344,10 @@ class TestStandardReport:
             "variational_gap": (res.objective, res.variational_lhs),
             "el_forward": (forward_el_residual(fresh()), 0.0),
             "el_backward": (backward_el_residual(fresh()), 0.0),
-            "div_second_moment": div_second_moment_identity(fresh(), gradient_field(res.phi)),
+            "div_second_moment": div_second_moment_identity(
+                fresh(), *on_nodes(gradient_field(res.phi), line80)),
             "hessian_composition": hessian_composition_gap(fresh()),
-            "trace_positivity": (0.0, trace_positivity(line80, res.phi)),
+            "trace_positivity": (0.0, trace_positivity(fresh())),
             "control_forward": control_forward(fresh()),
             "dual_hessian_bound": dual_hessian_bound(fresh()),
             "forward_sobolev_bound": forward_sobolev_bound(fresh())[:2],
@@ -352,18 +360,20 @@ class TestStandardReport:
             assert (records[name].lhs, records[name].rhs) == (lhs, rhs), name
 
     def test_one_tabulation_per_run(self, line80, target_21, monkeypatch):
-        # a run weighs nu once, inverts I + hess phi once on the nodes, once on
-        # the nu-mass nodes and once in trace_positivity, and solves the
-        # conjugacy problem once for a dual tabulated off the nu-mass nodes
+        # a run reads the solve's nu-weights, inverts I + hess phi once on the
+        # nodes and once on the nu-mass nodes, builds each basis table on the
+        # nodes once, and solves the conjugacy problem once for a dual
+        # tabulated off the nu-mass nodes
         import mongelab.diagnostics as di
         import mongelab.gaussian as ga
         import mongelab.potentials as po
         import mongelab.solver_backward as sb
+        from mongelab.hermite import HermiteBasis
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        fitted = fit_dual(line80, target_21, res.phi)
+        fitted = fit_dual(line80, res.nu_weights, res.phi)
         grid_dual = conjugate(res.phi)
-        calls = dict.fromkeys(("nu_weights", "inverse_shift_jacobian", "conjugacy_minimize"), 0)
+        calls = dict.fromkeys(("nu_weights", "floor_checked_inverse", "conjugacy_minimize"), 0)
         for name in calls:
             for module in (ga, po, sb, di):
                 if hasattr(module, name):
@@ -372,10 +382,19 @@ class TestStandardReport:
                         return _f(*args, **kwargs)
 
                     monkeypatch.setattr(module, name, counted)
+        node_tables = []
+        for table in ("value_table", "grad_table", "hess_table", "third_table"):
+            def on_nodes(basis, x, _f=getattr(HermiteBasis, table), _table=table):
+                if x.shape[0] == line80.nodes.shape[0]:
+                    node_tables.append(_table)
+                return _f(basis, x)
+
+            monkeypatch.setattr(HermiteBasis, table, on_nodes)
 
         run_standard_checks(line80, target_21, res, fitted)
-        assert calls["nu_weights"] == 1
-        assert calls["inverse_shift_jacobian"] <= 3
+        assert calls["nu_weights"] == 0
+        assert calls["floor_checked_inverse"] <= 2
+        assert len(node_tables) == len(set(node_tables))
         calls["conjugacy_minimize"] = 0
         run_standard_checks(line80, target_21, res, grid_dual)
         assert calls["conjugacy_minimize"] == 1

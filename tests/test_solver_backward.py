@@ -87,7 +87,7 @@ def solved_quartic():
     tgt = quartic_well_target(0.02, 0.1)
     res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
     assert res.converged
-    dual = fit_dual(space, tgt, res.phi)
+    dual = fit_dual(space, res.nu_weights, res.phi)
     return space, tgt, res, dual
 
 
@@ -168,7 +168,7 @@ class TestConjugacyCertificate:
         space = GaussianSpace.tensor_hermite(2, 12)
         tgt = quartic_well_target(0.03, 0.0, dim=2)
         res = solve(space, tgt, SolveConfig(degree=4))
-        dual = fit_dual(space, tgt, res.phi)
+        dual = fit_dual(space, res.nu_weights, res.phi)
         jac = np.eye(2)[None] + res.phi.hess(dual.map_values)
         indefinite = np.linalg.eigvalsh(jac)[:, 0] <= EIG_FLOOR
         assert not (dual.converged & indefinite).any()
@@ -242,7 +242,7 @@ class TestConjugacyDerivatives:
 class TestInverseCheck:
     def test_gaussian_closed_form(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line60, target_21, res.phi)
+        dual = fit_dual(line60, res.nu_weights, res.phi)
         assert inverse_check(line60, res.phi, dual.as_field()) <= 1e-10
 
     def test_zero_potential(self, line60):
@@ -361,7 +361,7 @@ class TestDuality:
 
     def test_fit_residual_small_for_gaussian(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line80, target_21, res.phi)
+        dual = fit_dual(line80, res.nu_weights, res.phi)
         assert dual.fit_residual <= 1e-9
 
     def test_fit_dual_solves_once_on_the_nu_mass_nodes(self, line80, target_21, monkeypatch):
@@ -379,7 +379,7 @@ class TestDuality:
             return newton(phi, y)
 
         monkeypatch.setattr(sb, "conjugacy_minimize", counting)
-        fitted = fit_dual(line80, target_21, res.phi)
+        fitted = fit_dual(line80, res.nu_weights, res.phi)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], line80.nodes[mask])
         np.testing.assert_array_equal(fitted.points, line80.nodes[mask])
@@ -396,13 +396,14 @@ class TestDuality:
         tgt = quartic_well_target(0.05, 0.0)
         assert nu_masked_weights(nu_weights(space, tgt))[1].sum() == 14
         phi = PotentialField.zero(1, 10)
-        assert fit_dual(space, tgt, phi, degree=13).psi_fit.degree == 13
+        w_nu = nu_weights(space, tgt)
+        assert fit_dual(space, w_nu, phi, degree=13).psi_fit.degree == 13
         with pytest.raises(DegenerateWeightError, match="14 nu-mass nodes for 15 unknowns"):
-            fit_dual(space, tgt, phi, degree=14)
+            fit_dual(space, w_nu, phi, degree=14)
 
     def test_dual_serialization_round_trip(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = fit_dual(line80, target_21, res.phi)
+        dual = fit_dual(line80, res.nu_weights, res.phi)
         data = dual.to_json_dict()
         assert data["provenance"] == "conjugacy"
         back = PotentialField.from_json_dict(data)
