@@ -10,34 +10,19 @@ from .errors import (
     MongelabError,
     NonFiniteValueError,
     NonIntegrableDensityError,
-    NonSquareOperatorError,
     NotApplicableError,
     SingularJacobianError,
 )
 from .gaussian import (
     GaussianSpace,
-    OperatorField,
-    VectorField,
-    condition_first_n,
-    constant_field,
-    constant_operator,
-    divergence,
     expectation,
-    gradient_field,
-    hessian_operator,
-    linear_field,
     log_normalizer,
     nu_expectation,
     nu_weights,
-    operator_divergence,
-    ou_semigroup,
-    weighted_divergence,
 )
 from .hermite import HermiteBasis, multi_indices
 from .potentials import (
     PotentialField,
-    TransportShift,
-    gaussian_jacobian,
     logdet2,
     pushforward_entropy,
     relative_entropy,
@@ -54,7 +39,6 @@ from .solver_forward import (
     SolveConfig,
     SolveResult,
     objective,
-    objective_coefficient_gradient,
     solve,
     variational_gap,
     wasserstein_check,
@@ -66,7 +50,6 @@ from .solver_backward import (
     conjugate,
     fit_dual,
     inverse_check,
-    solve_backward_variational,
     young_gap,
 )
 from .diagnostics import (

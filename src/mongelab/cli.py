@@ -95,15 +95,16 @@ def _finite_float(value, name: str) -> float:
 
 
 def build_space(cfg: dict, dim: int, default_seed: int, path: str = "quadrature.") -> GaussianSpace:
-    _check_keys(cfg, {"kind", "level", "samples", "seed"}, path)
     kind = _require(cfg, "kind", path)
     if kind == "tensor-hermite":
+        _check_keys(cfg, {"kind", "level"}, path)
         level = _positive_int(_require(cfg, "level", path), path + "level")
         try:
             return GaussianSpace.tensor_hermite(dim, level)
         except ValueError as exc:
             raise ConfigError(f"{path}level: {exc}") from exc
     if kind == "monte-carlo":
+        _check_keys(cfg, {"kind", "samples", "seed"}, path)
         samples = _positive_int(_require(cfg, "samples", path), path + "samples")
         seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
         return GaussianSpace.monte_carlo(dim, samples, seed)

@@ -17,10 +17,6 @@ class SingularJacobianError(MongelabError):
     """An eigenvalue of I + Hessian fell below the positivity floor."""
 
 
-class NonSquareOperatorError(MongelabError):
-    """An operator field did not evaluate to d x d matrices."""
-
-
 class NotApplicableError(MongelabError):
     """A check's hypothesis (e.g. semiconvexity of the target) cannot be certified."""
 

@@ -1,5 +1,5 @@
-"""Standard Gaussian measure on R^d: quadrature, expectations, OU smoothing,
-and the Gaussian / density-weighted divergence operators.
+"""Standard Gaussian measure on R^d: quadrature, expectations and the
+weights of a target measure nu on the nodes.
 
 Quadrature duality: tensor Gauss-Hermite rules (exact on polynomials of
 total degree <= 2L-1 per axis) for d <= 4, seeded Monte Carlo beyond.
@@ -26,8 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import DegenerateWeightError, NonFiniteValueError, NonSquareOperatorError
-from .hermite import as_points
+from .errors import DegenerateWeightError, NonFiniteValueError
 
 MAX_TENSOR_NODES = 10**7
 WEIGHT_FLOOR = 1e-300
@@ -187,157 +186,3 @@ def log_normalizer(space: GaussianSpace, target) -> float:
     """log E_mu[e^{-f}] by shifted log-sum-exp over the nodes."""
     _, w, shift = shifted_nu_weights(space, target)
     return float(shift + np.log(np.sum(w)))
-
-
-def ou_semigroup(space: GaussianSpace, g: Callable, t: float) -> Callable:
-    """P_t g(x) = sum_j W_j g(e^{-t} x + sqrt(1 - e^{-2t}) y_j).
-
-    The inner rule integrating over y is the space's own rule.  P_0 g = g
-    exactly (shortcut, no quadrature).
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return g
-    a = float(np.exp(-t))
-    b = float(np.sqrt(1.0 - a * a))
-    y = space.nodes
-    wy = space.weights
-
-    def smoothed(x):
-        pts = as_points(x, space.dim)
-        mixed = a * pts[:, None, :] + b * y[None, :, :]
-        vals = np.asarray(g(mixed.reshape(-1, space.dim)), dtype=float)
-        vals = vals.reshape(pts.shape[0], y.shape[0])
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValueError("semigroup integrand not finite")
-        return vals @ wy
-
-    return smoothed
-
-
-def condition_first_n(space: GaussianSpace, g: Callable, n: int) -> Callable:
-    """E[g | first n coordinates]: quadrature over the trailing block.
-
-    n = d returns g unchanged; n = 0 integrates everything out.
-    """
-    d = space.dim
-    if not 0 <= n <= d:
-        raise ValueError(f"n must be in [0, {d}]")
-    if n == d:
-        return g
-    tail = space.subspace(d - n)
-    z = tail.nodes
-    wz = tail.weights
-
-    def conditioned(x):
-        pts = as_points(x, d)
-        rep = np.repeat(pts[:, None, :], z.shape[0], axis=1)
-        rep[:, :, n:] = z[None, :, :]
-        vals = np.asarray(g(rep.reshape(-1, d)), dtype=float)
-        vals = vals.reshape(pts.shape[0], z.shape[0])
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValueError("conditioning integrand not finite")
-        return vals @ wz
-
-    return conditioned
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """xi: R^d -> R^d with Jacobian J[n, i, j] = d_i xi_j(x_n)."""
-
-    dim: int
-    value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-
-def gradient_field(phi) -> VectorField:
-    """xi = grad phi; the Jacobian is the (symmetric) Hessian."""
-    return VectorField(phi.dim, phi.grad, phi.hess)
-
-
-def constant_field(h) -> VectorField:
-    h = np.asarray(h, dtype=float).reshape(-1)
-    d = h.shape[0]
-    return VectorField(
-        d,
-        lambda x: np.broadcast_to(h, (as_points(x, d).shape[0], d)).copy(),
-        lambda x: np.zeros((as_points(x, d).shape[0], d, d)),
-    )
-
-
-def linear_field(a: np.ndarray) -> VectorField:
-    """xi(x) = A x, so (grad xi)_ij = A_ji."""
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    return VectorField(
-        d,
-        lambda x: as_points(x, d) @ a.T,
-        lambda x: np.broadcast_to(a.T, (as_points(x, d).shape[0], d, d)).copy(),
-    )
-
-
-@dataclass(frozen=True)
-class OperatorField:
-    """M: R^d -> R^{d x d} with the contracted derivative sum_i d_i M_ij."""
-
-    dim: int
-    value: Callable[[np.ndarray], np.ndarray]
-    partial_divergence: Callable[[np.ndarray], np.ndarray]
-
-
-def constant_operator(a: np.ndarray) -> OperatorField:
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    return OperatorField(
-        d,
-        lambda x: np.broadcast_to(a, (as_points(x, d).shape[0], d, d)).copy(),
-        lambda x: np.zeros((as_points(x, d).shape[0], d)),
-    )
-
-
-def hessian_operator(phi) -> OperatorField:
-    """M = hess phi; sum_i d_i M_ij = sum_i phi'''_iij."""
-
-    def pdiv(x):
-        third = phi.third(x)
-        return np.einsum("niij->nj", third)
-
-    return OperatorField(phi.dim, phi.hess, pdiv)
-
-
-def divergence(space: GaussianSpace, xi: VectorField) -> Callable:
-    """delta xi = <x, xi(x)> - trace(grad xi)."""
-
-    def div(x):
-        pts = as_points(x, space.dim)
-        vals = xi.value(pts)
-        jac = xi.jacobian(pts)
-        return np.einsum("ni,ni->n", pts, vals) - np.einsum("nii->n", jac)
-
-    return div
-
-
-def operator_divergence(space: GaussianSpace, m: OperatorField) -> Callable:
-    """(delta M)_j = sum_i (M_ij x_i - d_i M_ij); adjoint of grad on fields."""
-
-    def div(x):
-        pts = as_points(x, space.dim)
-        vals = m.value(pts)
-        if vals.ndim != 3 or vals.shape[1] != space.dim or vals.shape[2] != space.dim:
-            raise NonSquareOperatorError(f"operator field must be (N, {space.dim}, {space.dim})")
-        return np.einsum("nij,ni->nj", vals, pts) - m.partial_divergence(pts)
-
-    return div
-
-
-def weighted_divergence(space: GaussianSpace, target, xi: VectorField) -> Callable:
-    """delta_nu xi = delta xi + <grad f, xi>."""
-    base = divergence(space, xi)
-
-    def div(x):
-        pts = as_points(x, space.dim)
-        return base(pts) + np.einsum("ni,ni->n", target.grad(pts), xi.value(pts))
-
-    return div

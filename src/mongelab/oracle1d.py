@@ -82,9 +82,6 @@ class MonotoneMap1D:
     def __call__(self, x) -> np.ndarray:
         return self._interp(np.asarray(x, dtype=float))
 
-    def derivative(self, x) -> np.ndarray:
-        return self._interp.derivative()(np.asarray(x, dtype=float))
-
 
 def _invert_cubics(coef: np.ndarray, width: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Offsets s in [0, width] with p(s) = q, p an increasing cubic per query.

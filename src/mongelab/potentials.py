@@ -1,5 +1,5 @@
-"""Hermite-basis potential fields, the modified Carleman-Fredholm determinant,
-the Gaussian Jacobian of a gradient shift, and entropy functionals.
+"""Hermite-basis potential fields, the modified Carleman-Fredholm determinant
+and entropy functionals.
 
 A potential phi(x) = sum_alpha c_alpha He_alpha(x) (no constant term; the
 additive constant of a transport potential is pinned to zero coefficient)
@@ -22,8 +22,6 @@ pushforward entropy
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -137,26 +135,6 @@ class PotentialField:
             return PotentialField.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class TransportShift:
-    """T = I + grad phi (forward) or S = I + grad psi (backward)."""
-
-    base: PotentialField
-
-    def map(self, x) -> np.ndarray:
-        pts = as_points(x, self.base.dim)
-        return pts + self.base.grad(pts)
-
-    def jacobian(self, x) -> np.ndarray:
-        pts = as_points(x, self.base.dim)
-        return np.eye(self.base.dim)[None] + self.base.hess(pts)
-
-    def monotonicity_margin(self, space: GaussianSpace) -> float:
-        """Smallest eigenvalue of I + hess phi over the quadrature nodes."""
-        eigs = np.linalg.eigvalsh(self.jacobian(space.nodes))
-        return float(eigs.min())
-
-
 def logdet2(a):
     """log det2(I + K) = sum_i [log(1 + k_i) - k_i] for symmetric K.
 
@@ -186,22 +164,6 @@ def floor_checked_inverse(hess: np.ndarray) -> np.ndarray:
     if np.any(eigs <= EIG_FLOOR):
         raise SingularJacobianError(f"I + hess phi has eigenvalue at or below {EIG_FLOOR}")
     return np.linalg.inv(jac)
-
-
-def gaussian_jacobian(space: GaussianSpace, phi: PotentialField) -> Callable:
-    """Lambda(x) = det2(I + hess phi) exp(-L phi - |grad phi|^2 / 2) > 0.
-
-    L phi comes from the analytic Hermite representation, not quadrature.
-    """
-    lphi = phi.ou_apply()
-
-    def jac(x):
-        pts = as_points(x, phi.dim)
-        ld2 = logdet2(phi.hess(pts))
-        g = phi.grad(pts)
-        return np.exp(ld2 - lphi.eval(pts) - 0.5 * np.sum(g**2, axis=1))
-
-    return jac
 
 
 def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:

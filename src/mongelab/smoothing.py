@@ -290,6 +290,7 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
         ref_res, ref_dual = solve_pair(target)
         ref_label = "raw"
         row_ns = n_list
+        w_nu = ref_res.nu_weights  # the raw target's nu-weights, from its solve
     else:
         # the raw solution, when obtainable, warms the finest solve too
         try:
@@ -299,8 +300,7 @@ def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,
         ref_res, ref_dual = solve_pair(regularize(n_list[-1]), warm=raw_phi)
         ref_label = f"finest(n={n_list[-1]})"
         row_ns = n_list[:-1]
-
-    w_nu = nu_weights(space, target)
+        w_nu = nu_weights(space, target)
 
     def centered_psi(dual, t=0.0):
         """Q_t psi (Q_0 psi = psi) at the nodes, centered under nu."""

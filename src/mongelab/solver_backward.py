@@ -22,7 +22,7 @@ non-quadratic targets).  A Hermite least-squares fit under nu is still
 attached for serialization and for comparisons needing a coefficient
 representation (e.g. applying the OU semigroup to psi).
 
-A variational cross-check mode minimizes
+backward_objective evaluates
 
     J_b(psi) = -E_nu[f] - E_nu[log det2(I + hess psi) - L psi - |grad psi|^2 / 2]
 
@@ -45,10 +45,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .gaussian import GaussianSpace, log_normalizer, nu_masked_weights, nu_weights
+from .gaussian import GaussianSpace, nu_masked_weights, nu_weights
 from .hermite import HermiteBasis, as_points
 from .potentials import EIG_FLOOR, PotentialField, inverse_shift_jacobian, logdet2
-from .solver_forward import BarrierWorkspace, SolveConfig, SolveResult, minimize_with_barrier
 from .targets import ScalarTarget
 
 _NEWTON_TOL = 1e-12
@@ -286,46 +285,3 @@ def young_gap(phi: PotentialField, dual: DualPotential, seed: int = 0) -> float:
     y = rng.standard_normal((10000, phi.dim))
     f_vals = phi.eval(x) + dual.eval(y) + 0.5 * np.sum((x - y) ** 2, axis=1)
     return float(f_vals.min())
-
-
-def graph_identity_gap(phi: PotentialField, dual: DualPotential, x: np.ndarray) -> float:
-    """max |phi(x) + psi(T(x)) + |grad phi(x)|^2 / 2| over sample points x."""
-    pts = as_points(x, phi.dim)
-    g = phi.grad(pts)
-    f_vals = phi.eval(pts) + dual.eval(pts + g) + 0.5 * np.sum(g**2, axis=1)
-    return float(np.max(np.abs(f_vals)))
-
-
-class BackwardWorkspace(BarrierWorkspace):
-    """J_b and its coefficient gradient over psi on the mass-floored nu-nodes."""
-
-    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
-        w, mask = nu_masked_weights(nu_weights(space, target))
-        nodes = space.nodes[mask]
-        super().__init__(basis, nodes, w[mask])
-        self.bval = basis.value_table(nodes)
-        fvals = np.asarray(target.eval(nodes), dtype=float).reshape(-1)
-        self.const = float(np.sum(self.w * (-fvals)))
-        self.ou_eigs = basis.ou_eigenvalues
-
-    def objective_and_gradient(self, coeffs: np.ndarray):
-        g, jac, ld2, margin = self.barrier(coeffs)
-        if margin <= 0:
-            return np.inf, None, margin
-        lpsi = (coeffs * self.ou_eigs) @ self.bval
-        log_lambda = ld2 - lpsi - 0.5 * np.sum(g**2, axis=1)
-        obj = self.const - float(np.sum(self.w * log_lambda))
-        grad = self.barrier_gradient(jac)
-        grad += self.ou_eigs * (self.bval @ self.w)
-        grad += np.einsum("nk,akn->a", g * self.w[:, None], self.bgrad)
-        return obj, grad, margin
-
-
-def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
-                               config: SolveConfig) -> tuple[PotentialField, SolveResult]:
-    """Cross-check mode: minimize J_b directly over psi coefficients."""
-    ws = BackwardWorkspace(space, target, HermiteBasis(space.dim, config.degree))
-    # -log nu(e^f) = log E[e^{-f}]
-    result = minimize_with_barrier(ws, np.zeros(ws.basis.size), config,
-                                   log_normalizer(space, target))
-    return result.phi, result

@@ -59,9 +59,9 @@ class SolveResult:
 
 class BarrierWorkspace:
     """Per-node basis tables and the barrier -E_w[log det2(I + hess)] over
-    Hermite coefficients, shared by the forward and backward objectives.
-    Each subclass defines objective_and_gradient(coeffs) -> (value,
-    gradient, margin), which minimize_with_barrier drives.
+    Hermite coefficients.  Each subclass defines
+    objective_and_gradient(coeffs) -> (value, gradient, margin), which
+    minimize_with_barrier drives.
     """
 
     def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray):
@@ -256,16 +256,6 @@ def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -
     if not np.isfinite(val):
         raise SingularJacobianError("eigenvalue floor violated at a quadrature node")
     return val
-
-
-def objective_coefficient_gradient(space: GaussianSpace, target: ScalarTarget,
-                                   phi: PotentialField) -> np.ndarray:
-    """Partial derivatives of J_f along each basis direction grad He_alpha."""
-    ws = ForwardWorkspace(space, target, phi.basis)
-    val, grad, _ = ws.objective_and_gradient(phi.coeffs)
-    if not np.isfinite(val):
-        raise SingularJacobianError("eigenvalue floor violated at a quadrature node")
-    return grad
 
 
 def solve(space: GaussianSpace, target: ScalarTarget, config: SolveConfig,

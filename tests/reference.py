@@ -1,0 +1,258 @@
+"""Independent references that the tests compare the package against.
+
+None of this runs on a CLI path; each reference reaches a quantity the
+package computes another way (two-operator OU smoothing and conditioning
+against smoothing's one Mehler rule, closed-form divergences, the paper's
+Lambda, a direct J_b minimization against the conjugacy dual).  Notation
+(grad xi, delta, delta_nu) is that of the mongelab.gaussian docstring.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from mongelab import (
+    GaussianSpace,
+    HermiteBasis,
+    MongelabError,
+    NonFiniteValueError,
+    PotentialField,
+    ScalarTarget,
+    SolveConfig,
+    SolveResult,
+    log_normalizer,
+    logdet2,
+    nu_weights,
+)
+from mongelab.gaussian import nu_masked_weights
+from mongelab.hermite import as_points
+from mongelab.solver_backward import DualPotential
+from mongelab.solver_forward import BarrierWorkspace, minimize_with_barrier
+
+
+class NonSquareOperatorError(MongelabError):
+    """An operator field did not evaluate to d x d matrices."""
+
+
+# -- OU semigroup and conditioning ------------------------------------------
+def ou_semigroup(space: GaussianSpace, g: Callable, t: float) -> Callable:
+    """P_t g(x) = sum_j W_j g(e^{-t} x + sqrt(1 - e^{-2t}) y_j).
+
+    The inner rule integrating over y is the space's own rule.  P_0 g = g
+    exactly (shortcut, no quadrature).
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
+        return g
+    a = float(np.exp(-t))
+    b = float(np.sqrt(1.0 - a * a))
+    y = space.nodes
+    wy = space.weights
+
+    def smoothed(x):
+        pts = as_points(x, space.dim)
+        mixed = a * pts[:, None, :] + b * y[None, :, :]
+        vals = np.asarray(g(mixed.reshape(-1, space.dim)), dtype=float)
+        vals = vals.reshape(pts.shape[0], y.shape[0])
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValueError("semigroup integrand not finite")
+        return vals @ wy
+
+    return smoothed
+
+
+def condition_first_n(space: GaussianSpace, g: Callable, n: int) -> Callable:
+    """E[g | first n coordinates]: quadrature over the trailing block.
+
+    n = d returns g unchanged; n = 0 integrates everything out.
+    """
+    d = space.dim
+    if not 0 <= n <= d:
+        raise ValueError(f"n must be in [0, {d}]")
+    if n == d:
+        return g
+    tail = space.subspace(d - n)
+    z = tail.nodes
+    wz = tail.weights
+
+    def conditioned(x):
+        pts = as_points(x, d)
+        rep = np.repeat(pts[:, None, :], z.shape[0], axis=1)
+        rep[:, :, n:] = z[None, :, :]
+        vals = np.asarray(g(rep.reshape(-1, d)), dtype=float)
+        vals = vals.reshape(pts.shape[0], z.shape[0])
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValueError("conditioning integrand not finite")
+        return vals @ wz
+
+    return conditioned
+
+
+# -- vector and operator fields, divergences --------------------------------
+@dataclass(frozen=True)
+class VectorField:
+    """xi: R^d -> R^d with Jacobian J[n, i, j] = d_i xi_j(x_n)."""
+
+    dim: int
+    value: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
+
+
+def gradient_field(phi) -> VectorField:
+    """xi = grad phi; the Jacobian is the (symmetric) Hessian."""
+    return VectorField(phi.dim, phi.grad, phi.hess)
+
+
+def constant_field(h) -> VectorField:
+    h = np.asarray(h, dtype=float).reshape(-1)
+    d = h.shape[0]
+    return VectorField(
+        d,
+        lambda x: np.broadcast_to(h, (as_points(x, d).shape[0], d)).copy(),
+        lambda x: np.zeros((as_points(x, d).shape[0], d, d)),
+    )
+
+
+def linear_field(a: np.ndarray) -> VectorField:
+    """xi(x) = A x, so (grad xi)_ij = A_ji."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    return VectorField(
+        d,
+        lambda x: as_points(x, d) @ a.T,
+        lambda x: np.broadcast_to(a.T, (as_points(x, d).shape[0], d, d)).copy(),
+    )
+
+
+@dataclass(frozen=True)
+class OperatorField:
+    """M: R^d -> R^{d x d} with the contracted derivative sum_i d_i M_ij."""
+
+    dim: int
+    value: Callable[[np.ndarray], np.ndarray]
+    partial_divergence: Callable[[np.ndarray], np.ndarray]
+
+
+def constant_operator(a: np.ndarray) -> OperatorField:
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    return OperatorField(
+        d,
+        lambda x: np.broadcast_to(a, (as_points(x, d).shape[0], d, d)).copy(),
+        lambda x: np.zeros((as_points(x, d).shape[0], d)),
+    )
+
+
+def hessian_operator(phi) -> OperatorField:
+    """M = hess phi; sum_i d_i M_ij = sum_i phi'''_iij."""
+
+    def pdiv(x):
+        third = phi.third(x)
+        return np.einsum("niij->nj", third)
+
+    return OperatorField(phi.dim, phi.hess, pdiv)
+
+
+def divergence(space: GaussianSpace, xi: VectorField) -> Callable:
+    """delta xi = <x, xi(x)> - trace(grad xi)."""
+
+    def div(x):
+        pts = as_points(x, space.dim)
+        vals = xi.value(pts)
+        jac = xi.jacobian(pts)
+        return np.einsum("ni,ni->n", pts, vals) - np.einsum("nii->n", jac)
+
+    return div
+
+
+def operator_divergence(space: GaussianSpace, m: OperatorField) -> Callable:
+    """(delta M)_j = sum_i (M_ij x_i - d_i M_ij); adjoint of grad on fields."""
+
+    def div(x):
+        pts = as_points(x, space.dim)
+        vals = m.value(pts)
+        if vals.ndim != 3 or vals.shape[1] != space.dim or vals.shape[2] != space.dim:
+            raise NonSquareOperatorError(f"operator field must be (N, {space.dim}, {space.dim})")
+        return np.einsum("nij,ni->nj", vals, pts) - m.partial_divergence(pts)
+
+    return div
+
+
+def weighted_divergence(space: GaussianSpace, target, xi: VectorField) -> Callable:
+    """delta_nu xi = delta xi + <grad f, xi>."""
+    base = divergence(space, xi)
+
+    def div(x):
+        pts = as_points(x, space.dim)
+        return base(pts) + np.einsum("ni,ni->n", target.grad(pts), xi.value(pts))
+
+    return div
+
+
+# -- the Gaussian Jacobian of T = I + grad phi ------------------------------
+def gaussian_jacobian(space: GaussianSpace, phi: PotentialField) -> Callable:
+    """Lambda(x) = det2(I + hess phi) exp(-L phi - |grad phi|^2 / 2) > 0.
+
+    L phi comes from the analytic Hermite representation, not quadrature.
+    """
+    lphi = phi.ou_apply()
+
+    def jac(x):
+        pts = as_points(x, phi.dim)
+        ld2 = logdet2(phi.hess(pts))
+        g = phi.grad(pts)
+        return np.exp(ld2 - lphi.eval(pts) - 0.5 * np.sum(g**2, axis=1))
+
+    return jac
+
+
+# -- the dual potential -----------------------------------------------------
+def graph_identity_gap(phi: PotentialField, dual: DualPotential, x: np.ndarray) -> float:
+    """max |phi(x) + psi(T(x)) + |grad phi(x)|^2 / 2| over sample points x."""
+    pts = as_points(x, phi.dim)
+    g = phi.grad(pts)
+    f_vals = phi.eval(pts) + dual.eval(pts + g) + 0.5 * np.sum(g**2, axis=1)
+    return float(np.max(np.abs(f_vals)))
+
+
+class BackwardWorkspace(BarrierWorkspace):
+    """J_b(psi) = -E_nu[f] - E_nu[log det2(I + hess psi) - L psi - |grad psi|^2 / 2]
+    and its coefficient gradient over psi on the mass-floored nu-nodes.
+
+    The infimum of J_b is -log nu(e^f) = log E[e^{-f}], attained at the
+    conjugacy dual psi.
+    """
+
+    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
+        w, mask = nu_masked_weights(nu_weights(space, target))
+        nodes = space.nodes[mask]
+        super().__init__(basis, nodes, w[mask])
+        self.bval = basis.value_table(nodes)
+        fvals = np.asarray(target.eval(nodes), dtype=float).reshape(-1)
+        self.const = float(np.sum(self.w * (-fvals)))
+        self.ou_eigs = basis.ou_eigenvalues
+
+    def objective_and_gradient(self, coeffs: np.ndarray):
+        g, jac, ld2, margin = self.barrier(coeffs)
+        if margin <= 0:
+            return np.inf, None, margin
+        lpsi = (coeffs * self.ou_eigs) @ self.bval
+        log_lambda = ld2 - lpsi - 0.5 * np.sum(g**2, axis=1)
+        obj = self.const - float(np.sum(self.w * log_lambda))
+        grad = self.barrier_gradient(jac)
+        grad += self.ou_eigs * (self.bval @ self.w)
+        grad += np.einsum("nk,akn->a", g * self.w[:, None], self.bgrad)
+        return obj, grad, margin
+
+
+def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
+                               config: SolveConfig) -> tuple[PotentialField, SolveResult]:
+    """Minimize J_b directly over psi coefficients (BackwardWorkspace)."""
+    ws = BackwardWorkspace(space, target, HermiteBasis(space.dim, config.degree))
+    # -log nu(e^f) = log E[e^{-f}]
+    result = minimize_with_barrier(ws, np.zeros(ws.basis.size), config,
+                                   log_normalizer(space, target))
+    return result.phi, result

@@ -18,13 +18,10 @@ from mongelab import (
     PotentialField,
     SolveConfig,
     backward_el_residual,
-    constant_field,
     div_second_moment_identity,
     expectation,
     forward_el_residual,
     gaussian_target,
-    gradient_field,
-    divergence,
     solve,
     trace_positivity,
     variational_gap,
@@ -34,6 +31,7 @@ from mongelab.cli import default_battery, main as cli_main, run_entry
 from mongelab.diagnostics import CheckThresholds
 from mongelab.solver_forward import ForwardWorkspace
 from mongelab.hermite import HermiteBasis
+from reference import constant_field, divergence, gradient_field
 
 GAUSS_GRID = [(m, s) for m in (0.0, 1.0, -1.0) for s in (0.5, 1.0, 2.0)]
 

@@ -84,6 +84,22 @@ class TestConfigErrors:
          "invalid solver: unknown optimizer"),
         # the finest reference is the largest n, so the rows need another n to compare
         ("study", with_study(n_list=[2], reference="finest"), "study.n_list"),
+        # each quadrature kind takes its own keys only
+        ("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "tensor-hermite", "level": 40,
+                                                    "samples": 5, "seed": 3}},
+         "unknown config key: quadrature.samples"),
+        ("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "tensor-hermite", "level": 40,
+                                                    "seed": 3}},
+         "unknown config key: quadrature.seed"),
+        ("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "monte-carlo", "samples": 500,
+                                                    "level": 40}},
+         "unknown config key: quadrature.level"),
+        ("study", {**with_study(), "quadrature": {"kind": "tensor-hermite", "level": 40,
+                                                  "samples": 5}},
+         "unknown config key: quadrature.samples"),
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "quadrature": {"kind": "monte-carlo",
+                                                                   "samples": 500, "level": 4}}]},
+         "unknown config key: battery[0].quadrature.level"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -279,6 +295,32 @@ class TestStudyCommand:
         assert main(["study", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "study_report.json").read_text())
         assert report["rows"][0]["grad_phi_err"] <= 1e-4
+
+    def test_raw_reference_study_weighs_nu_once_per_solve(self, tmp_path, monkeypatch):
+        # the seed-0 study-ou-2d workload config: the raw reference solve's
+        # nu-weights serve the psi columns, so five solves weigh nu five times
+        import mongelab.gaussian as ga
+        import mongelab.potentials as po
+        import mongelab.smoothing as sm
+
+        weighings = []
+        weigh = ga.shifted_nu_weights
+
+        def counting_weights(space, target):
+            weighings.append(target.kind)
+            return weigh(space, target)
+
+        for module in (ga, po, sm):
+            monkeypatch.setattr(module, "shifted_nu_weights", counting_weights)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dim": 2,
+            "degree": 4,
+            "quadrature": {"kind": "tensor-hermite", "level": 12},
+            "target": {"kind": "quartic-well", "a": 0.03, "b": 0.0},
+            "study": {"scheme": "ou", "n_list": [1, 2, 4, 8], "threshold": 0.05},
+        })
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(weighings) == 5
 
     def test_failed_rows_flagged_study_completes(self, tmp_path):
         # harsh truncation rows (n <= 3) stall at high degree; the study

@@ -9,7 +9,6 @@ from mongelab import (
     SolveConfig,
     backward_el_residual,
     conjugate,
-    constant_field,
     control_forward,
     div_second_moment_identity,
     dual_hessian_bound,
@@ -17,9 +16,7 @@ from mongelab import (
     forward_el_residual,
     forward_sobolev_bound,
     gaussian_target,
-    gradient_field,
     l2_ou_bound,
-    linear_field,
     mixture_target,
     quartic_ratio,
     quartic_well_target,
@@ -29,6 +26,7 @@ from mongelab import (
     weighted_div_second_moment_identity,
 )
 from mongelab.diagnostics import L2_EPS, certify_semiconvexity, hessian_composition_gap
+from reference import constant_field, gradient_field, linear_field
 
 
 def on_nodes(xi, space):

