@@ -55,7 +55,9 @@ _NEWTON_ITERS = 100
 # Smallest Newton step fraction tried is 2^-_MAX_HALVINGS.  Points on their
 # way to a minimizer took at most one halving in every battery, gaussian-3d
 # and study solve; stalled points crawl at lam ~ 1e-16 with |r| ~ 1, where
-# more search only burns phi.grad calls (Nocedal & Wright 3.4, 11.2).
+# more search only burns phi.grad rows (Nocedal & Wright 3.4, 11.2).  All
+# halvings of a rejected step share one phi.grad call, so a stalled point
+# costs _MAX_HALVINGS rows per iteration, not _MAX_HALVINGS calls.
 _MAX_HALVINGS = 20
 
 
@@ -66,6 +68,14 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     step is halved until |r(x + lam p)| <= (1 - lam/2) |r(x)|.  A point
     whose step still fails that test at lam = 2^-_MAX_HALVINGS is retired:
     it keeps its last accepted iterate and takes no further steps.
+
+    An iteration makes at most three residual calls: the unit steps of the
+    active points; if any is rejected, every lam = 2^-1 .. 2^-_MAX_HALVINGS
+    of the rejected points at once, each point taking its first lam that
+    passes; and r on all points at the accepted iterates.  That last call
+    is not replaced by the accepted trials' residuals, because phi.grad is
+    not row-independent (its BLAS tails differ by an ulp with the row
+    count), and re-evaluating keeps the iterates of one call per halving.
 
     Returns (x_star, converged mask).  A point counts as converged only as
     a certified minimizer: its residual is within tolerance and the
@@ -80,6 +90,11 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     def residual(pts, targets):
         return phi.grad(pts) + pts - targets
 
+    def rejected(trial, targets, bound):
+        # a NaN residual compares False, so it is never rejected
+        return np.linalg.norm(residual(trial, targets), axis=1) > bound
+
+    lam = np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1))[:, None]  # 2^-1 .. 2^-20
     r = residual(x, y)
     rnorm = np.linalg.norm(r, axis=1)
     tol = _NEWTON_TOL * (1.0 + np.linalg.norm(y, axis=1))
@@ -90,17 +105,17 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
             break
         jac = eye[None] + phi.hess(x[active])
         step = np.linalg.solve(jac, -r[active][..., None])[..., 0]
-        lam = np.ones(step.shape[0])
-        xa = x[active]
-        ya = y[active]
-        ra = rnorm[active]
-        for halvings in range(_MAX_HALVINGS + 1):
-            trial = xa + lam[:, None] * step
-            trn = np.linalg.norm(residual(trial, ya), axis=1)
-            bad = trn > (1.0 - 0.5 * lam) * ra
-            if not bad.any() or halvings == _MAX_HALVINGS:
-                break
-            lam[bad] *= 0.5
+        trial = x[active] + step
+        bad = rejected(trial, y[active], 0.5 * rnorm[active])  # lam = 1
+        if bad.any():
+            # the halving ladder of every rejected point in one call, rows
+            # ordered (halving, point); each point takes its first pass
+            idx = active[bad]
+            rungs = x[idx] + lam[..., None] * step[bad]
+            fails = rejected(rungs.reshape(-1, phi.dim), np.tile(y[idx], (_MAX_HALVINGS, 1)),
+                             ((1.0 - 0.5 * lam) * rnorm[idx]).ravel()).reshape(_MAX_HALVINGS, -1)
+            trial[bad] = rungs[np.argmin(fails, axis=0), np.arange(idx.size)]
+            bad[bad] = fails.all(axis=0)
         x[active[~bad]] = trial[~bad]
         live[active[bad]] = False
         r = residual(x, y)

@@ -28,6 +28,7 @@ from mongelab import (
 )
 from mongelab.gaussian import nu_masked_weights
 from mongelab.hermite import as_points
+from mongelab.potentials import EIG_FLOOR
 from mongelab.solver_backward import DualPotential
 from mongelab.solver_forward import BarrierWorkspace, minimize_with_barrier
 
@@ -89,6 +90,59 @@ def condition_first_n(space: GaussianSpace, g: Callable, n: int) -> Callable:
         return vals @ wz
 
     return conditioned
+
+
+def one_pass_smoothed(space: GaussianSpace, target: ScalarTarget, n: int):
+    """(f_n, grad f_n, hess f_n) of smooth_target's OU-smoothed target with
+    all points in one log-sum-exp over the (M J, d) rule arguments.
+
+    The same arithmetic as smooth_target, without its blocks of points.
+    """
+    d = space.dim
+    keep = min(n, d)
+    a = float(np.exp(-1.0 / n))
+    b = float(np.sqrt(1.0 - a * a))
+    y_rule = space.subspace(d)
+    n_rule = y_rule.nodes.shape[0]
+    log_omega = np.log(y_rule.weights)
+    lead = np.arange(d) < keep
+    ca = np.where(lead, a, 0.0)
+    cb = np.where(lead, b, 1.0)
+    y_row = (cb * y_rule.nodes).reshape(1, -1)
+
+    def log_mix(x):
+        pts = as_points(x, d)
+        m = pts.shape[0]
+        args = np.repeat(ca * pts, n_rule, axis=0).reshape(m, n_rule * d)
+        args += y_row
+        args = args.reshape(m, n_rule, d)
+        u = -np.asarray(target.eval(args.reshape(-1, d))).reshape(m, n_rule) + log_omega[None, :]
+        shift = u.max(axis=1, keepdims=True)
+        r = np.exp(u - shift)
+        total = r.sum(axis=1, keepdims=True)
+        return args, r / total, (shift[:, 0] + np.log(total[:, 0]))
+
+    def f(x):
+        return -log_mix(x)[2]
+
+    def grad(x):
+        args, r, _ = log_mix(x)
+        gf = np.asarray(target.grad(args.reshape(-1, d))).reshape(args.shape)
+        return ca * np.einsum("nj,njd->nd", r, gf)
+
+    def hess(x):
+        args, r, _ = log_mix(x)
+        flat = args.reshape(-1, d)
+        gf = np.asarray(target.grad(flat)).reshape(args.shape)
+        hf = np.asarray(target.hess(flat)).reshape(args.shape[:2] + (d, d))
+        mean_g = np.einsum("nj,njd->nd", r, gf)
+        return np.outer(ca, ca) * (
+            np.einsum("nj,njde->nde", r, hf)
+            - np.einsum("nj,njd,nje->nde", r, gf, gf)
+            + np.einsum("nd,ne->nde", mean_g, mean_g)
+        )
+
+    return f, grad, hess
 
 
 # -- vector and operator fields, divergences --------------------------------
@@ -216,6 +270,49 @@ def graph_identity_gap(phi: PotentialField, dual: DualPotential, x: np.ndarray) 
     g = phi.grad(pts)
     f_vals = phi.eval(pts) + dual.eval(pts + g) + 0.5 * np.sum(g**2, axis=1)
     return float(np.max(np.abs(f_vals)))
+
+
+def halving_conjugacy_minimize(phi: PotentialField, y: np.ndarray):
+    """conjugacy_minimize with one residual call per step halving.
+
+    Each Newton iteration halves the step of every still-rejected point and
+    re-evaluates the whole active set, up to 2^-20; a point still rejected
+    there is retired.  Returns (x_star, converged) as conjugacy_minimize.
+    """
+    y = as_points(y, phi.dim)
+    x = y.copy()
+    eye = np.eye(phi.dim)
+
+    def residual(pts, targets):
+        return phi.grad(pts) + pts - targets
+
+    r = residual(x, y)
+    rnorm = np.linalg.norm(r, axis=1)
+    tol = 1e-12 * (1.0 + np.linalg.norm(y, axis=1))
+    live = np.ones(y.shape[0], dtype=bool)
+    for _ in range(100):
+        active = np.flatnonzero(live & (rnorm > tol))
+        if active.size == 0:
+            break
+        jac = eye[None] + phi.hess(x[active])
+        step = np.linalg.solve(jac, -r[active][..., None])[..., 0]
+        lam = np.ones(step.shape[0])
+        xa = x[active]
+        ya = y[active]
+        ra = rnorm[active]
+        for halvings in range(21):
+            trial = xa + lam[:, None] * step
+            trn = np.linalg.norm(residual(trial, ya), axis=1)
+            bad = trn > (1.0 - 0.5 * lam) * ra
+            if not bad.any() or halvings == 20:
+                break
+            lam[bad] *= 0.5
+        x[active[~bad]] = trial[~bad]
+        live[active[bad]] = False
+        r = residual(x, y)
+        rnorm = np.linalg.norm(r, axis=1)
+    min_eig = np.linalg.eigvalsh(eye[None] + phi.hess(x))[:, 0]
+    return x, (rnorm <= tol) & (min_eig > EIG_FLOOR)
 
 
 class BackwardWorkspace(BarrierWorkspace):

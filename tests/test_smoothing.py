@@ -20,8 +20,9 @@ from mongelab import (
     solve,
     truncate_density,
 )
+from mongelab.smoothing import _RULE_ROWS
 from mongelab.solver_forward import ForwardWorkspace
-from reference import condition_first_n, ou_semigroup
+from reference import condition_first_n, one_pass_smoothed, ou_semigroup
 
 
 @pytest.fixture(scope="module")
@@ -245,8 +246,9 @@ class TestValueAndGrad:
         ws = ForwardWorkspace(plane10, smooth_target(plane10, base, 1), HermiteBasis(2, 2))
         calls.clear()
         ws.objective_and_gradient(np.zeros(ws.basis.size))
-        # one call on 100 nodes x 100 rows of the one 2d rule
-        assert calls == [10000]
+        # each of the 100 nodes x 100 rows of the one 2d rule evaluated once,
+        # in blocks of at most _RULE_ROWS rows
+        assert sum(calls) == 10000 and max(calls) <= 8192
 
     def test_relative_entropy_evaluates_f_once(self, line30, target_21):
         target, calls = counting(target_21)
@@ -270,6 +272,39 @@ class TestValueAndGrad:
         )
         with pytest.raises(NonFiniteValueError, match="target log-density not finite"):
             solve(line30, bad, SolveConfig(degree=2))
+
+
+class TestBlocks:
+    """smooth_target's blocks of at most _RULE_ROWS rule rows give the bits
+    of one log-sum-exp over all the points."""
+
+    SIZES = {"empty": lambda b: 0, "1": lambda b: 1, "B-1": lambda b: b - 1, "B": lambda b: b,
+             "B+1": lambda b: b + 1, "2B+1": lambda b: 2 * b + 1, "144": lambda b: 144}
+
+    # d = 1 keeps its one coordinate; d = 2 with n = 1 conditions on x1 only
+    @pytest.mark.parametrize("d, level, n", [(1, 40, 3), (2, 12, 1), (2, 12, 2)])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_equals_one_pass(self, d, level, n, size):
+        space = GaussianSpace.tensor_hermite(d, level)
+        base = quartic_well_target(0.05, -0.1, dim=d)
+        sm = smooth_target(space, base, n)
+        f, grad, hess = one_pass_smoothed(space, base, n)
+        m = self.SIZES[size](max(1, _RULE_ROWS // space.nodes.shape[0]))
+        pts = np.random.default_rng(m).normal(scale=1.5, size=(m, d))
+        vals, grads = sm.value_and_grad(pts)
+        assert np.array_equal(vals, f(pts))
+        assert np.array_equal(grads, grad(pts))
+        assert np.array_equal(sm.eval(pts), vals)
+        assert np.array_equal(sm.grad(pts), grads)
+        assert np.array_equal(sm.hess(pts), hess(pts))
+
+    def test_block_holds_at_most_rule_rows(self, plane10):
+        base, calls = counting(quartic_well_target(0.05, 0.0, dim=2))
+        sm = smooth_target(plane10, base, 1)
+        calls.clear()
+        sm.value_and_grad(np.zeros((250, 2)))
+        # 100 rule rows per point: blocks of 81, 81, 81 and 7 points
+        assert calls == [8100, 8100, 8100, 700]
 
 
 def np_sum_quartic(a, b):

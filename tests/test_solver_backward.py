@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,11 +17,14 @@ from mongelab import (
     inverse_check,
     quartic_well_target,
     solve,
+    truncate_density,
     young_gap,
 )
 import mongelab.solver_backward as sb
+from mongelab.cli import main
+from mongelab.gaussian import nu_masked_weights
 from mongelab.potentials import EIG_FLOOR, inverse_shift_jacobian
-from reference import graph_identity_gap, solve_backward_variational
+from reference import graph_identity_gap, halving_conjugacy_minimize, solve_backward_variational
 
 LN2 = math.log(2.0)
 
@@ -163,14 +167,113 @@ class TestConjugacyCertificate:
         np.testing.assert_array_equal(x_star[1:], x_ref[1:])
         np.testing.assert_allclose(x_star[1:, 0], [1.0, 4.0 / 3.0], atol=1e-12)
 
-    def test_study_raw_dual_has_no_certified_saddle(self):
-        space = GaussianSpace.tensor_hermite(2, 12)
-        tgt = quartic_well_target(0.03, 0.0, dim=2)
-        res = solve(space, tgt, SolveConfig(degree=4))
+    def test_study_raw_dual_has_no_certified_saddle(self, study_raw):
+        space, res = study_raw
         dual = fit_dual(space, res.nu_weights, res.phi)
         jac = np.eye(2)[None] + res.phi.hess(dual.map_values)
         indefinite = np.linalg.eigvalsh(jac)[:, 0] <= EIG_FLOOR
         assert not (dual.converged & indefinite).any()
+
+
+@pytest.fixture(scope="module")
+def study_raw():
+    """The raw reference solve of the seed-0 study-ou-2d workload."""
+    space = GaussianSpace.tensor_hermite(2, 12)
+    res = solve(space, quartic_well_target(0.03, 0.0, dim=2), SolveConfig(degree=4))
+    return space, res
+
+
+def nu_mass_nodes(space, res):
+    return space.nodes[nu_masked_weights(res.nu_weights)[1]]
+
+
+def record_conjugacy_work(monkeypatch):
+    """Run the halving reference beside every conjugacy_minimize call and
+    require the same bits; returns the list that collects, per call, the
+    PotentialField.grad calls of conjugacy_minimize, its Newton iterations
+    (hess calls less the final certification) and the reference's grad calls."""
+    counts = dict.fromkeys(("grad", "hess"), 0)
+    for name in counts:
+        def counted(self, x, _method=getattr(PotentialField, name), _name=name):
+            counts[_name] += 1
+            return _method(self, x)
+
+        monkeypatch.setattr(PotentialField, name, counted)
+    work = []
+    newton = sb.conjugacy_minimize
+
+    def compared(phi, y):
+        counts.update(grad=0, hess=0)
+        x, ok = newton(phi, y)
+        grads, iters = counts["grad"], counts["hess"] - 1
+        counts.update(grad=0, hess=0)
+        x_ref, ok_ref = halving_conjugacy_minimize(phi, y)
+        assert np.array_equal(x, x_ref) and np.array_equal(ok, ok_ref)
+        work.append((grads, iters, counts["grad"]))
+        return x, ok
+
+    monkeypatch.setattr(sb, "conjugacy_minimize", compared)
+    return work
+
+
+class TestHalvingLadder:
+    """conjugacy_minimize evaluates a rejected step's halvings 2^-1 .. 2^-20 in
+    one residual call and lands on the bits of the one-call-per-halving loop."""
+
+    @staticmethod
+    def assert_same_as_halving(phi, y):
+        x, ok = sb.conjugacy_minimize(phi, y)
+        x_ref, ok_ref = halving_conjugacy_minimize(phi, y)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(ok, ok_ref)
+        return ok
+
+    def test_study_raw_nu_mass_nodes(self, study_raw):
+        space, res = study_raw
+        nodes = nu_mass_nodes(space, res)
+        assert nodes.shape[0] == 92
+        ok = self.assert_same_as_halving(res.phi, nodes)
+        assert (~ok).sum() == 28  # points whose backtracking stalls
+
+    def test_half_he3(self):
+        ok = self.assert_same_as_halving(half_he3(), np.array([[-3.0], [-1.5], [1.0], [2.5]]))
+        np.testing.assert_array_equal(ok, [False, False, True, True])
+
+    def test_truncation_study_dual(self):
+        # the n = 12 row of scripts/run_smoothing_studies.py's truncation study
+        space = GaussianSpace.tensor_hermite(1, 30)
+        tgt = quartic_well_target(0.05, 0.0)
+        config = SolveConfig(degree=6, max_iters=3000)
+        raw = solve(space, tgt, config)
+        res = solve(space, truncate_density(space, tgt, 12), config, initial=raw.phi)
+        assert res.converged
+        assert self.assert_same_as_halving(res.phi, nu_mass_nodes(space, res)).all()
+
+    def test_study_work_bound(self, tmp_path, monkeypatch):
+        # every Newton iteration costs at most three residual calls: the unit
+        # step, the ladder of its rejected points and the full recompute
+        work = record_conjugacy_work(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dim": 2, "degree": 4,
+            "quadrature": {"kind": "tensor-hermite", "level": 12},
+            "target": {"kind": "quartic-well", "a": 0.03, "b": 0.0},
+            "study": {"scheme": "ou", "n_list": [1, 2, 4, 8], "threshold": 0.05},
+        }))
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(work) == 5  # one fit_dual per solve
+        assert all(grads <= 3 * iters + 1 for grads, iters, _ in work)
+        # the halving loop spends a call per halving on the stalled duals
+        assert any(ref > 3 * iters + 1 for _, iters, ref in work)
+
+    def test_battery_work_does_not_rise(self, tmp_path, monkeypatch):
+        work = record_conjugacy_work(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"battery": "default"}))
+        assert main(["battery", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--threads", "1"]) == 0
+        assert len(work) == 14
+        assert all(grads <= ref for grads, _, ref in work)
 
 
 @pytest.fixture(scope="module")
