@@ -192,11 +192,14 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     _check_keys(cfg, _ENTRY_KEYS, path)
     dim, degree, seed, space, target, solver_cfg = build_problem(cfg, default_seed, path)
     dual_degree = cfg.get("dual_degree")
-    if dual_degree is not None:
+    if "dual_degree" in cfg:  # null is not a degree
         _positive_int(dual_degree, path + "dual_degree")
+    name = cfg.get("name", f"{target.kind}-d{dim}")
+    if not isinstance(name, str):
+        raise ConfigError(f"config key {path}name must be a string, got {name!r}")
 
     metadata = {
-        "name": cfg.get("name", f"{target.kind}-d{dim}"),
+        "name": name,
         "dim": dim,
         "degree": degree,
         "target_kind": target.kind,
@@ -526,23 +529,30 @@ def cmd_oracle(config_path: str, out_dir: Path, seed_override) -> int:
     count = _positive_int(grid_cfg.get("count", 2001), "grid.count")
     if count < 2:
         raise ConfigError("config key grid.count must be at least 2")
-    grid = np.linspace(lo, hi, count)
-    transport = monotone_map(target, grid)
-    potential = potential_from_map(transport)
-    w2 = wasserstein2_sq(target)  # full default grid, independent of the dump window
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["x,map,potential"]
-    for x, t, p in zip(transport.x, transport.t, potential.phi):
-        lines.append(f"{float(x)!r},{float(t)!r},{float(p)!r}")
-    write_text(out_dir / "oracle_table.csv", "\n".join(lines))
-    write_json(out_dir / "oracle_report.json", {
+    payload = {
         "tool_version": TOOL_VERSION,
         "config_hash": config_hash(cfg),
         "target_kind": target.kind,
         "target_params": target.params,
         "grid": {"lo": lo, "hi": hi, "count": count},
-        "wasserstein2_sq": w2,
-    })
+    }
+    lines = ["x,map,potential"]
+    try:
+        transport = monotone_map(target, np.linspace(lo, hi, count))
+        potential = potential_from_map(transport)
+        # full default grid, independent of the dump window
+        payload["wasserstein2_sq"] = wasserstein2_sq(target)
+    except MongelabError as exc:  # the table keeps its header, the report says why
+        payload["error"] = error_text(exc)
+    else:
+        lines += [f"{float(x)!r},{float(t)!r},{float(p)!r}"
+                  for x, t, p in zip(transport.x, transport.t, potential.phi)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_text(out_dir / "oracle_table.csv", "\n".join(lines))
+    write_json(out_dir / "oracle_report.json", payload)
+    if "error" in payload:
+        print(f"error: {payload['error']}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -129,29 +129,30 @@ def expectation(space: GaussianSpace, g: Callable, weight: Optional[Callable] = 
     return float(num / den)
 
 
-def nu_weights(space: GaussianSpace, target) -> np.ndarray:
-    """Normalized weights of dnu = e^{-f} dmu / c at the nodes.
+def log_sum_exp(u: np.ndarray):
+    """(e^u / sum e^u, log sum e^u) along the last axis, shifted by the row
+    maximum so no term overflows.  The log-sum is non-finite exactly when
+    the row maximum is; callers test it."""
+    shift = u.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) in a row with no finite maximum
+        r = np.exp(u - shift)
+    total = r.sum(axis=-1, keepdims=True)
+    return r / total, shift[..., 0] + np.log(total[..., 0])
 
-    Computed with a max-shift in log space so large |f| cannot overflow;
-    the shift cancels in the normalization.
-    """
-    _, w, _ = shifted_nu_weights(space, target)
-    return w / w.sum()
+
+def nu_weights(space: GaussianSpace, target) -> np.ndarray:
+    """Normalized weights of dnu = e^{-f} dmu / c at the nodes."""
+    return shifted_nu_weights(space, target)[1]
 
 
 def shifted_nu_weights(space: GaussianSpace, target):
-    """(f, e^{log w - f - shift}, shift) at the nodes, shift = max(log w - f).
-
-    One evaluation of f serves both the nu-weights and log E[e^{-f}]; the
-    shift keeps large |f| from overflowing.
-    """
+    """(f, nu-weights, log E[e^{-f}]) at the nodes: one evaluation of f and
+    one log_sum_exp of log w - f, so large |f| cannot overflow."""
     fvals = np.asarray(target.eval(space.nodes), dtype=float).reshape(-1)
     if not np.all(np.isfinite(fvals)):
         raise NonFiniteValueError("target log-density not finite at a quadrature node")
-    logw = np.log(space.weights) - fvals
-    # weights sum to 1 and f is finite: shift is finite, the top weight is 1, the sum >= 1
-    shift = logw.max()
-    return fvals, np.exp(logw - shift), shift
+    w, log_c = log_sum_exp(np.log(space.weights) - fvals)
+    return fvals, w, float(log_c)
 
 
 def nu_masked_weights(w: np.ndarray):
@@ -184,5 +185,4 @@ def nu_expectation(space: GaussianSpace, target, values) -> float:
 
 def log_normalizer(space: GaussianSpace, target) -> float:
     """log E_mu[e^{-f}] by shifted log-sum-exp over the nodes."""
-    _, w, shift = shifted_nu_weights(space, target)
-    return float(shift + np.log(np.sum(w)))
+    return shifted_nu_weights(space, target)[2]

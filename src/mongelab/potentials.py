@@ -176,10 +176,7 @@ def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:
 
 def relative_entropy_terms(space: GaussianSpace, target) -> tuple[float, float, np.ndarray]:
     """(H(nu | mu), log E[e^{-f}], nu-weights), from one evaluation of f on the nodes."""
-    fvals, w, shift = shifted_nu_weights(space, target)
-    total = np.sum(w)
-    log_c = float(shift + np.log(total))
-    w = w / total
+    fvals, w, log_c = shifted_nu_weights(space, target)
     return float(np.sum(w * -fvals)) - log_c, log_c, w
 
 

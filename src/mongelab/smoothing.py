@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeightError, MongelabError
-from .gaussian import GaussianSpace, nu_weights, shifted_nu_weights
+from .gaussian import GaussianSpace, log_sum_exp, nu_weights, shifted_nu_weights
 from .hermite import as_points
 from .solver_forward import SolveConfig, solve
 from .solver_backward import fit_dual
@@ -88,12 +88,10 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         args = _args(pts)
         m, j, _ = args.shape
         u = -np.asarray(target.eval(args.reshape(-1, d))).reshape(m, j) + log_omega[None, :]
-        shift = u.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(shift)):
+        r, log_s = log_sum_exp(u)
+        if not np.all(np.isfinite(log_s)):
             raise DegenerateWeightError("smoothed density underflowed at a point")
-        r = np.exp(u - shift)
-        total = r.sum(axis=1, keepdims=True)
-        return args, r / total, (shift[:, 0] + np.log(total[:, 0]))
+        return args, r, log_s
 
     def _value(args, r, log_s):
         return -log_s
@@ -192,8 +190,7 @@ def truncate_density(space: GaussianSpace, target: ScalarTarget, n: int) -> Scal
     if n < 1:
         raise ValueError("n must be >= 1")
     d = space.dim
-    fvals, w, shift = shifted_nu_weights(space, target)  # the one evaluation of f on the nodes
-    log_c = float(shift + np.log(np.sum(w)))
+    fvals, w, log_c = shifted_nu_weights(space, target)  # the one evaluation of f on the nodes
     edge = float(np.log(n))
 
     def _penalty(s):
@@ -238,7 +235,7 @@ def truncate_density(space: GaussianSpace, target: ScalarTarget, n: int) -> Scal
         value_and_grad,
     )
     v, _, _ = _penalty(_s(fvals))
-    theta_mass = float(np.sum(w / w.sum() * np.exp(-v)))
+    theta_mass = float(np.sum(w * np.exp(-v)))
     if theta_mass < 1e-300:
         raise DegenerateWeightError("truncation removed essentially all mass")
     truncated.params["normalizer"] = 1.0 / theta_mass

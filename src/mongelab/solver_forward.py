@@ -157,14 +157,15 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
     must keep a fixed fraction of the current margin
     (fraction-to-the-boundary rule), so iterates approach the feasibility
     boundary at most geometrically and never get pinned against it
-    mid-path.  Restarts from steepest descent whenever the curvature
-    condition fails or the quasi-newton direction is blocked.  Converges
-    at config.grad_tol; when no acceptable step remains (descent below
+    mid-path.  The inverse-Hessian estimate starts, and restarts when the
+    curvature condition fails, at h0 = diag(ws.coeff_scale).  A quasi-newton
+    direction that does not descend, or whose backtrack fails, is replaced
+    once by -h0 grad, unless the estimate already was h0.  Converges at
+    config.grad_tol; when no acceptable step remains (descent below
     floating-point resolution), the run counts as converged iff the
-    gradient norm is within GRAD_TOL_SOFT.  ws.coeff_scale is the
-    diagonal preconditioner that starts, and restarts, the inverse-Hessian
-    estimate.  Returns the SolveResult of the last accepted iterate x:
-    phi = PotentialField(ws.basis, x) and wasserstein2_sq = sum ws.w |grad phi|^2.
+    gradient norm is within GRAD_TOL_SOFT.  Returns the SolveResult of the
+    last accepted iterate x: phi = PotentialField(ws.basis, x) and
+    wasserstein2_sq = sum ws.w |grad phi|^2.
     """
     x = np.array(x0, dtype=float)
     val, grad, margin = ws.objective_and_gradient(x)
@@ -172,13 +173,13 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
         raise SingularJacobianError("infeasible starting point")
     n = x.shape[0]
     h0 = np.diag(ws.coeff_scale)
-    h_inv = h0.copy()
+    h_inv = h0  # `h_inv is h0` marks a (re)started estimate
     history = [val]
     iterations = 0
     converged = float(np.linalg.norm(grad)) <= config.grad_tol
 
     def backtrack(p, slope):
-        alpha = 1.0
+        alpha = 1.0 if slope < 0 else 0.0  # no trial along a direction that does not descend
         while alpha > 1e-16:
             trial = x + alpha * p
             new_val, new_grad, new_margin = ws.objective_and_gradient(trial)
@@ -196,21 +197,12 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
             break
         iterations += 1
         p = -h_inv @ grad
-        slope = float(p @ grad)
-        if slope >= 0:
-            h_inv = h0.copy()
+        alpha, new_val, new_grad, new_margin = backtrack(p, float(p @ grad))
+        if alpha is None and h_inv is not h0:
+            # quasi-newton direction uphill or blocked; restart from scaled descent
+            h_inv = h0
             p = -(h0 @ grad)
-            slope = float(p @ grad)
-            if slope == 0.0:
-                break
-        alpha, new_val, new_grad, new_margin = backtrack(p, slope)
-        if alpha is None:
-            # quasi-newton direction blocked; restart from scaled descent
-            h_inv = h0.copy()
-            p = -(h0 @ grad)
-            slope = float(p @ grad)
-            if slope < 0:
-                alpha, new_val, new_grad, new_margin = backtrack(p, slope)
+            alpha, new_val, new_grad, new_margin = backtrack(p, float(p @ grad))
         if alpha is None:
             # no representable descent left; best iterate is the answer
             converged = float(np.linalg.norm(grad)) <= GRAD_TOL_SOFT
@@ -235,7 +227,7 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
             h_inv = (np.eye(n) - rho * sy_outer) @ h_inv @ (np.eye(n) - rho * sy_outer.T)
             h_inv += rho * np.outer(s, s)
         else:
-            h_inv = h0.copy()
+            h_inv = h0
     g, _ = ws.fields(x)
     return SolveResult(
         phi=PotentialField(ws.basis, x),

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .gaussian import log_normalizer, log_sum_exp
 from .hermite import as_points
 
 _PROBE_SEED = 12345
@@ -64,8 +65,6 @@ class ScalarTarget:
 
 def normalized(space, target: ScalarTarget) -> ScalarTarget:
     """Shift f so that E_mu[e^{-f}] = 1 under the space's quadrature."""
-    from .gaussian import log_normalizer
-
     return target.shifted(log_normalizer(space, target))
 
 
@@ -200,11 +199,8 @@ def mixture_target(weights, means, sigmas, dim: int = 1) -> ScalarTarget:
         return 0.5 * _sum_last(diff**2 * inv2[None] - pts[:, None, :] ** 2) + log_norm[None, :]
 
     def _responsibilities(pts):
-        logs = np.log(pi)[None, :] - _component_f(pts)
-        shift = logs.max(axis=1, keepdims=True)
-        r = np.exp(logs - shift)
-        total = r.sum(axis=1, keepdims=True)
-        return r / total, shift[:, 0] + np.log(total[:, 0])
+        # (pi_k e^{-f_k} / e^{-f}, -f) at each point
+        return log_sum_exp(np.log(pi)[None, :] - _component_f(pts))
 
     def f(x):
         pts = as_points(x, d)

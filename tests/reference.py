@@ -145,6 +145,59 @@ def one_pass_smoothed(space: GaussianSpace, target: ScalarTarget, n: int):
     return f, grad, hess
 
 
+# -- max-shifted log-sum-exp, written out per quantity ----------------------
+def shifted_nu_terms(space: GaussianSpace, target: ScalarTarget):
+    """(nu-weights, log E[e^{-f}], H(nu | mu)) from shift = max(log w - f)
+    and w = e^{log w - f - shift}, normalized as w / sum w, with
+    log E[e^{-f}] = shift + log sum w."""
+    fvals = np.asarray(target.eval(space.nodes), dtype=float).reshape(-1)
+    logw = np.log(space.weights) - fvals
+    shift = logw.max()
+    w = np.exp(logw - shift)
+    log_c = float(shift + np.log(np.sum(w)))
+    w = w / w.sum()
+    return w, log_c, float(np.sum(w * -fvals)) - log_c
+
+
+def np_sum_mixture(weights, means, sigmas):
+    """Mixture (f, grad, hess) with np.sum over coordinates and the
+    responsibilities by their own max-shift, as mixture_target computes them."""
+    pi, means, sigmas = (np.asarray(v, dtype=float) for v in (weights, means, sigmas))
+    inv2 = 1.0 / sigmas**2
+    log_norm = np.sum(np.log(sigmas), axis=1)
+
+    def responsibilities(x):
+        comp = 0.5 * np.sum((x[:, None, :] - means[None]) ** 2 * inv2[None] - x[:, None, :] ** 2,
+                            axis=2) + log_norm[None, :]
+        logs = np.log(pi)[None, :] - comp
+        shift = logs.max(axis=1, keepdims=True)
+        r = np.exp(logs - shift)
+        total = r.sum(axis=1, keepdims=True)
+        return r / total, shift[:, 0] + np.log(total[:, 0])
+
+    def component_grads(x):
+        return (x[:, None, :] - means[None]) * inv2[None] - x[:, None, :]
+
+    def f(x):
+        return -responsibilities(x)[1]
+
+    def grad(x):
+        return np.einsum("nk,nkd->nd", responsibilities(x)[0], component_grads(x))
+
+    def hess(x):
+        r, _ = responsibilities(x)
+        gk = component_grads(x)
+        g = np.einsum("nk,nkd->nd", r, gk)
+        d = x.shape[1]
+        h = np.zeros((x.shape[0], d, d))
+        h[:, np.arange(d), np.arange(d)] = np.einsum("nk,kd->nd", r, inv2 - 1.0)
+        h -= np.einsum("nk,nkd,nke->nde", r, gk, gk)
+        h += np.einsum("nd,ne->nde", g, g)
+        return h
+
+    return f, grad, hess
+
+
 # -- vector and operator fields, divergences --------------------------------
 @dataclass(frozen=True)
 class VectorField:

@@ -100,6 +100,11 @@ class TestConfigErrors:
         ("battery", {"battery": [{**GAUSSIAN_SOLVE, "quadrature": {"kind": "monte-carlo",
                                                                    "samples": 500, "level": 4}}]},
          "unknown config key: battery[0].quadrature.level"),
+        # solve checks its name and dual_degree as a battery entry's
+        ("solve", {**GAUSSIAN_SOLVE, "name": 5}, "config key name"),
+        ("solve", {**GAUSSIAN_SOLVE, "name": None}, "config key name"),
+        ("solve", {**GAUSSIAN_SOLVE, "name": ["a"]}, "config key name"),
+        ("solve", {**GAUSSIAN_SOLVE, "dual_degree": None}, "config key dual_degree"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -489,3 +494,20 @@ class TestOracleCommand:
         })
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path)])
         assert code in (2, 4)
+
+    @pytest.mark.parametrize("target, error", [
+        ({"kind": "gaussian", "mean": [0.0], "sigma": 0.001},
+         "NonIntegrableDensityError: rearrangement map is not strictly increasing"),
+        ({"kind": "quartic-well", "a": 1e-6, "b": -0.6},
+         "NonIntegrableDensityError: density does not decay on the left"),
+    ])
+    def test_computation_error_still_writes_reports(self, tmp_path, capsys, target, error):
+        cfg = write_config(tmp_path, "cfg.json", {"target": target})
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (out / "oracle_table.csv").read_text() == "x,map,potential\n"
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["error"] == error
+        assert "wasserstein2_sq" not in report
+        assert report["target_kind"] == target["kind"]

@@ -13,8 +13,13 @@ from mongelab import (
     PotentialField,
     expectation,
     gaussian_target,
+    log_normalizer,
+    mixture_target,
     nu_expectation,
+    nu_weights,
+    quartic_well_target,
 )
+from mongelab.potentials import relative_entropy_terms
 from reference import (
     condition_first_n,
     constant_field,
@@ -23,8 +28,10 @@ from reference import (
     gradient_field,
     hessian_operator,
     linear_field,
+    np_sum_mixture,
     operator_divergence,
     ou_semigroup,
+    shifted_nu_terms,
     weighted_divergence,
 )
 
@@ -111,6 +118,40 @@ class TestExpectation:
     def test_degenerate_weight(self, line60):
         with pytest.raises(DegenerateWeightError):
             expectation(line60, lambda x: x[:, 0], weight=lambda x: np.zeros(x.shape[0]))
+
+
+KERNEL_TARGETS = {
+    "gaussian": lambda d: gaussian_target([0.5] * d, 1.5, dim=d),
+    "quartic": lambda d: quartic_well_target(0.05, -0.1, dim=d),
+    "mixture": lambda d: mixture_target([0.3, 0.7], [[-1.0] * d, [1.5] * d],
+                                        [[0.6] * d, [1.2] * d], dim=d),
+}
+
+
+class TestLogSumExpKernel:
+    """Every quantity read off the one log-sum-exp equals its own max-shift
+    formula (tests/reference.py) bit for bit, on 1d and 2d tensor nodes."""
+
+    @pytest.fixture(params=[(1, 30), (2, 12)], ids=["1d", "2d"], scope="class")
+    def space(self, request):
+        return GaussianSpace.tensor_hermite(*request.param)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_TARGETS))
+    def test_nu_quantities(self, space, kind):
+        target = KERNEL_TARGETS[kind](space.dim)
+        w, log_c, h_rel = shifted_nu_terms(space, target)
+        assert np.array_equal(nu_weights(space, target), w)
+        assert log_normalizer(space, target) == log_c
+        h, c, w_terms = relative_entropy_terms(space, target)
+        assert (h, c) == (h_rel, log_c)
+        assert np.array_equal(w_terms, w)
+
+    def test_mixture_derivatives(self, space):
+        target = KERNEL_TARGETS["mixture"](space.dim)
+        pts = np.vstack([space.nodes, np.random.default_rng(3).normal(0, 4, (50, space.dim))])
+        ref = np_sum_mixture(*(target.params[k] for k in ("weights", "means", "sigmas")))
+        for got, want in zip((target.eval, target.grad, target.hess), ref):
+            assert np.array_equal(got(pts), want(pts))
 
 
 class TestOuSemigroup:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from mongelab import (
 )
 from mongelab.smoothing import _RULE_ROWS
 from mongelab.solver_forward import ForwardWorkspace
-from reference import condition_first_n, one_pass_smoothed, ou_semigroup
+from reference import condition_first_n, np_sum_mixture, one_pass_smoothed, ou_semigroup
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,21 @@ class TestSmoothTarget:
     def test_positivity_at_nodes(self, line30, target_21):
         sm = smooth_target(line30, target_21, 2)
         assert np.all(np.isfinite(sm.eval(line30.nodes)))
+
+    def test_underflow_at_a_point_is_degenerate(self, line30):
+        # e^{-f} = 0 beyond |x| = 50: far out every rule row underflows, which
+        # raises the package's error and no numpy warning
+        wall = ScalarTarget(
+            1, "wall", {},
+            eval=lambda x: np.where(np.abs(x[:, 0]) < 50, 0.0, np.inf),
+            grad=lambda x: np.zeros_like(x),
+            hess=lambda x: np.zeros((x.shape[0], 1, 1)),
+        )
+        sm = smooth_target(line30, wall, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateWeightError, match="smoothed density underflowed"):
+                sm.eval(np.array([[0.0], [1e3]]))
 
     def test_log_concavity_preserved_gaussian_kinds(self, line30):
         # for N(m, s^2) targets, hess f_n >= min(hess f, 0) at the nodes
@@ -313,44 +329,6 @@ def np_sum_quartic(a, b):
         p2 = x * x
         return np.sum(p2 * (a * p2 + b), axis=1)
     return f
-
-
-def np_sum_mixture(weights, means, sigmas):
-    """Mixture (f, grad, hess) with np.sum over coordinates, as mixture_target computes them."""
-    pi, means, sigmas = (np.asarray(v, dtype=float) for v in (weights, means, sigmas))
-    inv2 = 1.0 / sigmas**2
-    log_norm = np.sum(np.log(sigmas), axis=1)
-
-    def responsibilities(x):
-        comp = 0.5 * np.sum((x[:, None, :] - means[None]) ** 2 * inv2[None] - x[:, None, :] ** 2,
-                            axis=2) + log_norm[None, :]
-        logs = np.log(pi)[None, :] - comp
-        shift = logs.max(axis=1, keepdims=True)
-        r = np.exp(logs - shift)
-        total = r.sum(axis=1, keepdims=True)
-        return r / total, shift[:, 0] + np.log(total[:, 0])
-
-    def component_grads(x):
-        return (x[:, None, :] - means[None]) * inv2[None] - x[:, None, :]
-
-    def f(x):
-        return -responsibilities(x)[1]
-
-    def grad(x):
-        return np.einsum("nk,nkd->nd", responsibilities(x)[0], component_grads(x))
-
-    def hess(x):
-        r, _ = responsibilities(x)
-        gk = component_grads(x)
-        g = np.einsum("nk,nkd->nd", r, gk)
-        d = x.shape[1]
-        h = np.zeros((x.shape[0], d, d))
-        h[:, np.arange(d), np.arange(d)] = np.einsum("nk,kd->nd", r, inv2 - 1.0)
-        h -= np.einsum("nk,nkd,nke->nde", r, gk, gk)
-        h += np.einsum("nd,ne->nde", g, g)
-        return h
-
-    return f, grad, hess
 
 
 def broadcast_smoothed(space, n, f, grad, hess, pts):

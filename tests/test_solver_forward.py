@@ -18,7 +18,7 @@ from mongelab import (
     variational_gap,
     wasserstein_check,
 )
-from mongelab.solver_forward import ForwardWorkspace
+from mongelab.solver_forward import ForwardWorkspace, minimize_with_barrier
 from mongelab.hermite import HermiteBasis
 from reference import BackwardWorkspace, solve_backward_variational
 
@@ -131,6 +131,25 @@ class TestBarrierDriver:
         assert res.wasserstein2_sq == float(np.sum(ws.w * np.sum(g**2, axis=1)))
         _, grad, _ = ws.objective_and_gradient(res.phi.coeffs)
         assert res.grad_norm == float(np.linalg.norm(grad))
+
+    def test_blocked_descent_is_backtracked_once(self, line60, target_21):
+        # feasible only at the start: the first direction is -h0 grad, its
+        # 54 halvings all fail, and the estimate already is h0, so the run
+        # ends there instead of backtracking the same direction again
+        class FeasibleAtStart(ForwardWorkspace):
+            calls = 0
+
+            def objective_and_gradient(self, coeffs):
+                self.calls += 1
+                if np.any(coeffs):
+                    return np.inf, None, -1.0
+                return super().objective_and_gradient(coeffs)
+
+        ws = FeasibleAtStart(line60, target_21, HermiteBasis(1, 2))
+        res = minimize_with_barrier(ws, np.zeros(ws.basis.size), SolveConfig(degree=2), 0.0)
+        assert ws.calls == 1 + 54
+        assert (res.iterations, res.converged) == (1, False)
+        assert res.objective_history == [res.objective]
 
 
 class TestSolveConfig:
