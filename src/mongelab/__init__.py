@@ -12,6 +12,7 @@ from .errors import (
     NonIntegrableDensityError,
     NotApplicableError,
     SingularJacobianError,
+    UnresolvedDensityError,
 )
 from .gaussian import (
     GaussianSpace,

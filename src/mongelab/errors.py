@@ -25,5 +25,9 @@ class NonIntegrableDensityError(MongelabError):
     """A 1d target density could not be normalized on the working range."""
 
 
+class UnresolvedDensityError(MongelabError):
+    """A 1d target density is too narrow for the oracle's fixed table step."""
+
+
 class ConfigError(MongelabError):
     """A run configuration failed validation; the message names the field."""

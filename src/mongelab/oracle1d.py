@@ -11,20 +11,51 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-# Never called here: perfbench/tracer.py looks `brentq` up in this module to
-# count scalar root solves, so the name stays bound until that entry goes.
-from scipy.optimize import brentq  # noqa: F401
-from scipy.special import ndtr
 
-from .errors import NonIntegrableDensityError
+from .errors import NonIntegrableDensityError, UnresolvedDensityError
 from .targets import ScalarTarget
 
 GRID = np.linspace(-8.0, 8.0, 2001)  # mu-mass outside is < 1e-14
 _LOG_DROP = 60.0   # nu-range: keep log-density within this drop of its max
 _DENSITY_STEP = 0.004
+# Largest change of the log-density between neighbouring table points, on the
+# band within _LOG_DROP of the peak.  A gaussian N(m, s^2) reaches it at
+# s ~ 0.044; the default battery's targets stay under 0.16.  Against m + s x
+# on GRID the map is off by 4e-5 at s = 0.05, 6e-4 at s = 0.02 and 2-5 s at
+# s <= 0.01.
+_MAX_LOG_STEP = 1.0
 _BISECTIONS = 52
+_SCIPY_NAMES = ("cumulative_simpson", "PchipInterpolator", "brentq", "ndtr")
+
+
+def _load_scipy() -> None:
+    """Bind the scipy functions the oracle uses into this module.
+
+    Called where a map or an interpolant is built, so importing the package
+    (and every CLI run that never builds one) leaves scipy unloaded.  A name
+    that is already bound, such as a wrapper put in its place, is kept.
+    """
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import PchipInterpolator
+    from scipy.optimize import brentq
+    from scipy.special import ndtr
+
+    scope = globals()
+    for name, value in zip(_SCIPY_NAMES, (cumulative_simpson, PchipInterpolator, brentq, ndtr)):
+        scope.setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """The scipy names, loaded on first lookup from outside (PEP 562).
+
+    `brentq` is never called here: perfbench/tracer.py looks it up in this
+    module to count scalar root solves, so the name resolves until that
+    entry goes.
+    """
+    if name in _SCIPY_NAMES:
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _nu_density_table(target: ScalarTarget):
@@ -32,7 +63,10 @@ def _nu_density_table(target: ScalarTarget):
 
     The unnormalized log-density -f(y) - y^2/2 is scanned outward until it
     falls _LOG_DROP below its maximum on both sides, which extends the
-    table far enough to cover Gaussian-type tails of the target.
+    table far enough to cover Gaussian-type tails of the target.  A density
+    whose log changes by more than _MAX_LOG_STEP from one table point to the
+    next, within that drop, is too narrow for the table and raises
+    UnresolvedDensityError rather than giving a wrong map.
     """
     if target.dim != 1:
         raise ValueError("oracle requires a 1d target")
@@ -60,9 +94,14 @@ def _nu_density_table(target: ScalarTarget):
         raise NonIntegrableDensityError("density does not decay on the right")
     n_pts = int(np.ceil((hi - lo) / _DENSITY_STEP)) + 1
     ys = np.linspace(lo, hi, n_pts)
-    dens = np.exp(log_density(ys) - peak)
+    rel = log_density(ys) - peak
+    dens = np.exp(rel)
     if not np.all(np.isfinite(dens)):
         raise NonIntegrableDensityError("density overflowed on the working range")
+    if np.max(np.abs(np.diff(np.maximum(rel, -_LOG_DROP)))) > _MAX_LOG_STEP:
+        raise UnresolvedDensityError(
+            f"density too narrow for the table step {_DENSITY_STEP}: the log-density "
+            f"changes by more than {_MAX_LOG_STEP} between neighbouring points")
     return ys, dens
 
 
@@ -77,6 +116,7 @@ class MonotoneMap1D:
 
     @cached_property
     def _interp(self) -> PchipInterpolator:
+        _load_scipy()
         return PchipInterpolator(self.x, self.t)
 
     def __call__(self, x) -> np.ndarray:
@@ -113,6 +153,7 @@ def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None) -> Monoto
     so both tails keep full relative precision (Phi(x) near 1 cannot
     resolve distinct quantiles in double precision, but 1 - Phi(x) can).
     """
+    _load_scipy()
     grid = GRID if grid is None else np.asarray(grid, dtype=float)
     ys, dens = _nu_density_table(target)
     cdf = cumulative_simpson(dens, x=ys, initial=0.0)
@@ -144,6 +185,7 @@ class TabulatedPotential1D:
 
     @cached_property
     def _interp(self) -> PchipInterpolator:
+        _load_scipy()
         return PchipInterpolator(self.x, self.phi)
 
     def __call__(self, x) -> np.ndarray:

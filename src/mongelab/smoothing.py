@@ -32,12 +32,20 @@ from .targets import ScalarTarget, check_consistency
 _RAMP_EDGE = 40.0      # theta at the outer band edge is e^{-40} ~ 4e-18
 _RAMP_CAP = 4000.0     # penalty plateau far outside the band
 _RAMP_WIDTH = float(np.log(2.0))
-# Rule rows per block of the smoothed target's log-sum-exp.  A 2d level-12
-# rule (J = 144) then takes 56 points a block and its temporaries stay near
-# 130 KB.  One fused call on its 144 nodes (2-vCPU VM) took 211 minor page
-# faults and 790-1,080 us in one block, 0 faults and 690-820 us in blocks of
-# 56; blocks of 16-100 points all reach 0 faults.
-_RULE_ROWS = 8192
+# Bytes of one (rows, d) float64 temporary in a block of the smoothed target's
+# log-sum-exp.  96 KiB stays under glibc's default 128 KiB mmap and trim
+# thresholds: 6144 rule rows at d = 2 (42 points of a level-12 rule, J = 144),
+# 4096 at d = 3.  Without scipy loaded (its import happens to raise those
+# thresholds), on a 2-vCPU VM:
+# - the seed-0 study-ou-2d took 5,170-5,836 minor page faults per operation
+#   in blocks of 8192 rows, about 100 per fused call on its 144 nodes (50
+#   calls an operation), and 0-14 in blocks of 6144 (six processes each);
+#   5120, 4096 and 3072 rows also stay at 0-14;
+# - a 3d OU study (level 7, J = 343, n = 1, 2, 4) took 34,750-48,330 faults
+#   and 0.30-0.37 s per operation in blocks of 6144 rows, and 2-450 faults
+#   and 0.22-0.28 s in blocks of 4096 (five processes each).
+# Block size does not move bits.
+_BLOCK_BYTES = 96 * 1024
 
 
 def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarTarget:
@@ -53,10 +61,11 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
     (fixed per target) added over the points, which gives the same bits as
     broadcasting ca x[:, None] + cb Y[None].
 
-    Points go through in blocks of max(1, _RULE_ROWS // J), each block's
-    results written into preallocated outputs, so the temporaries stay
-    small however many points are asked for.  Every row is still the base
-    target's once, and the bits equal one log-sum-exp over all the points.
+    Points go through in blocks of max(1, _BLOCK_BYTES // (8 d J)), each
+    block's results written into preallocated outputs, so the temporaries
+    stay small however many points are asked for.  Every row is still the
+    base target's once, and the bits equal one log-sum-exp over all the
+    points.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -82,7 +91,7 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         args += y_row
         return args.reshape(m, n_rule, d)
 
-    block = max(1, _RULE_ROWS // n_rule)
+    block = max(1, _BLOCK_BYTES // (8 * d * n_rule))
 
     def _log_mix(pts):
         args = _args(pts)
@@ -146,10 +155,8 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         hess,
         value_and_grad,
     )
-    # positivity of e^{-f_n} on the nodes; raises on underflow
-    vals = smoothed.eval(space.nodes)
-    if not np.all(np.isfinite(vals)):
-        raise DegenerateWeightError("smoothed target not finite at a quadrature node")
+    # positivity of e^{-f_n} on the nodes: _log_mix raises on underflow
+    smoothed.eval(space.nodes)
     check_consistency(smoothed)
     return smoothed
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .gaussian import log_normalizer, log_sum_exp
 from .hermite import as_points
@@ -246,6 +245,8 @@ def tabulated_target_1d(xs, fs) -> ScalarTarget:
     The table should cover the quadrature support; the spline extrapolates
     cubically beyond it.
     """
+    from scipy.interpolate import CubicSpline
+
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     spline = CubicSpline(xs, fs)

@@ -497,7 +497,8 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("target, error", [
         ({"kind": "gaussian", "mean": [0.0], "sigma": 0.001},
-         "NonIntegrableDensityError: rearrangement map is not strictly increasing"),
+         "UnresolvedDensityError: density too narrow for the table step 0.004: the "
+         "log-density changes by more than 1.0 between neighbouring points"),
         ({"kind": "quartic-well", "a": 1e-6, "b": -0.6},
          "NonIntegrableDensityError: density does not decay on the left"),
     ])

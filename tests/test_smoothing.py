@@ -21,7 +21,7 @@ from mongelab import (
     solve,
     truncate_density,
 )
-from mongelab.smoothing import _RULE_ROWS
+from mongelab.smoothing import _BLOCK_BYTES
 from mongelab.solver_forward import ForwardWorkspace
 from reference import condition_first_n, np_sum_mixture, one_pass_smoothed, ou_semigroup
 
@@ -263,8 +263,8 @@ class TestValueAndGrad:
         calls.clear()
         ws.objective_and_gradient(np.zeros(ws.basis.size))
         # each of the 100 nodes x 100 rows of the one 2d rule evaluated once,
-        # in blocks of at most _RULE_ROWS rows
-        assert sum(calls) == 10000 and max(calls) <= 8192
+        # in blocks whose (rows, 2) arguments take at most _BLOCK_BYTES
+        assert sum(calls) == 10000 and max(calls) * 2 * 8 <= _BLOCK_BYTES
 
     def test_relative_entropy_evaluates_f_once(self, line30, target_21):
         target, calls = counting(target_21)
@@ -291,8 +291,8 @@ class TestValueAndGrad:
 
 
 class TestBlocks:
-    """smooth_target's blocks of at most _RULE_ROWS rule rows give the bits
-    of one log-sum-exp over all the points."""
+    """smooth_target's blocks, (rows, d) rule arguments of at most
+    _BLOCK_BYTES each, give the bits of one log-sum-exp over all the points."""
 
     SIZES = {"empty": lambda b: 0, "1": lambda b: 1, "B-1": lambda b: b - 1, "B": lambda b: b,
              "B+1": lambda b: b + 1, "2B+1": lambda b: 2 * b + 1, "144": lambda b: 144}
@@ -305,7 +305,7 @@ class TestBlocks:
         base = quartic_well_target(0.05, -0.1, dim=d)
         sm = smooth_target(space, base, n)
         f, grad, hess = one_pass_smoothed(space, base, n)
-        m = self.SIZES[size](max(1, _RULE_ROWS // space.nodes.shape[0]))
+        m = self.SIZES[size](max(1, _BLOCK_BYTES // (8 * d * space.nodes.shape[0])))
         pts = np.random.default_rng(m).normal(scale=1.5, size=(m, d))
         vals, grads = sm.value_and_grad(pts)
         assert np.array_equal(vals, f(pts))
@@ -319,8 +319,11 @@ class TestBlocks:
         sm = smooth_target(plane10, base, 1)
         calls.clear()
         sm.value_and_grad(np.zeros((250, 2)))
-        # 100 rule rows per point: blocks of 81, 81, 81 and 7 points
-        assert calls == [8100, 8100, 8100, 700]
+        # 100 rule rows of 2 float64 per point: full blocks of
+        # _BLOCK_BYTES // 1600 points, then the rest
+        block = _BLOCK_BYTES // (100 * 2 * 8)
+        full, rest = divmod(250, block)
+        assert calls == [100 * block] * full + [100 * rest] * (rest > 0)
 
 
 def np_sum_quartic(a, b):

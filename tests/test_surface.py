@@ -1,7 +1,10 @@
 """The package's public surface, and the names the perfbench tracer looks up."""
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +17,7 @@ PUBLIC = [
     "DualPotential", "GaussianSpace", "HermiteBasis", "MongelabError", "NodeTables",
     "NonFiniteValueError", "NonIntegrableDensityError", "NotApplicableError",
     "PotentialField", "ScalarTarget", "SingularJacobianError", "SolveConfig", "SolveResult",
+    "UnresolvedDensityError",
     "backward_el_residual", "backward_objective", "conjugate", "control_forward",
     "convergence_study", "diagnostics", "div_second_moment_identity", "dual_hessian_bound",
     "errors", "expectation", "fit_dual", "forward_el_residual", "forward_sobolev_bound",
@@ -62,3 +66,56 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tr.uninstall()
     assert tracer.find_wrappers() == []
+
+
+COLD_START = """
+import json, sys
+from pathlib import Path
+
+import mongelab.cli as cli
+
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+
+out = Path(sys.argv[1])
+seen = {"import": scipy_modules()}
+codes = {}
+
+
+def run(command, config):
+    path = out / f"{command}.json"
+    path.write_text(json.dumps(config))
+    codes[command] = cli.main([command, "--config", str(path), "--out", str(out / command)])
+    seen[command] = scipy_modules()
+
+
+run("study", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 8},
+              "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
+              "study": {"scheme": "ou", "n_list": [1, 2], "threshold": 0.5}})
+run("solve", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 10},
+              "target": {"kind": "gaussian", "mean": [0.5, 0.0], "sigma": 1.2}})
+import mongelab.oracle1d
+import scipy.optimize
+
+# the first lookup from outside the module binds scipy's own function
+seen["brentq"] = mongelab.oracle1d.brentq is scipy.optimize.brentq
+run("oracle", {"target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0}})
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_cli_starts_and_runs_without_scipy(tmp_path):
+    # scipy serves only the 1d oracle and the tabulated-1d target, so a fresh
+    # interpreter imports the CLI, runs a 2d study and a 2d solve without it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    seen = result["seen"]
+    assert (seen["import"], seen["study"], seen["solve"]) == ([], [], [])
+    assert result["codes"] == {"study": 0, "solve": 0, "oracle": 0}
+    assert seen["brentq"] is True
