@@ -26,7 +26,11 @@ class NonIntegrableDensityError(MongelabError):
 
 
 class UnresolvedDensityError(MongelabError):
-    """A 1d target density is too narrow for the oracle's fixed table step."""
+    """The oracle's density table cannot resolve a 1d target's map.
+
+    The density is too narrow for the table's fixed step, or an oracle grid
+    point lies so far in the tail that its quantile falls outside the table.
+    """
 
 
 class ConfigError(MongelabError):

@@ -7,11 +7,13 @@ root finding, sharing no code path with the variational solver.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._cubics import evaluate, pchip
 from .errors import NonIntegrableDensityError, UnresolvedDensityError
 from .targets import ScalarTarget
 
@@ -25,37 +27,59 @@ _DENSITY_STEP = 0.004
 # s <= 0.01.
 _MAX_LOG_STEP = 1.0
 _BISECTIONS = 52
-_SCIPY_NAMES = ("cumulative_simpson", "PchipInterpolator", "brentq", "ndtr")
-
-
-def _load_scipy() -> None:
-    """Bind the scipy functions the oracle uses into this module.
-
-    Called where a map or an interpolant is built, so importing the package
-    (and every CLI run that never builds one) leaves scipy unloaded.  A name
-    that is already bound, such as a wrapper put in its place, is kept.
-    """
-    from scipy.integrate import cumulative_simpson
-    from scipy.interpolate import PchipInterpolator
-    from scipy.optimize import brentq
-    from scipy.special import ndtr
-
-    scope = globals()
-    for name, value in zip(_SCIPY_NAMES, (cumulative_simpson, PchipInterpolator, brentq, ndtr)):
-        scope.setdefault(name, value)
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def __getattr__(name: str):
-    """The scipy names, loaded on first lookup from outside (PEP 562).
+    """scipy's `brentq` and `PchipInterpolator`, imported on first lookup (PEP 562).
 
-    `brentq` is never called here: perfbench/tracer.py looks it up in this
-    module to count scalar root solves, so the name resolves until that
-    entry goes.
+    The oracle calls neither.  perfbench/tracer.py still looks both up in this
+    module by name, so they resolve until ROADMAP item 1 removes those tracer
+    entries and deletes this function.
     """
-    if name in _SCIPY_NAMES:
-        _load_scipy()
-        return globals()[name]
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    if name == "PchipInterpolator":
+        from scipy.interpolate import PchipInterpolator
+        return PchipInterpolator
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _lower_tail(x: np.ndarray) -> np.ndarray:
+    """Phi(-|x|) per point, as Cephes' ndtr forms it.
+
+    0.5 erfc(|x|/sqrt 2) keeps full relative precision in the tail; below
+    |x| = 1 the form 0.5 + 0.5 erf(-|x|/sqrt 2) is used instead.
+    """
+    z = np.abs(x) * _SQRT1_2
+    return np.array([0.5 + 0.5 * math.erf(-t) if t < _SQRT1_2 else 0.5 * math.erfc(t)
+                     for t in z.tolist()])
+
+
+def _simpson_steps(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Integral over each step h[k] of the parabola through points k, k+1, k+2."""
+    h1, h2 = h[:-1], h[1:]
+    r31 = h1 / (h1 + h2)
+    r = r31 * (h1 / h2)
+    return h1 / 6 * ((3 - r31) * y[:-2] + (3 + r + r31) * y[1:-1] - r * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of y over increasing x from x[0] (0 there), len(x) >= 3.
+
+    Composite Simpson on uneven steps, as scipy.integrate.cumulative_simpson
+    sums it: even steps take the parabola through the next two points, odd
+    steps and the last one the parabola through the previous two.
+    """
+    h = np.diff(x)
+    ahead = _simpson_steps(y, h)
+    behind = _simpson_steps(y[::-1], h[::-1])[::-1]
+    steps = np.empty_like(h)
+    steps[:-1:2] = ahead[::2]
+    steps[1::2] = behind[::2]
+    steps[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def _nu_density_table(target: ScalarTarget):
@@ -115,12 +139,11 @@ class MonotoneMap1D:
     nu_cdf: np.ndarray
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        _load_scipy()
-        return PchipInterpolator(self.x, self.t)
+    def _cubics(self) -> np.ndarray:
+        return pchip(self.x, self.t)
 
     def __call__(self, x) -> np.ndarray:
-        return self._interp(np.asarray(x, dtype=float))
+        return evaluate(self.x, self._cubics, x)
 
 
 def _invert_cubics(coef: np.ndarray, width: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -152,21 +175,28 @@ def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None) -> Monoto
     Left-half quantiles invert the CDF, right-half the survival function,
     so both tails keep full relative precision (Phi(x) near 1 cannot
     resolve distinct quantiles in double precision, but 1 - Phi(x) can).
+    A grid point whose tail probability lies outside the table's second and
+    next-to-last CDF or survival value (|x| past ~10 for most targets) has
+    no bracketing segment and raises UnresolvedDensityError.
     """
-    _load_scipy()
     grid = GRID if grid is None else np.asarray(grid, dtype=float)
     ys, dens = _nu_density_table(target)
-    cdf = cumulative_simpson(dens, x=ys, initial=0.0)
+    cdf = _cumulative_simpson(dens, ys)
     total = cdf[-1]
     if not np.isfinite(total) or total <= 0:
         raise NonIntegrableDensityError("density has zero or non-finite mass")
     cdf = cdf / total
-    sf = cumulative_simpson(dens[::-1], x=-ys[::-1], initial=0.0)[::-1] / total
+    sf = _cumulative_simpson(dens[::-1], -ys[::-1])[::-1] / total
     # column 0 is the CDF, column 1 the negated survival function: both increase
-    coef = PchipInterpolator(ys, np.column_stack([cdf, -sf])).c
+    coef = pchip(ys, np.column_stack([cdf, -sf]))
     left = grid <= 0
-    q = np.where(left, np.clip(ndtr(grid), cdf[1], cdf[-2]),
-                 -np.clip(ndtr(-grid), sf[-2], sf[1]))
+    tail = _lower_tail(grid)  # Phi(x) left of 0, 1 - Phi(x) right of it
+    beyond = (tail < np.where(left, cdf[1], sf[-2])) | (tail > np.where(left, cdf[-2], sf[1]))
+    if np.any(beyond):
+        raise UnresolvedDensityError(
+            f"grid point {float(grid[np.argmax(beyond)])!r} lies beyond the quantiles "
+            f"the density table resolves")
+    q = np.where(left, tail, -tail)
     k = np.where(left, np.searchsorted(cdf, q), np.searchsorted(-sf, q))
     k = np.clip(k, 1, len(ys) - 1)  # q lies in the segment [ys[k-1], ys[k]]
     t = ys[k - 1] + _invert_cubics(coef[:, k - 1, (~left).astype(np.intp)],
@@ -184,12 +214,11 @@ class TabulatedPotential1D:
     phi: np.ndarray
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        _load_scipy()
-        return PchipInterpolator(self.x, self.phi)
+    def _cubics(self) -> np.ndarray:
+        return pchip(self.x, self.phi)
 
     def __call__(self, x) -> np.ndarray:
-        return self._interp(np.asarray(x, dtype=float))
+        return evaluate(self.x, self._cubics, x)
 
 
 def potential_from_map(transport: MonotoneMap1D) -> TabulatedPotential1D:

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._cubics import evaluate, hermite_cubics, not_a_knot_slopes
 from .gaussian import log_normalizer, log_sum_exp
 from .hermite import as_points
 
@@ -240,27 +241,36 @@ def mixture_target(weights, means, sigmas, dim: int = 1) -> ScalarTarget:
 
 
 def tabulated_target_1d(xs, fs) -> ScalarTarget:
-    """1d target from samples of f, interpolated by a cubic spline.
+    """1d target from samples of f, interpolated by a not-a-knot cubic spline.
 
     The table should cover the quadrature support; the spline extrapolates
-    cubically beyond it.
+    cubically beyond it.  xs must be strictly increasing, with at least two
+    points, and every xs and fs finite.
     """
-    from scipy.interpolate import CubicSpline
-
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    spline = CubicSpline(xs, fs)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    if xs.ndim != 1 or fs.ndim != 1:
+        raise ValueError("xs and fs must be flat lists of numbers")
+    if xs.shape != fs.shape:
+        raise ValueError(f"xs has {xs.shape[0]} points but fs has {fs.shape[0]}")
+    if xs.shape[0] < 2:
+        raise ValueError("xs must contain at least 2 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+        raise ValueError("xs and fs must contain only finite values")
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("xs must be strictly increasing")
+    coef = hermite_cubics(xs, fs, not_a_knot_slopes(xs, fs))
+    coef1 = coef[:3] * np.array([[3.0], [2.0], [1.0]])  # f' and f'' per piece
+    coef2 = coef[:2] * np.array([[6.0], [2.0]])
 
     def f(x):
-        return spline(as_points(x, 1)[:, 0])
+        return evaluate(xs, coef, as_points(x, 1)[:, 0])
 
     def grad(x):
-        return d1(as_points(x, 1)[:, 0]).reshape(-1, 1)
+        return evaluate(xs, coef1, as_points(x, 1)[:, 0]).reshape(-1, 1)
 
     def hess(x):
-        return d2(as_points(x, 1)[:, 0]).reshape(-1, 1, 1)
+        return evaluate(xs, coef2, as_points(x, 1)[:, 0]).reshape(-1, 1, 1)
 
     target = ScalarTarget(
         1,

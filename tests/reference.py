@@ -3,7 +3,8 @@
 None of this runs on a CLI path; each reference reaches a quantity the
 package computes another way (two-operator OU smoothing and conditioning
 against smoothing's one Mehler rule, closed-form divergences, the paper's
-Lambda, a direct J_b minimization against the conjugacy dual).  Notation
+Lambda, a direct J_b minimization against the conjugacy dual, the 1d
+oracle's map on scipy's kernels against its numpy ones).  Notation
 (grad xi, delta, delta_nu) is that of the mongelab.gaussian docstring.
 """
 from __future__ import annotations
@@ -28,6 +29,7 @@ from mongelab import (
 )
 from mongelab.gaussian import nu_masked_weights
 from mongelab.hermite import as_points
+from mongelab.oracle1d import GRID, _invert_cubics, _nu_density_table
 from mongelab.potentials import EIG_FLOOR
 from mongelab.solver_backward import DualPotential
 from mongelab.solver_forward import BarrierWorkspace, minimize_with_barrier
@@ -406,3 +408,29 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
     result = minimize_with_barrier(ws, np.zeros(ws.basis.size), config,
                                    log_normalizer(space, target))
     return result.phi, result
+
+
+def scipy_monotone_map(target: ScalarTarget, grid: np.ndarray = GRID) -> np.ndarray:
+    """T on the grid by the oracle's algorithm on scipy's kernels.
+
+    scipy's cumulative_simpson, PchipInterpolator and ndtr build the CDF and
+    survival tables, their cubics and the quantiles; the quantiles are
+    clipped to the table, and the same vectorized bisection inverts them.
+    """
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import PchipInterpolator
+    from scipy.special import ndtr
+
+    ys, dens = _nu_density_table(target)
+    cdf = cumulative_simpson(dens, x=ys, initial=0.0)
+    total = cdf[-1]
+    cdf = cdf / total
+    sf = cumulative_simpson(dens[::-1], x=-ys[::-1], initial=0.0)[::-1] / total
+    coef = PchipInterpolator(ys, np.column_stack([cdf, -sf])).c
+    left = grid <= 0
+    q = np.where(left, np.clip(ndtr(grid), cdf[1], cdf[-2]),
+                 -np.clip(ndtr(-grid), sf[-2], sf[1]))
+    k = np.where(left, np.searchsorted(cdf, q), np.searchsorted(-sf, q))
+    k = np.clip(k, 1, len(ys) - 1)
+    return ys[k - 1] + _invert_cubics(coef[:, k - 1, (~left).astype(np.intp)],
+                                      ys[k] - ys[k - 1], q)

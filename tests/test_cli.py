@@ -105,6 +105,17 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "name": None}, "config key name"),
         ("solve", {**GAUSSIAN_SOLVE, "name": ["a"]}, "config key name"),
         ("solve", {**GAUSSIAN_SOLVE, "dual_degree": None}, "config key dual_degree"),
+        # a tabulated-1d table is checked before the spline is built
+        *(("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "tabulated-1d", "xs": xs, "fs": fs}},
+           f"invalid target: {message}") for xs, fs, message in [
+            ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "xs must be strictly increasing"),
+            ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "xs must be strictly increasing"),
+            ([0.0], [1.0], "xs must contain at least 2 points"),
+            ([0.0, 1.0, 2.0], [0.0, 1.0], "xs has 3 points but fs has 2"),
+            ([0.0, 1.0, 2.0], [0.0, float("nan"), 1.0], "xs and fs must contain only finite"),
+            ([0.0, 1.0, float("inf")], [0.0, 1.0, 1.0], "xs and fs must contain only finite"),
+            ([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]], "xs and fs must be flat lists"),
+        ]),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -512,3 +523,18 @@ class TestOracleCommand:
         assert report["error"] == error
         assert "wasserstein2_sq" not in report
         assert report["target_kind"] == target["kind"]
+
+    def test_far_tail_grid_still_writes_reports(self, tmp_path, capsys):
+        # a grid point past the table's quantiles is named, not reported as a
+        # map that is "not strictly increasing"
+        error = ("UnresolvedDensityError: grid point -40.0 lies beyond the quantiles "
+                 "the density table resolves")
+        cfg = write_config(tmp_path, "cfg.json", {
+            "target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0},
+            "grid": {"lo": -40.0, "hi": 40.0, "count": 2001},
+        })
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (out / "oracle_table.csv").read_text() == "x,map,potential\n"
+        assert json.loads((out / "oracle_report.json").read_text())["error"] == error

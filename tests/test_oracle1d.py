@@ -18,7 +18,9 @@ from mongelab import (
     wasserstein2_sq,
 )
 from mongelab.cli import build_target, default_battery
-from mongelab.oracle1d import GRID, _nu_density_table
+from mongelab._cubics import evaluate, pchip
+from mongelab.oracle1d import GRID, _cumulative_simpson, _lower_tail, _nu_density_table
+from reference import scipy_monotone_map
 
 
 def scalar_reference_map(target):
@@ -101,13 +103,20 @@ class TestMonotoneMap:
         m = monotone_map(quartic_well_target(0.05, 0.0))
         pot = potential_from_map(m)
         builds = []
-        monkeypatch.setattr("mongelab.oracle1d.PchipInterpolator",
-                            lambda *a: builds.append(a) or PchipInterpolator(*a))
+        monkeypatch.setattr("mongelab.oracle1d.pchip",
+                            lambda *a: builds.append(a) or pchip(*a))
         for _ in range(3):
             m(0.5)
             pot(0.5)
         # potential_from_map already built the map's interpolant; pot builds its own once
         assert len(builds) == 1
+
+    def test_far_tail_grid_is_unresolved(self):
+        # Phi(-40) underflows below every CDF value of the table: once clipped
+        # onto one segment, such points came out "not strictly increasing"
+        grid = np.linspace(-40.0, 40.0, 2001)
+        with pytest.raises(UnresolvedDensityError, match=r"grid point -40\.0 lies beyond"):
+            monotone_map(gaussian_target([0.0], 1.0), grid)
 
     def test_non_integrable_detected(self):
         # e^{-f} = e^{x^4} grows faster than the Gaussian decays
@@ -168,3 +177,42 @@ class TestWasserstein:
     def test_grid_default(self):
         assert GRID.shape == (2001,)
         assert GRID[0] == -8.0 and GRID[-1] == 8.0
+
+
+class TestScipyParity:
+    """The oracle's numpy kernels against the scipy functions they replace."""
+
+    @pytest.mark.parametrize("target", REFERENCE_TARGETS)
+    def test_simpson_and_pchip_bit_equal(self, target):
+        ys, dens = _nu_density_table(target)
+        cdf = _cumulative_simpson(dens, ys)
+        sf = _cumulative_simpson(dens[::-1], -ys[::-1])
+        assert np.array_equal(cdf, cumulative_simpson(dens, x=ys, initial=0.0))
+        assert np.array_equal(sf, cumulative_simpson(dens[::-1], x=-ys[::-1], initial=0.0))
+        table = np.column_stack([cdf / cdf[-1], -sf[::-1] / cdf[-1]])
+        assert np.array_equal(pchip(ys, table), PchipInterpolator(ys, table).c)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_short_tables_bit_equal(self, n):
+        # two points are a line; three and more take the one-sided end slopes
+        x = np.sort(np.random.default_rng(n).uniform(-2.0, 2.0, n))
+        y = np.array([0.3, -1.0, 2.0, 2.0, 0.5, -0.2, 4.0, 1.0, 1.5])[:n]
+        assert np.array_equal(pchip(x, y), PchipInterpolator(x, y).c)
+
+    def test_evaluation_bit_equal(self):
+        m = monotone_map(quartic_well_target(0.05, -0.2))
+        pot = potential_from_map(m)
+        x = m.x
+        v = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), x[:-1] + 0.1 * np.diff(x),
+                            [x[0] - 3.0, x[0] - 1e-3, x[-1] + 1e-3, x[-1] + 3.0]])
+        assert np.array_equal(m(v), PchipInterpolator(m.x, m.t)(v))
+        assert np.array_equal(pot(v), PchipInterpolator(pot.x, pot.phi)(v))
+        assert np.array_equal(evaluate(x, pchip(x, m.t), v), m(v))
+
+    def test_lower_tail_matches_ndtr(self):
+        ref = ndtr(-np.abs(GRID))
+        assert np.max(np.abs(_lower_tail(GRID) - ref) / ref) <= 3e-15
+
+    @pytest.mark.parametrize("target", REFERENCE_TARGETS)
+    def test_map_matches_scipy_path(self, target):
+        assert np.max(np.abs(monotone_map(target).t - scipy_monotone_map(target))) <= 1e-14

@@ -84,11 +84,12 @@ seen = {"import": scipy_modules()}
 codes = {}
 
 
-def run(command, config):
-    path = out / f"{command}.json"
+def run(command, config, key=None):
+    key = key or command
+    path = out / f"{key}.json"
     path.write_text(json.dumps(config))
-    codes[command] = cli.main([command, "--config", str(path), "--out", str(out / command)])
-    seen[command] = scipy_modules()
+    codes[key] = cli.main([command, "--config", str(path), "--out", str(out / key)])
+    seen[key] = scipy_modules()
 
 
 run("study", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 8},
@@ -96,26 +97,34 @@ run("study", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "l
               "study": {"scheme": "ou", "n_list": [1, 2], "threshold": 0.5}})
 run("solve", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 10},
               "target": {"kind": "gaussian", "mean": [0.5, 0.0], "sigma": 1.2}})
+run("battery", {"battery": [{"dim": 1, "degree": 2,
+                             "quadrature": {"kind": "tensor-hermite", "level": 40},
+                             "target": {"kind": "gaussian", "mean": [0.5], "sigma": 1.2}}]})
+run("oracle", {"target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0}})
+xs = [-8.0 + 0.5 * k for k in range(33)]
+run("solve", {"dim": 1, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 40},
+              "target": {"kind": "tabulated-1d", "xs": xs, "fs": [0.1 * x * x for x in xs]}},
+    key="tabulated")
 import mongelab.oracle1d
 import scipy.optimize
 
-# the first lookup from outside the module binds scipy's own function
+# the tracer's lookup is the one place left that imports scipy
 seen["brentq"] = mongelab.oracle1d.brentq is scipy.optimize.brentq
-run("oracle", {"target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0}})
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
 def test_cli_starts_and_runs_without_scipy(tmp_path):
-    # scipy serves only the 1d oracle and the tabulated-1d target, so a fresh
-    # interpreter imports the CLI, runs a 2d study and a 2d solve without it
+    # every kernel is numpy's, so a fresh interpreter imports the CLI and runs
+    # a 2d study, a 2d solve, a 1d battery (with its oracle), the oracle and a
+    # tabulated-1d solve without loading scipy
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    seen = result["seen"]
-    assert (seen["import"], seen["study"], seen["solve"]) == ([], [], [])
-    assert result["codes"] == {"study": 0, "solve": 0, "oracle": 0}
-    assert seen["brentq"] is True
+    seen = result.pop("seen")
+    assert seen.pop("brentq") is True
+    assert seen == dict.fromkeys(["import", "study", "solve", "battery", "oracle", "tabulated"], [])
+    assert result["codes"] == {"study": 0, "solve": 0, "battery": 0, "oracle": 0, "tabulated": 0}

@@ -139,6 +139,22 @@ def test_tabulated_target(line80):
     np.testing.assert_allclose(tab.grad(probe), base.grad(probe), atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 30])
+def test_tabulated_spline_matches_cubic_spline(n):
+    # not-a-knot, scipy's default: a line for two points, the parabola for three
+    from scipy.interpolate import CubicSpline
+
+    xs = np.sort(np.random.default_rng(n).uniform(-3.0, 3.0, n))
+    fs = 0.1 * xs**4 - 0.5 * xs**2 + np.sin(3.0 * xs)
+    tab = tabulated_target_1d(xs, fs)
+    spline = CubicSpline(xs, fs)
+    v = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), [xs[0] - 1.0, xs[-1] + 1.0]])
+    pts = v.reshape(-1, 1)
+    for got, want in [(tab.eval(pts), spline(v)), (tab.grad(pts)[:, 0], spline(v, 1)),
+                      (tab.hess(pts)[:, 0, 0], spline(v, 2))]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_inconsistent_evaluators_rejected():
     from mongelab.targets import ScalarTarget, check_consistency
 
