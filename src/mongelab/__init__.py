@@ -32,7 +32,6 @@ from .targets import (
     ScalarTarget,
     gaussian_target,
     mixture_target,
-    normalized,
     quartic_well_target,
     tabulated_target_1d,
 )

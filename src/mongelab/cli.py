@@ -94,6 +94,15 @@ def _finite_float(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _tolerance(value, name: str) -> float:
+    """_finite_float(value, name), also >= 0: a tolerance or threshold bounds
+    a residual, and below 0 even an exact result would fail it."""
+    number = _finite_float(value, name)
+    if number < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return number
+
+
 def build_space(cfg: dict, dim: int, default_seed: int, path: str = "quadrature.") -> GaussianSpace:
     kind = _require(cfg, "kind", path)
     if kind == "tensor-hermite":
@@ -153,12 +162,12 @@ def build_thresholds(cfg: dict, path: str = "tolerances.") -> CheckThresholds:
     base = CheckThresholds()
     try:
         return CheckThresholds(
-            identity_solved=_finite_float(cfg.get("identity", base.identity_solved), "identity"),
-            inequality=_finite_float(cfg.get("inequality", base.inequality), "inequality"),
-            trace=_finite_float(cfg.get("trace", base.trace), "trace"),
-            variational_gap=_finite_float(cfg.get("variational_gap", base.variational_gap),
-                                          "variational_gap"),
-            oracle=_finite_float(cfg.get("oracle", base.oracle), "oracle"),
+            identity_solved=_tolerance(cfg.get("identity", base.identity_solved), "identity"),
+            inequality=_tolerance(cfg.get("inequality", base.inequality), "inequality"),
+            trace=_tolerance(cfg.get("trace", base.trace), "trace"),
+            variational_gap=_tolerance(cfg.get("variational_gap", base.variational_gap),
+                                       "variational_gap"),
+            oracle=_tolerance(cfg.get("oracle", base.oracle), "oracle"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
@@ -322,7 +331,7 @@ def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
     for i, n in enumerate(n_list):
         _positive_int(n, f"study.n_list[{i}]")
     try:
-        threshold = _finite_float(study_cfg.get("threshold", 1e-2), "study.threshold")
+        threshold = _tolerance(study_cfg.get("threshold", 1e-2), "study.threshold")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     reference = study_cfg.get("reference", "raw")

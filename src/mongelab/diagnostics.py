@@ -35,6 +35,8 @@ from .potentials import PotentialField, floor_checked_inverse
 from .solver_backward import DualPotential, backward_el_residual
 from .targets import ScalarTarget
 
+TRACE_NODES = 100  # node sample of trace_positivity
+
 
 @dataclass
 class CheckRecord:
@@ -206,15 +208,16 @@ def forward_el_residual(tables: NodeTables) -> float:
     return float(np.sum(tables.space.weights * np.sum(r**2, axis=1)))
 
 
-def trace_positivity(tables: NodeTables, max_nodes: int = 100) -> float:
+def trace_positivity(tables: NodeTables) -> float:
     """min over nodes and coordinate directions e of trace(K A K A), A = third(phi)(K e).
 
     A is symmetric and K positive, so trace(KAKA) = |K^{1/2} A K^{1/2}|_HS^2
-    is nonnegative up to roundoff.
+    is nonnegative up to roundoff.  Beyond TRACE_NODES nodes, TRACE_NODES
+    evenly spaced node indices are checked.
     """
     n_nodes = tables.space.nodes.shape[0]
-    if n_nodes > max_nodes:
-        sel = np.unique(np.linspace(0, n_nodes - 1, max_nodes).astype(int))
+    if n_nodes > TRACE_NODES:
+        sel = np.unique(np.linspace(0, n_nodes - 1, TRACE_NODES).astype(int))
     else:
         sel = np.arange(n_nodes)
     k = tables.inv_jacobian[sel]

@@ -213,13 +213,6 @@ class TabulatedPotential1D:
     x: np.ndarray
     phi: np.ndarray
 
-    @cached_property
-    def _cubics(self) -> np.ndarray:
-        return pchip(self.x, self.phi)
-
-    def __call__(self, x) -> np.ndarray:
-        return evaluate(self.x, self._cubics, x)
-
 
 def potential_from_map(transport: MonotoneMap1D) -> TabulatedPotential1D:
     """Antiderivative of the shift, trapezoid on the map's own grid."""

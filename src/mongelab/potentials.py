@@ -21,8 +21,6 @@ pushforward entropy
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import SingularJacobianError
@@ -52,11 +50,6 @@ class PotentialField:
         return self.basis.degree
 
     @staticmethod
-    def zero(dim: int, degree: int) -> "PotentialField":
-        basis = HermiteBasis(dim, degree)
-        return PotentialField(basis, np.zeros(basis.size))
-
-    @staticmethod
     def from_coeff_dict(dim: int, degree: int, coeffs: dict) -> "PotentialField":
         basis = HermiteBasis(dim, degree)
         vec = np.zeros(basis.size)
@@ -67,9 +60,6 @@ class PotentialField:
                 raise ValueError(f"multi-index {key} outside basis (dim={dim}, degree={degree})")
             vec[lookup[key]] = float(c)
         return PotentialField(basis, vec)
-
-    def coeff_dict(self) -> dict:
-        return {alpha: float(c) for alpha, c in zip(self.basis.indices, self.coeffs) if c != 0.0}
 
     def eval(self, x) -> np.ndarray:
         pts = as_points(x, self.dim)
@@ -92,18 +82,11 @@ class PotentialField:
         table = self.basis.third_table(pts)
         return np.transpose(np.tensordot(self.coeffs, table, axes=1), (3, 0, 1, 2))
 
-    def ou_apply(self) -> "PotentialField":
-        """L phi, computed from the eigenrelation L He_alpha = |alpha| He_alpha."""
-        return PotentialField(self.basis, self.coeffs * self.basis.ou_eigenvalues)
-
     def semigroup(self, t: float) -> "PotentialField":
         """P_t phi: coefficients scale by e^{-|alpha| t}."""
         if t < 0:
             raise ValueError("t must be >= 0")
         return PotentialField(self.basis, self.coeffs * np.exp(-t * self.basis.ou_eigenvalues))
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "PotentialField":
-        return PotentialField(self.basis, coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,24 +98,6 @@ class PotentialField:
                 if c != 0.0
             ],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "PotentialField":
-        return PotentialField.from_coeff_dict(
-            int(data["dim"]),
-            int(data["degree"]),
-            {tuple(alpha): c for alpha, c in data["coeffs"]},
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "PotentialField":
-        with open(path, encoding="utf-8") as fh:
-            return PotentialField.from_json_dict(json.load(fh))
 
 
 def logdet2(a):

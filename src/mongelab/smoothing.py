@@ -155,8 +155,6 @@ def smooth_target(space: GaussianSpace, target: ScalarTarget, n: int) -> ScalarT
         hess,
         value_and_grad,
     )
-    # positivity of e^{-f_n} on the nodes: _log_mix raises on underflow
-    smoothed.eval(space.nodes)
     check_consistency(smoothed)
     return smoothed
 
@@ -277,9 +275,6 @@ class StudyTable:
                 f"{r.w2sq!r},{r.status}"
             )
         return "\n".join(lines) + "\n"
-
-    def grad_errors(self) -> list:
-        return [r.grad_phi_err for r in self.rows if r.status == "ok"]
 
 
 def convergence_study(space: GaussianSpace, target: ScalarTarget, scheme: str,

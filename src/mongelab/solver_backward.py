@@ -195,19 +195,9 @@ class DualPotential:
         return data
 
 
-def default_dual_grid(dim: int) -> np.ndarray:
-    if dim == 1:
-        return np.linspace(-8.0, 8.0, 2001).reshape(-1, 1)
-    if dim == 2:
-        side = np.linspace(-5.0, 5.0, 61)
-        xx, yy = np.meshgrid(side, side, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    raise ValueError("tabulated dual grids are provided for d <= 2 only")
-
-
-def conjugate(phi: PotentialField, grid: np.ndarray | None = None) -> DualPotential:
+def conjugate(phi: PotentialField, grid: np.ndarray) -> DualPotential:
     """psi(y) = -min_x [phi(x) + |x - y|^2 / 2] on the grid points."""
-    pts = default_dual_grid(phi.dim) if grid is None else as_points(grid, phi.dim)
+    pts = as_points(grid, phi.dim)
     x_star, ok = conjugacy_minimize(phi, pts)
     return DualPotential(
         forward=phi,

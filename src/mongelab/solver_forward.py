@@ -109,9 +109,6 @@ class ForwardWorkspace(BarrierWorkspace):
         super().__init__(basis, space.nodes, space.weights)
         self.target = target
 
-    def objective(self, coeffs: np.ndarray) -> float:
-        return self._evaluate(coeffs)[0]
-
     def objective_and_gradient(self, coeffs: np.ndarray):
         return self._evaluate(coeffs)
 
@@ -244,7 +241,7 @@ def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveCon
 def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -> float:
     """J_f(phi); raises SingularJacobianError when the barrier is hit."""
     ws = ForwardWorkspace(space, target, phi.basis)
-    val = ws.objective(phi.coeffs)
+    val = ws._evaluate(phi.coeffs)[0]
     if not np.isfinite(val):
         raise SingularJacobianError("eigenvalue floor violated at a quadrature node")
     return val

@@ -12,13 +12,13 @@ result equals (eval(x), grad(x)) bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._cubics import evaluate, hermite_cubics, not_a_knot_slopes
-from .gaussian import log_normalizer, log_sum_exp
+from .gaussian import log_sum_exp
 from .hermite import as_points
 
 _PROBE_SEED = 12345
@@ -46,26 +46,6 @@ class ScalarTarget:
         if self.fused is None:
             return self.eval(x), self.grad(x)
         return self.fused(x)
-
-    def shifted(self, offset: float) -> "ScalarTarget":
-        """Target with f + offset (same measure, different normalizer)."""
-        base_eval, base_fused = self.eval, self.fused
-
-        def fused(x):
-            vals, grads = base_fused(x)
-            return vals + offset, grads
-
-        return replace(
-            self,
-            params={**self.params, "offset": self.params.get("offset", 0.0) + offset},
-            eval=lambda x: base_eval(x) + offset,
-            fused=None if base_fused is None else fused,
-        )
-
-
-def normalized(space, target: ScalarTarget) -> ScalarTarget:
-    """Shift f so that E_mu[e^{-f}] = 1 under the space's quadrature."""
-    return target.shifted(log_normalizer(space, target))
 
 
 def _probe_points(dim: int) -> np.ndarray:

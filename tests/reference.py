@@ -39,6 +39,35 @@ class NonSquareOperatorError(MongelabError):
     """An operator field did not evaluate to d x d matrices."""
 
 
+# -- potentials, dual grids and study tables --------------------------------
+def zero_field(dim: int, degree: int) -> PotentialField:
+    """phi = 0 in the (dim, degree) Hermite basis."""
+    basis = HermiteBasis(dim, degree)
+    return PotentialField(basis, np.zeros(basis.size))
+
+
+def coeff_dict(phi: PotentialField) -> dict:
+    """{multi-index: coefficient} of the nonzero coefficients of phi."""
+    return {alpha: float(c) for alpha, c in zip(phi.basis.indices, phi.coeffs) if c != 0.0}
+
+
+def default_dual_grid(dim: int) -> np.ndarray:
+    """A tabulation grid for conjugate: 2001 points on [-8, 8] in 1d, a 61 x 61
+    lattice on [-5, 5]^2 in 2d."""
+    if dim == 1:
+        return np.linspace(-8.0, 8.0, 2001).reshape(-1, 1)
+    if dim == 2:
+        side = np.linspace(-5.0, 5.0, 61)
+        xx, yy = np.meshgrid(side, side, indexing="ij")
+        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    raise ValueError("tabulated dual grids are provided for d <= 2 only")
+
+
+def grad_errors(table) -> list:
+    """grad_phi_err of a StudyTable's rows whose solve succeeded, by n."""
+    return [r.grad_phi_err for r in table.rows if r.status == "ok"]
+
+
 # -- OU semigroup and conditioning ------------------------------------------
 def ou_semigroup(space: GaussianSpace, g: Callable, t: float) -> Callable:
     """P_t g(x) = sum_j W_j g(e^{-t} x + sqrt(1 - e^{-2t}) y_j).
@@ -307,7 +336,8 @@ def gaussian_jacobian(space: GaussianSpace, phi: PotentialField) -> Callable:
 
     L phi comes from the analytic Hermite representation, not quadrature.
     """
-    lphi = phi.ou_apply()
+    # L He_alpha = |alpha| He_alpha
+    lphi = PotentialField(phi.basis, phi.coeffs * phi.basis.ou_eigenvalues)
 
     def jac(x):
         pts = as_points(x, phi.dim)

@@ -116,12 +116,31 @@ class TestConfigErrors:
             ([0.0, 1.0, float("inf")], [0.0, 1.0, 1.0], "xs and fs must contain only finite"),
             ([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]], "xs and fs must be flat lists"),
         ]),
+        # a negative tolerance or threshold fails even an exact result
+        *(("solve", {**GAUSSIAN_SOLVE, "tolerances": {key: -1}},
+           f"invalid tolerances: {key} must be >= 0, got -1")
+          for key in ("identity", "inequality", "trace", "variational_gap", "oracle")),
+        ("battery", {"battery": [GAUSSIAN_SOLVE], "tolerances": {"oracle": -1e-3}},
+         "invalid tolerances: oracle must be >= 0"),
+        ("study", with_study(threshold=-0.5), "study.threshold must be >= 0, got -0.5"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_tolerances_are_valid(self, tmp_path):
+        # 0 is a tolerance: the N(1, 4) solve runs to its report, where every
+        # inequality still passes and the identities' rounding residuals fail
+        tolerances = dict.fromkeys(["identity", "inequality", "trace", "variational_gap",
+                                    "oracle"], 0)
+        cfg = write_config(tmp_path, "cfg.json", {**GAUSSIAN_SOLVE, "tolerances": tolerances})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        checks = json.loads((tmp_path / "out" / "solve_report.json").read_text())[
+            "diagnostics"]["checks"]
+        inequalities = [c for c in checks if c["kind"] == "inequality"]
+        assert inequalities and all(c["tolerance"] == 0.0 and c["passed"] for c in inequalities)
 
 
 class TestSolveCommand:

@@ -26,7 +26,7 @@ from mongelab import (
     weighted_div_second_moment_identity,
 )
 from mongelab.diagnostics import L2_EPS, certify_semiconvexity, hessian_composition_gap
-from reference import constant_field, gradient_field, linear_field
+from reference import constant_field, default_dual_grid, gradient_field, linear_field, zero_field
 
 
 def on_nodes(xi, space):
@@ -55,7 +55,7 @@ class TestForwardElResidual:
         assert forward_el_residual(NodeTables(line80, target_21, quadratic_phi(2.0, 1.0))) <= 1e-8
 
     def test_flat(self, line60, flat):
-        assert forward_el_residual(NodeTables(line60, flat, PotentialField.zero(1, 2))) <= 1e-16
+        assert forward_el_residual(NodeTables(line60, flat, zero_field(1, 2))) <= 1e-16
 
     def test_solved_quartic(self):
         space = GaussianSpace.tensor_hermite(1, 30)
@@ -96,7 +96,7 @@ class TestTracePositivity:
             ).min()
             if margin <= 1e-6:
                 continue
-            assert trace_positivity(NodeTables(line60, None, phi), max_nodes=100) >= -1e-12
+            assert trace_positivity(NodeTables(line60, None, phi)) >= -1e-12
 
     def test_2d_directions(self, plane20):
         phi = PotentialField.from_coeff_dict(2, 3, {(2, 1): 0.03, (1, 2): -0.02, (3, 0): 0.01})
@@ -110,7 +110,7 @@ class TestControlForward:
         assert rhs == pytest.approx(10.5, abs=1e-5)
 
     def test_flat(self, line60, flat):
-        lhs, rhs = control_forward(NodeTables(line60, flat, PotentialField.zero(1, 2)))
+        lhs, rhs = control_forward(NodeTables(line60, flat, zero_field(1, 2)))
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert rhs == pytest.approx(0.0, abs=1e-14)
 
@@ -131,14 +131,14 @@ class TestDualHessianBound:
         assert rhs == pytest.approx(10.5, abs=1e-5)
 
     def test_flat(self, line60, flat):
-        lhs, rhs = dual_hessian_bound(NodeTables(line60, flat, PotentialField.zero(1, 2),
-                                                 PotentialField.zero(1, 2)))
+        lhs, rhs = dual_hessian_bound(NodeTables(line60, flat, zero_field(1, 2),
+                                                 zero_field(1, 2)))
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_composition_two_routes(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         via_phi, via_psi = hessian_composition_gap(NodeTables(line80, target_21, res.phi, dual))
         assert abs(via_phi - via_psi) <= 1e-3
 
@@ -152,7 +152,7 @@ class TestSobolevBound:
         assert rhs == pytest.approx(30.0, abs=1e-4)
 
     def test_flat_full_margin(self, line60, flat):
-        lhs, rhs, eps = forward_sobolev_bound(NodeTables(line60, flat, PotentialField.zero(1, 2)))
+        lhs, rhs, eps = forward_sobolev_bound(NodeTables(line60, flat, zero_field(1, 2)))
         assert eps == 1.0
         assert lhs == 0.0
         assert rhs == 0.0
@@ -162,7 +162,7 @@ class TestSobolevBound:
         with pytest.raises(NotApplicableError):
             certify_semiconvexity(tgt.hess(line60.nodes))
         with pytest.raises(NotApplicableError):
-            forward_sobolev_bound(NodeTables(line60, tgt, PotentialField.zero(1, 2)))
+            forward_sobolev_bound(NodeTables(line60, tgt, zero_field(1, 2)))
 
 
 class TestDivSecondMoment:
@@ -194,9 +194,7 @@ class TestDivSecondMoment:
 
     def test_weighted_variant(self, line80, target_21):
         # alpha = x^2 = He_2 + 1: E_nu[alpha (delta_nu h)^2] vs quadratic form
-        alpha = PotentialField.from_coeff_dict(1, 2, {(2,): 1.0}).with_coeffs(
-            np.array([0.0, 1.0])
-        )
+        alpha = PotentialField.from_coeff_dict(1, 2, {(2,): 1.0})
 
         class Shifted:
             def eval(self, x):
@@ -251,7 +249,7 @@ class TestDivSecondMoment:
 class TestQuarticRatio:
     def test_flat_degenerate_guard(self, line60, flat):
         lhs, rhs, ratio, degenerate = quartic_ratio(
-            NodeTables(line60, flat, PotentialField.zero(1, 2)))
+            NodeTables(line60, flat, zero_field(1, 2)))
         assert degenerate
         assert ratio == 0.0
 
@@ -273,7 +271,7 @@ class TestL2OuBound:
         assert rhs - lhs >= -1e-6
 
     def test_flat(self, line60, flat):
-        lhs, rhs = l2_ou_bound(NodeTables(line60, flat, dual=PotentialField.zero(1, 2)), eps=0.5)
+        lhs, rhs = l2_ou_bound(NodeTables(line60, flat, dual=zero_field(1, 2)), eps=0.5)
         assert lhs == 0.0
         assert rhs >= 0.0
 
@@ -287,13 +285,13 @@ class TestL2OuBound:
 
     def test_eps_validated(self, line60, flat):
         with pytest.raises(ValueError):
-            l2_ou_bound(NodeTables(line60, flat, dual=PotentialField.zero(1, 2)), eps=0.0)
+            l2_ou_bound(NodeTables(line60, flat, dual=zero_field(1, 2)), eps=0.0)
 
 
 class TestStandardReport:
     def test_gaussian_report_all_pass(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         report = run_standard_checks(line80, target_21, res, dual,
                                      metadata={"name": "gaussian-21"})
         assert report.all_passed()
@@ -304,7 +302,7 @@ class TestStandardReport:
 
     def test_report_deterministic(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         r1 = run_standard_checks(line80, target_21, res, dual)
         r2 = run_standard_checks(line80, target_21, res, dual)
         assert r1.to_json_dict() == r2.to_json_dict()
@@ -370,7 +368,7 @@ class TestStandardReport:
 
         res = solve(line80, target_21, SolveConfig(degree=2))
         fitted = fit_dual(line80, res.nu_weights, res.phi)
-        grid_dual = conjugate(res.phi)
+        grid_dual = conjugate(res.phi, default_dual_grid(1))
         calls = dict.fromkeys(("nu_weights", "floor_checked_inverse", "conjugacy_minimize"), 0)
         for name in calls:
             for module in (ga, po, sb, di):
@@ -399,7 +397,7 @@ class TestStandardReport:
 
     def test_summary_lines_format(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         report = run_standard_checks(line80, target_21, res, dual)
         lines = report.summary_lines()
         assert all(line.startswith(("PASS", "FAIL", "INFO", "SKIP")) for line in lines)

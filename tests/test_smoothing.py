@@ -23,7 +23,7 @@ from mongelab import (
 )
 from mongelab.smoothing import _BLOCK_BYTES
 from mongelab.solver_forward import ForwardWorkspace
-from reference import condition_first_n, np_sum_mixture, one_pass_smoothed, ou_semigroup
+from reference import condition_first_n, grad_errors, np_sum_mixture, one_pass_smoothed, ou_semigroup
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,24 @@ class TestSmoothTarget:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateWeightError, match="smoothed density underflowed"):
                 sm.eval(np.array([[0.0], [1e3]]))
+
+    def test_underflow_at_a_node_raises_in_the_solve(self, line30):
+        # e^{-f} = 0 beyond |x| = 6: at n = 64 every rule row of the outermost
+        # nodes lies past the wall.  Construction evaluates only the probe
+        # points; the solve's one weighing of the nodes raises the error
+        wall = ScalarTarget(
+            1, "wall", {},
+            eval=lambda x: np.where(np.abs(x[:, 0]) < 6, 0.0, np.inf),
+            grad=lambda x: np.zeros_like(x),
+            hess=lambda x: np.zeros((x.shape[0], 1, 1)),
+        )
+        sm = smooth_target(line30, wall, 64)
+        with pytest.raises(DegenerateWeightError, match="smoothed density underflowed"):
+            sm.eval(line30.nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateWeightError, match="smoothed density underflowed"):
+                solve(line30, sm, SolveConfig(degree=2))
 
     def test_log_concavity_preserved_gaussian_kinds(self, line30):
         # for N(m, s^2) targets, hess f_n >= min(hess f, 0) at the nodes
@@ -243,15 +261,6 @@ class TestValueAndGrad:
         assert tr.fused is not None
         self.assert_fused_exact(tr, pts)
 
-    def test_shifted_smoothed_adds_offset_to_value_only(self, line30, target_21):
-        sm = smooth_target(line30, target_21, 2)
-        shifted = sm.shifted(0.37)
-        pts = np.linspace(-3.0, 3.0, 13).reshape(-1, 1)
-        self.assert_fused_exact(shifted, pts)
-        vals, grads = shifted.value_and_grad(pts)
-        assert np.array_equal(vals, sm.eval(pts) + 0.37)
-        assert np.array_equal(grads, sm.grad(pts))
-
     def test_base_target_falls_back_to_two_calls(self):
         quartic = quartic_well_target(0.03, 0.1, dim=2)
         assert quartic.fused is None
@@ -394,7 +403,7 @@ class TestConvergenceStudy:
         tgt = gaussian_target([0.3], 1.3)
         table = convergence_study(space, tgt, "ou", [1, 2, 4, 8, 16, 32, 64],
                                   SolveConfig(degree=4))
-        errs = table.grad_errors()
+        errs = grad_errors(table)
         assert len(errs) == 7
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 1e-2
@@ -417,7 +426,7 @@ class TestConvergenceStudy:
         tgt = quartic_well_target(0.05, 0.0)
         table = convergence_study(line30, tgt, "truncation", [2, 4, 6, 8, 12],
                                   SolveConfig(degree=6, max_iters=3000))
-        errs = table.grad_errors()
+        errs = grad_errors(table)
         assert len(errs) == 5
         assert all(b < a for a, b in zip(errs, errs[1:]))
         # consecutive-solution distances bounded by the error drops
@@ -430,7 +439,7 @@ class TestConvergenceStudy:
                                   reference="finest")
         assert table.reference == "finest(n=12)"
         assert len(table.rows) == 2
-        errs = table.grad_errors()
+        errs = grad_errors(table)
         assert errs[-1] < errs[0]
 
     @pytest.mark.parametrize("degree, reference", [(10, "raw"), (10, "finest"), (6, "raw")])

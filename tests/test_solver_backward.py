@@ -24,7 +24,14 @@ import mongelab.solver_backward as sb
 from mongelab.cli import main
 from mongelab.gaussian import nu_masked_weights
 from mongelab.potentials import EIG_FLOOR, inverse_shift_jacobian
-from reference import graph_identity_gap, halving_conjugacy_minimize, solve_backward_variational
+from reference import (
+    coeff_dict,
+    default_dual_grid,
+    graph_identity_gap,
+    halving_conjugacy_minimize,
+    solve_backward_variational,
+    zero_field,
+)
 
 LN2 = math.log(2.0)
 
@@ -96,7 +103,7 @@ def solved_quartic():
 
 class TestConjugate:
     def test_zero_potential(self):
-        dual = conjugate(PotentialField.zero(1, 2), grid=np.linspace(-3, 3, 41))
+        dual = conjugate(zero_field(1, 2), grid=np.linspace(-3, 3, 41))
         assert dual.converged.all()
         np.testing.assert_allclose(dual.psi_values, 0.0, atol=1e-12)
         np.testing.assert_allclose(dual.grad(np.linspace(-2, 2, 9)), 0.0, atol=1e-12)
@@ -104,7 +111,7 @@ class TestConjugate:
     def test_gaussian_dual_gradient(self):
         # sigma=2, m=1: S(y) = (y-1)/2, grad psi(y) = (y-1)/2 - y
         phi = quadratic_phi(2.0, 1.0)
-        dual = conjugate(phi)
+        dual = conjugate(phi, default_dual_grid(1))
         ys = np.linspace(-3, 3, 11).reshape(-1, 1)
         np.testing.assert_allclose(
             dual.grad(ys)[:, 0], (ys[:, 0] - 1) / 2 - ys[:, 0], atol=1e-10
@@ -121,18 +128,18 @@ class TestConjugate:
 
     def test_exact_hessian_via_forward(self):
         phi = quadratic_phi(2.0, 1.0)
-        dual = conjugate(phi)
+        dual = conjugate(phi, default_dual_grid(1))
         ys = np.linspace(-2, 2, 7)
         np.testing.assert_allclose(dual.hess(ys.reshape(-1, 1))[:, 0, 0], -0.5, atol=1e-12)
 
     def test_young_inequality_on_probe_pairs(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         assert young_gap(res.phi, dual, seed=0) >= -1e-8
 
     def test_zero_on_graph(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         xs = np.linspace(-3, 3, 17)
         assert graph_identity_gap(res.phi, dual, xs.reshape(-1, 1)) <= 1e-10
 
@@ -282,7 +289,7 @@ def quartic_dual():
     tgt = quartic_well_target(0.03, -0.1)
     res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
     assert res.converged
-    return conjugate(res.phi)
+    return conjugate(res.phi, default_dual_grid(1))
 
 
 class TestConjugacyDerivatives:
@@ -328,7 +335,7 @@ class TestConjugacyDerivatives:
     def test_2d_hess_matches_fd(self, plane20):
         tgt = gaussian_target([0.5, -0.3], [1.6, 0.7])
         res = solve(plane20, tgt, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(2))
         ys = np.array([[0.2, -0.4], [1.0, 0.8], [-1.5, 0.0]])
         h = 1e-6
         for k in range(2):
@@ -348,8 +355,8 @@ class TestInverseCheck:
         assert inverse_check(line60, res.phi, dual.as_field()) <= 1e-10
 
     def test_zero_potential(self, line60):
-        phi = PotentialField.zero(1, 2)
-        assert inverse_check(line60, phi, PotentialField.zero(1, 2)) == pytest.approx(0.0, abs=1e-16)
+        phi = zero_field(1, 2)
+        assert inverse_check(line60, phi, zero_field(1, 2)) == pytest.approx(0.0, abs=1e-16)
 
     def test_infeasible_warm_start_rejected(self, line60, target_21):
         from mongelab import SingularJacobianError
@@ -368,7 +375,7 @@ class TestInverseCheck:
 class TestBackwardObjective:
     def test_flat_zero(self, line60):
         flat = gaussian_target([0.0], 1.0)
-        assert backward_objective(line60, flat, PotentialField.zero(1, 2)) == pytest.approx(
+        assert backward_objective(line60, flat, zero_field(1, 2)) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -378,12 +385,12 @@ class TestBackwardObjective:
         assert val == pytest.approx(LN2, abs=1e-6)
 
     def test_zero_psi_suboptimal(self, line80, target_21):
-        val = backward_objective(line80, target_21, PotentialField.zero(1, 2))
+        val = backward_objective(line80, target_21, zero_field(1, 2))
         assert val > LN2 + 1e-3
 
     def test_conjugate_dual_attains(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         assert backward_objective(line80, target_21, dual) == pytest.approx(LN2, abs=1e-6)
 
 
@@ -394,7 +401,7 @@ class TestBackwardElResidual:
 
     def test_flat(self, line60):
         flat = gaussian_target([0.0], 1.0)
-        tables = NodeTables(line60, flat, dual=PotentialField.zero(1, 2))
+        tables = NodeTables(line60, flat, dual=zero_field(1, 2))
         assert backward_el_residual(tables) == pytest.approx(0.0, abs=1e-16)
 
     def test_perturbed_dual_positive(self, line80, target_21):
@@ -409,7 +416,7 @@ class TestBackwardElResidual:
 
     def test_conjugate_gaussian(self, line80, target_21):
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         assert backward_el_residual(NodeTables(line80, target_21, dual=dual)) <= 1e-8
 
     @pytest.mark.parametrize("sigma,m", [(0.5, 0.0), (2.0, 1.0), (1.5, -1.0)])
@@ -418,7 +425,7 @@ class TestBackwardElResidual:
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = gaussian_target([m], sigma)
         res = solve(space, tgt, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         assert backward_el_residual(NodeTables(space, tgt, dual=dual)) <= 1e-4
 
 
@@ -428,7 +435,7 @@ class TestDuality:
         from mongelab.gaussian import nu_masked_weights, nu_weights
 
         res = solve(line80, target_21, SolveConfig(degree=2))
-        dual = conjugate(res.phi)
+        dual = conjugate(res.phi, default_dual_grid(1))
         w, mask = nu_masked_weights(nu_weights(line80, target_21))
         g = dual.grad(line80.nodes[mask])
         nu_side = float(np.sum(w[mask] * np.sum(g**2, axis=1)))
@@ -441,7 +448,7 @@ class TestDuality:
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.02, 0.1)
         res = solve(space, tgt, SolveConfig(degree=6, max_iters=3000))
-        dual_c = conjugate(res.phi)
+        dual_c = conjugate(res.phi, default_dual_grid(1))
         dual_v, res_b = solve_backward_variational(space, tgt,
                                                    SolveConfig(degree=6, max_iters=3000))
         assert res_b.converged
@@ -456,7 +463,7 @@ class TestDuality:
     def test_variational_mode_matches_conjugacy(self, line80, target_21):
         dual_var, res_b = solve_backward_variational(line80, target_21, SolveConfig(degree=2))
         assert res_b.converged
-        coeffs = dual_var.coeff_dict()
+        coeffs = coeff_dict(dual_var)
         assert coeffs[(1,)] == pytest.approx(-0.5, abs=1e-5)
         assert coeffs[(2,)] == pytest.approx(-0.25, abs=1e-5)
         assert res_b.objective == pytest.approx(LN2, abs=1e-6)
@@ -497,7 +504,7 @@ class TestDuality:
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.05, 0.0)
         assert nu_masked_weights(nu_weights(space, tgt))[1].sum() == 14
-        phi = PotentialField.zero(1, 10)
+        phi = zero_field(1, 10)
         w_nu = nu_weights(space, tgt)
         assert fit_dual(space, w_nu, phi, degree=13).psi_fit.degree == 13
         with pytest.raises(DegenerateWeightError, match="14 nu-mass nodes for 15 unknowns"):
@@ -508,5 +515,6 @@ class TestDuality:
         dual = fit_dual(line80, res.nu_weights, res.phi)
         data = dual.to_json_dict()
         assert data["provenance"] == "conjugacy"
-        back = PotentialField.from_json_dict(data)
+        back = PotentialField.from_coeff_dict(data["dim"], data["degree"],
+                                              {tuple(alpha): c for alpha, c in data["coeffs"]})
         np.testing.assert_array_equal(back.coeffs, dual.as_field().coeffs)

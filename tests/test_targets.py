@@ -8,7 +8,6 @@ from mongelab import (
     gaussian_target,
     log_normalizer,
     mixture_target,
-    normalized,
     nu_expectation,
     quartic_well_target,
     tabulated_target_1d,
@@ -28,11 +27,6 @@ def test_gaussian_moments_under_nu(line80):
     tgt = gaussian_target([1.0], 2.0)
     assert nu_expectation(line80, tgt, lambda x: x[:, 0]) == pytest.approx(1.0, abs=1e-9)
     assert nu_expectation(line80, tgt, lambda x: x[:, 0] ** 2) == pytest.approx(5.0, abs=1e-8)
-
-
-def test_normalized_target(line80):
-    tgt = normalized(line80, gaussian_target([1.0], 2.0))
-    assert log_normalizer(line80, tgt) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gaussian_rejects_bad_sigma():
