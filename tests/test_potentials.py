@@ -240,3 +240,13 @@ class TestSerialization:
     def test_rejects_out_of_basis_index(self):
         with pytest.raises(ValueError):
             PotentialField.from_coeff_dict(1, 2, {(3,): 1.0})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=2, max_size=2))
+    def test_round_trip_property(self, coeffs):
+        phi = PotentialField.from_coeff_dict(1, 2, {(1,): coeffs[0], (2,): coeffs[1]})
+        data = json.loads(json.dumps(phi.to_json_dict()))
+        back = PotentialField.from_coeff_dict(data["dim"], data["degree"],
+                                              {tuple(alpha): c for alpha, c in data["coeffs"]})
+        np.testing.assert_array_equal(back.coeffs, phi.coeffs)
