@@ -8,9 +8,9 @@ Subcommands:
     mongelab oracle  --config cfg.json [--out DIR] ...
 
 Configs are strict JSON: unknown keys are errors and messages name the
-offending field.  Exit codes: 0 success, 2 config error, 3 solver did
-not converge, 4 a check failed or a computation could not complete
-(reports are still written).
+offending field.  Exit codes: 0 success, 2 config error (or an unreadable
+config file or unwritable --out), 3 solver did not converge, 4 a check
+failed or a computation could not complete (reports are still written).
 
 Reports embed the config hash, tool version, and quadrature description;
 identical config + seed yields byte-identical files.  Diagnostics are
@@ -25,6 +25,7 @@ slack >= -tolerance; ratio and skipped records never gate the exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -196,7 +197,8 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
 
     Errors in the config raise.  A MongelabError of the computation is
     returned as the dict's "error" (error_text), next to the "solve" block
-    when the forward solve finished.
+    when the forward solve finished.  "code" is the entry's exit code: 4 on
+    an error, 3 if the solve did not converge, 4 if a check failed, else 0.
     """
     _check_keys(cfg, _ENTRY_KEYS, path)
     dim, degree, seed, space, target, solver_cfg = build_problem(cfg, default_seed, path)
@@ -216,10 +218,9 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         "quadrature": space.description,
         "seed": seed,
     }
-    outcome = {"metadata": metadata}
+    outcome = {"metadata": metadata, "code": 4}
     try:
         result = solve(space, target, solver_cfg)
-        outcome["converged"] = result.converged
         outcome["solve"] = {
             "objective": result.objective,
             "iterations": result.iterations,
@@ -246,6 +247,10 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         return outcome
     outcome["dual"] = dual.to_json_dict()
     outcome["report"] = report
+    if not result.converged:
+        outcome["code"] = 3
+    elif report.all_passed():
+        outcome["code"] = 0
     return outcome
 
 
@@ -256,24 +261,43 @@ def oracle_map_sup_error(phi, target: ScalarTarget) -> float:
     return float(np.max(np.abs(t_solver - t_oracle)))
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: int | None) -> dict:
+    """The config object in the file at path, its "seed" set to seed unless None."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    _require_object(cfg, "")
+    if seed is not None:
+        cfg["seed"] = seed
+    return cfg
+
+
+def _write_reports(out_dir: Path, files: dict, error: str | None) -> int:
+    """Write {name: dict as JSON, str as text} under out_dir; 4 after printing
+    the error when there is one, else 0."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            (write_json if isinstance(content, dict) else write_text)(out_dir / name, content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports under {out_dir}: {exc}") from exc
+    if error is None:
+        return 0
+    print(f"error: {error}", file=sys.stderr)
+    return 4
 
 
 _SOLVE_KEYS = _ENTRY_KEYS | {"tolerances"}
 
 
-def cmd_solve(config_path: str, out_dir: Path, seed_override) -> int:
-    cfg = _load_config(config_path)
+def cmd_solve(cfg: dict, out_dir: Path) -> int:
     _check_keys(cfg, _SOLVE_KEYS, "")
-    if seed_override is not None:
-        cfg["seed"] = seed_override
     thresholds = build_thresholds(cfg.get("tolerances", {}))
     entry_cfg = {k: v for k, v in cfg.items() if k in _ENTRY_KEYS}
     outcome = run_entry(entry_cfg, cfg.get("seed", 0), thresholds)
@@ -301,25 +325,15 @@ def cmd_solve(config_path: str, out_dir: Path, seed_override) -> int:
     else:
         payload["error"] = error
         lines.append(f"error: {error}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "solve_report.json", payload)
-    write_text(out_dir / "solve_summary.txt", "\n".join(lines))
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 4
-    if not outcome["converged"]:
-        return 3
-    return 0 if report.all_passed() else 4
+    files = {"solve_report.json": payload, "solve_summary.txt": "\n".join(lines)}
+    return _write_reports(out_dir, files, error) or outcome["code"]
 
 
 _STUDY_KEYS = {"dim", "degree", "quadrature", "target", "solver", "seed", "study"}
 
 
-def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
-    cfg = _load_config(config_path)
+def cmd_study(cfg: dict, out_dir: Path) -> int:
     _check_keys(cfg, _STUDY_KEYS, "")
-    if seed_override is not None:
-        cfg["seed"] = seed_override
     study_cfg = _require(cfg, "study", "")
     _check_keys(study_cfg, {"scheme", "n_list", "threshold", "reference"}, "study.")
     scheme = _require(study_cfg, "scheme", "study.")
@@ -347,8 +361,6 @@ def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
     except MongelabError as exc:  # the reference solve failed: no row can be measured
         error = error_text(exc)
         table = StudyTable(scheme=scheme, reference=reference)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_text(out_dir / "study_table.csv", table.to_csv())
     payload = {
         "tool_version": TOOL_VERSION,
         "config_hash": config_hash(cfg),
@@ -356,28 +368,15 @@ def cmd_study(config_path: str, out_dir: Path, seed_override) -> int:
         "reference": table.reference,
         "threshold": threshold,
         "quadrature": space.description,
-        "rows": [
-            {
-                "n": r.n,
-                "grad_phi_err": r.grad_phi_err,
-                "psi_err": r.psi_err,
-                "psi_err_smoothed": r.psi_err_smoothed,
-                "w2sq": r.w2sq,
-                "status": r.status,
-            }
-            for r in table.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in table.rows],
     }
     if error is not None:
         payload["error"] = error
-    write_json(out_dir / "study_report.json", payload)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    files = {"study_table.csv": table.to_csv(), "study_report.json": payload}
+    if _write_reports(out_dir, files, error):
         return 4
-    final = table.rows[-1]
-    if final.status != "ok" or not np.isfinite(final.grad_phi_err):
-        return 4
-    return 0 if final.grad_phi_err <= threshold else 4
+    final = table.rows[-1]  # a NaN error fails the comparison
+    return 0 if final.status == "ok" and final.grad_phi_err <= threshold else 4
 
 
 def default_battery() -> list[dict]:
@@ -417,11 +416,8 @@ def default_battery() -> list[dict]:
     return entries
 
 
-def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
-    cfg = _load_config(config_path)
+def cmd_battery(cfg: dict, out_dir: Path) -> int:
     _check_keys(cfg, {"battery", "seed", "tolerances"}, "")
-    if seed_override is not None:
-        cfg["seed"] = seed_override
     battery = _require(cfg, "battery", "")
     if battery == "default":
         entries = default_battery()
@@ -449,19 +445,13 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
         if not isinstance(name, str) or any(p["name"] == name for p in entry_payloads):
             raise ConfigError(f"config key {path}name must be a string no other entry has, "
                               f"got {name!r}")
-        try:
-            outcome = run_entry({**entry, "name": name}, seed, thresholds, path=path)
-        except ConfigError:
-            raise
-        except MongelabError as exc:  # raised while building the space or target
-            outcome = {"error": error_text(exc)}
-        if "error" in outcome:
+        outcome = run_entry({**entry, "name": name}, seed, thresholds, path=path)
+        if outcome["code"]:
             failed_entries.append(name)
+        if "error" in outcome:
             entry_payloads.append({"name": name, "error": outcome["error"]})
             continue
         report = outcome["report"]
-        if not outcome["converged"]:
-            failed_entries.append(name)
         for rec in report.records:
             base = rec.name.split("(")[0]
             if rec.kind == "inequality":
@@ -478,8 +468,6 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
                 max_ratio = max(max_ratio, rec.lhs / rec.rhs)
             elif rec.kind == "skipped":
                 skipped.append({"entry": name, "check": rec.name, "note": rec.note})
-        if not report.all_passed():
-            failed_entries.append(name)
         entry_payloads.append({
             "name": name,
             "solve": outcome["solve"],
@@ -492,7 +480,7 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
         "max_oracle_sup_error": max_oracle,
         "max_quartic_ratio": max_ratio,
         "skipped_checks": skipped,
-        "failed_entries": sorted(set(failed_entries)),
+        "failed_entries": sorted(failed_entries),
     }
     payload = {
         "tool_version": TOOL_VERSION,
@@ -500,8 +488,6 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
         "aggregate": aggregate,
         "entries": entry_payloads,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "battery_report.json", payload)
     lines = [f"mongelab battery ({TOOL_VERSION})  entries={len(entries)}"]
     for key, val in aggregate["min_inequality_slack"].items():
         lines.append(f"min slack {key:28s} {val!r}")
@@ -513,16 +499,11 @@ def cmd_battery(config_path: str, out_dir: Path, seed_override) -> int:
         lines.append(f"skipped {item['entry']}: {item['check']} ({item['note']})")
     for name in aggregate["failed_entries"]:
         lines.append(f"FAILED {name}")
-    write_text(out_dir / "battery_summary.txt", "\n".join(lines))
-
-    ok = not aggregate["failed_entries"]
-    ok = ok and all(v >= -thresholds.inequality for v in min_slack.values())
-    ok = ok and max_oracle <= thresholds.oracle
-    return 0 if ok else 4
+    files = {"battery_report.json": payload, "battery_summary.txt": "\n".join(lines)}
+    return _write_reports(out_dir, files, None) or (4 if failed_entries else 0)
 
 
-def cmd_oracle(config_path: str, out_dir: Path, seed_override) -> int:
-    cfg = _load_config(config_path)
+def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     _check_keys(cfg, {"target", "grid", "seed"}, "")
     _nonnegative_int(cfg.get("seed", 0), "seed")  # accepted for symmetry; the oracle draws nothing
     target = build_target(_require(cfg, "target", ""), 1)
@@ -556,13 +537,8 @@ def cmd_oracle(config_path: str, out_dir: Path, seed_override) -> int:
     else:
         lines += [f"{float(x)!r},{float(t)!r},{float(p)!r}"
                   for x, t, p in zip(transport.x, transport.t, potential.phi)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_text(out_dir / "oracle_table.csv", "\n".join(lines))
-    write_json(out_dir / "oracle_report.json", payload)
-    if "error" in payload:
-        print(f"error: {payload['error']}", file=sys.stderr)
-        return 4
-    return 0
+    files = {"oracle_table.csv": "\n".join(lines), "oracle_report.json": payload}
+    return _write_reports(out_dir, files, payload.get("error"))
 
 
 def main(argv=None) -> int:
@@ -584,7 +560,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         # --threads is accepted for compatibility and ignored: entries run in order
-        return handler(args.config, Path(args.out), args.seed)
+        return handler(_load_config(args.config, args.seed), Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

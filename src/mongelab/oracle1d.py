@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -135,15 +134,10 @@ class MonotoneMap1D:
 
     x: np.ndarray
     t: np.ndarray
-    nu_grid: np.ndarray
-    nu_cdf: np.ndarray
-
-    @cached_property
-    def _cubics(self) -> np.ndarray:
-        return pchip(self.x, self.t)
 
     def __call__(self, x) -> np.ndarray:
-        return evaluate(self.x, self._cubics, x)
+        """T(x) by the PCHIP through the tabulated values."""
+        return evaluate(self.x, pchip(self.x, self.t), x)
 
 
 def _invert_cubics(coef: np.ndarray, width: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -203,7 +197,7 @@ def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None) -> Monoto
                                    ys[k] - ys[k - 1], q)
     if np.any(np.diff(t) <= 0):
         raise NonIntegrableDensityError("rearrangement map is not strictly increasing")
-    return MonotoneMap1D(grid, t, ys, cdf)
+    return MonotoneMap1D(grid, t)
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,7 @@ class TabulatedPotential1D:
 def potential_from_map(transport: MonotoneMap1D) -> TabulatedPotential1D:
     """Antiderivative of the shift, trapezoid on the map's own grid."""
     x = transport.x
-    shift = transport(x) - x
+    shift = transport.t - x
     vals = np.concatenate([[0.0], np.cumsum(0.5 * (shift[1:] + shift[:-1]) * np.diff(x))])
     anchor = np.interp(0.0, x, vals)
     return TabulatedPotential1D(x, vals - anchor)

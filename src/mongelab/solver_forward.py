@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NonFiniteValueError, SingularJacobianError
 from .gaussian import GaussianSpace
 from .hermite import HermiteBasis
+from .oracle1d import wasserstein2_sq
 from .potentials import EIG_FLOOR, PotentialField, relative_entropy_terms
 from .targets import ScalarTarget
 
@@ -57,19 +58,25 @@ class SolveResult:
     nu_weights: np.ndarray | None = None  # normalized nu-weights on the nodes, set by solve
 
 
-class BarrierWorkspace:
-    """Per-node basis tables and the barrier -E_w[log det2(I + hess)] over
-    Hermite coefficients.  Each subclass defines
-    objective_and_gradient(coeffs) -> (value, gradient, margin), which
-    minimize_with_barrier drives.
+class ForwardWorkspace:
+    """J_f and its coefficient gradient on the mu-quadrature nodes, from
+    per-node basis tables and the barrier -E_w[log det2(I + hess)].
+
+    objective_and_gradient(coeffs) -> (value, gradient, margin) is what
+    minimize_with_barrier drives.  Infeasible coefficient vectors
+    (eigenvalue floor violated at a node) evaluate to +inf, which the
+    backtracking line search rejects.
     """
 
-    def __init__(self, basis: HermiteBasis, nodes: np.ndarray, weights: np.ndarray):
+    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
+        if basis.dim != space.dim:
+            raise ValueError("basis dimension does not match space")
         self.basis = basis
-        self.nodes = nodes
-        self.w = weights
-        self.bgrad = basis.grad_table(nodes)    # (A, d, N)
-        self.bhess = basis.hess_table(nodes)    # (A, d, d, N)
+        self.target = target
+        self.nodes = space.nodes
+        self.w = space.weights
+        self.bgrad = basis.grad_table(self.nodes)    # (A, d, N)
+        self.bhess = basis.hess_table(self.nodes)    # (A, d, d, N)
         self.eye = np.eye(basis.dim)
         self.coeff_scale = coefficient_scale(self.bhess)
 
@@ -94,20 +101,6 @@ class BarrierWorkspace:
         k = np.linalg.inv(jac)
         m = (k - self.eye[None]) * self.w[:, None, None]
         return -np.einsum("nij,aijn->a", m, self.bhess)
-
-
-class ForwardWorkspace(BarrierWorkspace):
-    """J_f and its coefficient gradient on the mu-quadrature nodes.
-
-    Infeasible coefficient vectors (eigenvalue floor violated at a node)
-    evaluate to +inf, which the backtracking line search rejects.
-    """
-
-    def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
-        if basis.dim != space.dim:
-            raise ValueError("basis dimension does not match space")
-        super().__init__(basis, space.nodes, space.weights)
-        self.target = target
 
     def objective_and_gradient(self, coeffs: np.ndarray):
         return self._evaluate(coeffs)
@@ -143,7 +136,7 @@ def coefficient_scale(bhess: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + sens)
 
 
-def minimize_with_barrier(ws: BarrierWorkspace, x0: np.ndarray, config: SolveConfig,
+def minimize_with_barrier(ws: ForwardWorkspace, x0: np.ndarray, config: SolveConfig,
                           variational_lhs: float) -> SolveResult:
     """Deterministic BFGS with Armijo backtracking over the coefficients
     of ws, from x0.
@@ -289,9 +282,7 @@ def wasserstein_check(space: GaussianSpace, result: SolveResult,
     if target.kind == "gaussian":
         return lhs, gaussian_w2_sq(target)
     if target.dim == 1:
-        from .oracle1d import wasserstein2_sq as oracle_w2
-
-        return lhs, oracle_w2(target)
+        return lhs, wasserstein2_sq(target)
     return lhs, float("nan")
 
 

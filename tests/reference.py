@@ -32,7 +32,7 @@ from mongelab.hermite import as_points
 from mongelab.oracle1d import GRID, _invert_cubics, _nu_density_table
 from mongelab.potentials import EIG_FLOOR
 from mongelab.solver_backward import DualPotential
-from mongelab.solver_forward import BarrierWorkspace, minimize_with_barrier
+from mongelab.solver_forward import ForwardWorkspace, minimize_with_barrier
 
 
 class NonSquareOperatorError(MongelabError):
@@ -400,20 +400,21 @@ def halving_conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     return x, (rnorm <= tol) & (min_eig > EIG_FLOOR)
 
 
-class BackwardWorkspace(BarrierWorkspace):
+class BackwardWorkspace(ForwardWorkspace):
     """J_b(psi) = -E_nu[f] - E_nu[log det2(I + hess psi) - L psi - |grad psi|^2 / 2]
     and its coefficient gradient over psi on the mass-floored nu-nodes.
 
     The infimum of J_b is -log nu(e^f) = log E[e^{-f}], attained at the
-    conjugacy dual psi.
+    conjugacy dual psi.  The forward workspace's tables and barrier are
+    built over the nu-mass nodes, weighted by nu.
     """
 
     def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
         w, mask = nu_masked_weights(nu_weights(space, target))
-        nodes = space.nodes[mask]
-        super().__init__(basis, nodes, w[mask])
-        self.bval = basis.value_table(nodes)
-        fvals = np.asarray(target.eval(nodes), dtype=float).reshape(-1)
+        nu_space = GaussianSpace(space.dim, space.nodes[mask], w[mask], "nu-mass nodes")
+        super().__init__(nu_space, target, basis)
+        self.bval = basis.value_table(self.nodes)
+        fvals = np.asarray(target.eval(self.nodes), dtype=float).reshape(-1)
         self.const = float(np.sum(self.w * (-fvals)))
         self.ou_eigs = basis.ou_eigenvalues
 

@@ -203,6 +203,21 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("case", ["config-is-directory", "config-not-utf8", "out-is-file"])
+    def test_unreadable_config_or_unwritable_out(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, "cfg.json", GAUSSIAN_SOLVE)
+        out = tmp_path / "out"
+        if case == "config-is-directory":
+            cfg = str(tmp_path)
+        elif case == "config-not-utf8":
+            (tmp_path / "cfg.json").write_bytes(b'{"dim": "\xff"}')
+        else:
+            out.write_text("not a directory", encoding="utf-8")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot ")
+        assert (str(out) if case == "out-is-file" else cfg) in err
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", GAUSSIAN_SOLVE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -517,6 +532,21 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_sets_the_config_seed(self, tmp_path, capsys):
+        from mongelab.reports import config_hash
+
+        config = {"target": {"kind": "gaussian", "mean": [1.0], "sigma": 2.0},
+                  "grid": {"lo": -1.0, "hi": 1.0, "count": 3}}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["config_hash"] == config_hash({**config, "seed": 3})
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "bad"),
+                     "--seed", "-1"]) == 2
+        assert "config key seed" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_requires_1d_target(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
