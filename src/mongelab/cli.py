@@ -70,53 +70,39 @@ def _check_keys(cfg: dict, allowed: set, path: str) -> None:
             raise ConfigError(f"unknown config key: {path}{key}")
 
 
-def _positive_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"config key {name} must be a positive integer")
+def _int_at_least(value, key: str, least: int) -> int:
+    """value for a JSON integer >= least (booleans are not integers)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"config key {key} must be an integer >= {least}, got {value!r}")
     return value
 
 
-def _nonnegative_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"config key {name} must be a nonnegative integer")
-    return value
-
-
-def _finite_float(value, name: str) -> float:
-    """float(value) for a finite JSON number.
-
-    Booleans, strings and non-finite values raise ValueError naming `name`,
-    as float() would raise, so each caller's error wrapper names the section.
-    """
+def _finite_float(value, key: str, least: float | None = None) -> float:
+    """float(value) for a finite JSON number (booleans and strings are not
+    numbers), also >= least when given: a tolerance or threshold bounds a
+    residual, and below 0 even an exact result would fail it."""
     # the comparison is exact for ints and false for NaN
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"config key {key} must be >= {least}, got {value!r}")
+    return float(value)
 
 
-def _tolerance(value, name: str) -> float:
-    """_finite_float(value, name), also >= 0: a tolerance or threshold bounds
-    a residual, and below 0 even an exact result would fail it."""
-    number = _finite_float(value, name)
-    if number < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return number
-
-
-def build_space(cfg: dict, dim: int, default_seed: int, path: str = "quadrature.") -> GaussianSpace:
+def build_space(cfg: dict, dim: int, seed: int, path: str = "quadrature.") -> GaussianSpace:
+    """The quadrature rule; a monte-carlo rule draws its samples with seed."""
     kind = _require(cfg, "kind", path)
     if kind == "tensor-hermite":
         _check_keys(cfg, {"kind", "level"}, path)
-        level = _positive_int(_require(cfg, "level", path), path + "level")
+        level = _int_at_least(_require(cfg, "level", path), path + "level", 1)
         try:
             return GaussianSpace.tensor_hermite(dim, level)
         except ValueError as exc:
             raise ConfigError(f"{path}level: {exc}") from exc
     if kind == "monte-carlo":
-        _check_keys(cfg, {"kind", "samples", "seed"}, path)
-        samples = _positive_int(_require(cfg, "samples", path), path + "samples")
-        seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
+        _check_keys(cfg, {"kind", "samples"}, path)
+        samples = _int_at_least(_require(cfg, "samples", path), path + "samples", 1)
         return GaussianSpace.monte_carlo(dim, samples, seed)
     raise ConfigError(f"{path}kind must be 'tensor-hermite' or 'monte-carlo', got {kind!r}")
 
@@ -129,8 +115,8 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
             return gaussian_target(_require(cfg, "mean", path), _require(cfg, "sigma", path), dim=dim)
         if kind == "quartic-well":
             _check_keys(cfg, {"kind", "a", "b"}, path)
-            return quartic_well_target(_finite_float(_require(cfg, "a", path), "a"),
-                                       _finite_float(_require(cfg, "b", path), "b"), dim=dim)
+            return quartic_well_target(_finite_float(_require(cfg, "a", path), path + "a"),
+                                       _finite_float(_require(cfg, "b", path), path + "b"), dim=dim)
         if kind == "mixture":
             _check_keys(cfg, {"kind", "weights", "means", "sigmas"}, path)
             return mixture_target(_require(cfg, "weights", path), _require(cfg, "means", path),
@@ -147,31 +133,23 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
 
 def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveConfig:
     _check_keys(cfg, {"optimizer", "max_iters", "grad_tol"}, path)
-    max_iters = _positive_int(cfg.get("max_iters", 500), path + "max_iters")
+    max_iters = _int_at_least(cfg.get("max_iters", 500), path + "max_iters", 1)
+    grad_tol = _finite_float(cfg.get("grad_tol", 1e-8), path + "grad_tol")
     try:
         optimizer = cfg.get("optimizer", "quasi-newton")  # kept for the documented config format
         if optimizer != "quasi-newton":
             raise ValueError(f"unknown optimizer {optimizer!r}")
-        return SolveConfig(degree=degree, max_iters=max_iters,
-                           grad_tol=_finite_float(cfg.get("grad_tol", 1e-8), "grad_tol"))
-    except (ValueError, TypeError) as exc:
+        return SolveConfig(degree=degree, max_iters=max_iters, grad_tol=grad_tol)
+    except ValueError as exc:
         raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
 
 
 def build_thresholds(cfg: dict, path: str = "tolerances.") -> CheckThresholds:
-    _check_keys(cfg, {"identity", "inequality", "trace", "variational_gap", "oracle"}, path)
-    base = CheckThresholds()
-    try:
-        return CheckThresholds(
-            identity_solved=_tolerance(cfg.get("identity", base.identity_solved), "identity"),
-            inequality=_tolerance(cfg.get("inequality", base.inequality), "inequality"),
-            trace=_tolerance(cfg.get("trace", base.trace), "trace"),
-            variational_gap=_tolerance(cfg.get("variational_gap", base.variational_gap),
-                                       "variational_gap"),
-            oracle=_tolerance(cfg.get("oracle", base.oracle), "oracle"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid {path.rstrip('.')}: {exc}") from exc
+    """CheckThresholds with each tolerances key that cfg sets; a key is a field name."""
+    names = [f.name for f in dataclasses.fields(CheckThresholds)]
+    _check_keys(cfg, set(names), path)
+    return CheckThresholds(**{name: _finite_float(cfg[name], path + name, least=0)
+                              for name in names if name in cfg})
 
 
 _ENTRY_KEYS = {"name", "dim", "degree", "quadrature", "target", "solver", "seed", "dual_degree"}
@@ -183,9 +161,9 @@ def error_text(exc: MongelabError) -> str:
 
 def build_problem(cfg: dict, default_seed: int, path: str = ""):
     """(dim, degree, seed, space, target, solver config) of one solve config."""
-    dim = _positive_int(_require(cfg, "dim", path), path + "dim")
-    degree = _positive_int(_require(cfg, "degree", path), path + "degree")
-    seed = _nonnegative_int(cfg.get("seed", default_seed), path + "seed")
+    dim = _int_at_least(_require(cfg, "dim", path), path + "dim", 1)
+    degree = _int_at_least(_require(cfg, "degree", path), path + "degree", 1)
+    seed = _int_at_least(cfg.get("seed", default_seed), path + "seed", 0)
     space = build_space(_require(cfg, "quadrature", path), dim, seed, path + "quadrature.")
     target = build_target(_require(cfg, "target", path), dim, path + "target.")
     solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
@@ -204,7 +182,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     dim, degree, seed, space, target, solver_cfg = build_problem(cfg, default_seed, path)
     dual_degree = cfg.get("dual_degree")
     if "dual_degree" in cfg:  # null is not a degree
-        _positive_int(dual_degree, path + "dual_degree")
+        _int_at_least(dual_degree, path + "dual_degree", 1)
     name = cfg.get("name", f"{target.kind}-d{dim}")
     if not isinstance(name, str):
         raise ConfigError(f"config key {path}name must be a string, got {name!r}")
@@ -343,11 +321,8 @@ def cmd_study(cfg: dict, out_dir: Path) -> int:
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError("study.n_list must be a nonempty list of integers")
     for i, n in enumerate(n_list):
-        _positive_int(n, f"study.n_list[{i}]")
-    try:
-        threshold = _tolerance(study_cfg.get("threshold", 1e-2), "study.threshold")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        _int_at_least(n, f"study.n_list[{i}]", 1)
+    threshold = _finite_float(study_cfg.get("threshold", 1e-2), "study.threshold", least=0)
     reference = study_cfg.get("reference", "raw")
     if reference not in ("raw", "finest"):
         raise ConfigError(f"study.reference must be 'raw' or 'finest', got {reference!r}")
@@ -428,7 +403,7 @@ def cmd_battery(cfg: dict, out_dir: Path) -> int:
     if not entries:
         raise ConfigError("battery is empty")
     thresholds = build_thresholds(cfg.get("tolerances", {}))
-    seed = _nonnegative_int(cfg.get("seed", 0), "seed")
+    seed = _int_at_least(cfg.get("seed", 0), "seed", 0)
 
     min_slack: dict = {}
     max_identity: dict = {}
@@ -505,20 +480,15 @@ def cmd_battery(cfg: dict, out_dir: Path) -> int:
 
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     _check_keys(cfg, {"target", "grid", "seed"}, "")
-    _nonnegative_int(cfg.get("seed", 0), "seed")  # accepted for symmetry; the oracle draws nothing
+    _int_at_least(cfg.get("seed", 0), "seed", 0)  # accepted for symmetry; the oracle draws nothing
     target = build_target(_require(cfg, "target", ""), 1)
     grid_cfg = cfg.get("grid", {})
     _check_keys(grid_cfg, {"lo", "hi", "count"}, "grid.")
-    try:
-        lo = _finite_float(grid_cfg.get("lo", -8.0), "grid.lo")
-        hi = _finite_float(grid_cfg.get("hi", 8.0), "grid.hi")
-    except ValueError as exc:
-        raise ConfigError(f"grid.lo and grid.hi must be finite numbers: {exc}") from exc
+    lo = _finite_float(grid_cfg.get("lo", -8.0), "grid.lo")
+    hi = _finite_float(grid_cfg.get("hi", 8.0), "grid.hi")
     if not lo < hi:
         raise ConfigError(f"grid.lo and grid.hi must satisfy lo < hi, got {lo!r}, {hi!r}")
-    count = _positive_int(grid_cfg.get("count", 2001), "grid.count")
-    if count < 2:
-        raise ConfigError("config key grid.count must be at least 2")
+    count = _int_at_least(grid_cfg.get("count", 2001), "grid.count", 2)
     payload = {
         "tool_version": TOOL_VERSION,
         "config_hash": config_hash(cfg),

@@ -23,7 +23,7 @@ Implemented checks (nu is the target measure, phi/psi the potentials):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -55,16 +55,7 @@ class CheckRecord:
         return self.rhs - self.lhs
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "slack": self.slack}
 
 
 @dataclass
@@ -369,7 +360,7 @@ L2_EPS = (0.1, 0.5, 0.9)  # the eps values of the l2_ou_bound records
 
 @dataclass(frozen=True)
 class CheckThresholds:
-    identity_solved: float = 1e-3
+    identity: float = 1e-3
     inequality: float = 1e-6
     trace: float = 1e-12
     # basis truncation leaves a genuine restricted-class gap ~1e-6 for
@@ -402,21 +393,19 @@ def run_standard_checks(space: GaussianSpace, target: ScalarTarget, result, dual
         "el_forward",
         forward_el_residual(tables),
         0.0,
-        tol.identity_solved,
+        tol.identity,
         note="mean-square forward stationarity residual",
     )
     report.add_identity(
         "el_backward",
         backward_residual_of(tables),
         0.0,
-        tol.identity_solved,
+        tol.identity,
         note="mean-square backward stationarity residual",
     )
     lhs, rhs = div_second_moment_identity(tables, tables.grad_phi, tables.hess_phi)
-    report.add_identity("div_second_moment", lhs, rhs, tol.identity_solved,
-                        note="xi = grad phi")
-    report.add_identity("hessian_composition", *hessian_composition_gap(tables),
-                        tol.identity_solved)
+    report.add_identity("div_second_moment", lhs, rhs, tol.identity, note="xi = grad phi")
+    report.add_identity("hessian_composition", *hessian_composition_gap(tables), tol.identity)
 
     report.add_inequality("trace_positivity", 0.0, trace_positivity(tables),
                           tol.trace, note="min trace(KAKA)")

@@ -92,15 +92,26 @@ def _sum_last(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _per_axis(values, name: str, d: int, rows: int = 1) -> np.ndarray:
+    """values as a (rows, d) array: one value per row for every axis, or one
+    per row and axis; any other count raises ValueError naming the parameter."""
+    values = np.asarray(values, dtype=float)
+    allowed = sorted({rows, rows * d})
+    if values.size not in allowed:
+        per = f" with {rows} components" if rows > 1 else ""
+        raise ValueError(f"{name} has {values.size} values, but dim = {d}{per} allows "
+                         + " or ".join(map(str, allowed)))
+    return np.broadcast_to(values.reshape(rows, -1), (rows, d)).copy()
+
+
 def gaussian_target(mean, sigma, dim: int | None = None) -> ScalarTarget:
     """f(x) = sum_i [(x_i - m_i)^2 / (2 s_i^2) - x_i^2 / 2], so nu = N(m, diag(s^2)).
 
     The normalizer is E[e^{-f}] = prod_i s_i.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    d = dim if dim is not None else mean.shape[0]
-    mean = np.broadcast_to(mean, (d,)).copy()
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (d,)).copy()
+    d = dim if dim is not None else np.size(mean)
+    mean = _per_axis(mean, "mean", d)[0]
+    sigma = _per_axis(sigma, "sigma", d)[0]
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
     if not np.all(np.isfinite(sigma)):
@@ -164,8 +175,8 @@ def mixture_target(weights, means, sigmas, dim: int = 1) -> ScalarTarget:
         raise ValueError("mixture weights must be positive and sum to 1")
     n_comp = pi.shape[0]
     d = dim
-    means = np.broadcast_to(np.asarray(means, dtype=float).reshape(n_comp, -1), (n_comp, d)).copy()
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float).reshape(n_comp, -1), (n_comp, d)).copy()
+    means = _per_axis(means, "means", d, n_comp)
+    sigmas = _per_axis(sigmas, "sigmas", d, n_comp)
     if np.any(sigmas <= 0):
         raise ValueError("mixture sigmas must be positive")
     if not np.all(np.isfinite(sigmas)):

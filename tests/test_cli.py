@@ -56,11 +56,11 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "solver": {"grad_tol_soft": True}},
          "unknown config key: solver.grad_tol_soft"),
         ("solve", {**GAUSSIAN_SOLVE, "tolerances": {"identity": True}},
-         "invalid tolerances: identity"),
+         "config key tolerances.identity"),
         ("solve", {**GAUSSIAN_SOLVE, "solver": {"grad_tol": float("nan")}},
-         "invalid solver: grad_tol"),
+         "config key solver.grad_tol"),
         ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "quartic-well", "a": True, "b": 0.0}},
-         "invalid target: a"),
+         "config key target.a"),
         ("study", with_study(threshold=True), "study.threshold"),
         ("oracle", {"target": GAUSSIAN_SOLVE["target"], "grid": {"lo": True}}, "grid.lo"),
         ("battery", {"battery": [GAUSSIAN_SOLVE, 5]}, "expected an object at battery[1]"),
@@ -118,11 +118,27 @@ class TestConfigErrors:
         ]),
         # a negative tolerance or threshold fails even an exact result
         *(("solve", {**GAUSSIAN_SOLVE, "tolerances": {key: -1}},
-           f"invalid tolerances: {key} must be >= 0, got -1")
+           f"config key tolerances.{key} must be >= 0, got -1")
           for key in ("identity", "inequality", "trace", "variational_gap", "oracle")),
         ("battery", {"battery": [GAUSSIAN_SOLVE], "tolerances": {"oracle": -1e-3}},
-         "invalid tolerances: oracle must be >= 0"),
+         "config key tolerances.oracle must be >= 0"),
         ("study", with_study(threshold=-0.5), "study.threshold must be >= 0, got -0.5"),
+        # the entry's seed (or --seed) is the one monte-carlo seed
+        ("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "monte-carlo", "samples": 500,
+                                                    "seed": 3}},
+         "unknown config key: quadrature.seed"),
+        # a per-axis parameter holds one value or one per axis (per component)
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [1.0, 0.0], "sigma": 2.0}},
+         "invalid target: mean has 2 values, but dim = 1 allows 1"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [1.0], "sigma": [2.0, 1.0]}},
+         "invalid target: sigma has 2 values, but dim = 1 allows 1"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
+                                                "means": [-1.0, 0.0, 1.0], "sigmas": [1.0, 1.0]}},
+         "invalid target: means has 3 values, but dim = 1 with 2 components allows 2"),
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "dim": 2, "target": {
+            "kind": "mixture", "weights": [0.5, 0.5], "means": [-1.0, 1.0],
+            "sigmas": [1.0, 1.0, 1.0]}}]},
+         "invalid battery[0].target: sigmas has 3 values, but dim = 2 with 2 components allows 2 or 4"),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -312,7 +328,10 @@ class TestSolveCommand:
         r1 = json.loads((out1 / "solve_report.json").read_text())
         r2 = json.loads((out2 / "solve_report.json").read_text())
         assert r1["solve"]["objective"] != r2["solve"]["objective"]
-        assert r1["metadata"]["seed"] == 1
+        # the report names the seed that drew the rule
+        for report, seed in ((r1, 1), (r2, 2)):
+            assert report["metadata"]["seed"] == seed
+            assert f"seed={seed}," in report["metadata"]["quadrature"]
 
 
 class TestStudyCommand:
@@ -519,8 +538,8 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("grid, field", [
         ({"count": 1}, "grid.count"),
-        ({"hi": "nan"}, "grid.lo and grid.hi"),
-        ({"lo": "-inf"}, "grid.lo and grid.hi"),
+        ({"hi": "nan"}, "config key grid.hi"),
+        ({"lo": "-inf"}, "config key grid.lo"),
         ({"lo": 2.0, "hi": 2.0}, "grid.lo and grid.hi"),
         ({"lo": 3.0, "hi": -3.0}, "grid.lo and grid.hi"),
     ])
@@ -552,8 +571,9 @@ class TestOracleCommand:
         cfg = write_config(tmp_path, "cfg.json", {
             "target": {"kind": "gaussian", "mean": [1.0, 0.0], "sigma": 2.0},
         })
-        code = main(["oracle", "--config", cfg, "--out", str(tmp_path)])
-        assert code in (2, 4)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "invalid target: mean has 2 values, but dim = 1 allows 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target, error", [
         ({"kind": "gaussian", "mean": [0.0], "sigma": 0.001},

@@ -148,8 +148,8 @@ REACH_RUNS = [
                "solver": {"max_iters": 3000},
                "study": {"scheme": "truncation", "n_list": [2, 4], "reference": "finest",
                          "threshold": 1.0}}, 0),
-    ("solve", {"dim": 1, "degree": 3, "dual_degree": 2,
-               "quadrature": {"kind": "monte-carlo", "samples": 400, "seed": 3},
+    ("solve", {"dim": 1, "degree": 3, "dual_degree": 2, "seed": 3,
+               "quadrature": {"kind": "monte-carlo", "samples": 400},
                "target": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-0.5], [0.5]],
                           "sigmas": [[0.8], [0.8]]}}, 4),
     ("oracle", {"target": {"kind": "quartic-well", "a": 0.05, "b": -0.2}}, 0),
