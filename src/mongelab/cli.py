@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagnostics import CheckThresholds, run_standard_checks
 from .errors import ConfigError, MongelabError
-from .gaussian import GaussianSpace
+from .gaussian import MAX_TENSOR_DIM, GaussianSpace
 from .oracle1d import monotone_map, potential_from_map, wasserstein2_sq
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
 from .smoothing import StudyTable, convergence_study
@@ -90,21 +90,25 @@ def _finite_float(value, key: str, least: float | None = None) -> float:
     return float(value)
 
 
-def build_space(cfg: dict, dim: int, seed: int, path: str = "quadrature.") -> GaussianSpace:
-    """The quadrature rule; a monte-carlo rule draws its samples with seed."""
-    kind = _require(cfg, "kind", path)
+def build_space(cfg: dict, dim: int, seed: int, path: str = "") -> GaussianSpace:
+    """The quadrature rule cfg of the entry at path; a monte-carlo rule draws
+    its samples with seed."""
+    qpath = path + "quadrature."
+    kind = _require(cfg, "kind", qpath)
     if kind == "tensor-hermite":
-        _check_keys(cfg, {"kind", "level"}, path)
-        level = _int_at_least(_require(cfg, "level", path), path + "level", 1)
+        _check_keys(cfg, {"kind", "level"}, qpath)
+        level = _int_at_least(_require(cfg, "level", qpath), qpath + "level", 1)
         try:
             return GaussianSpace.tensor_hermite(dim, level)
         except ValueError as exc:
-            raise ConfigError(f"{path}level: {exc}") from exc
+            # tensor_hermite checks dim before level
+            key = "dim" if dim > MAX_TENSOR_DIM else "quadrature.level"
+            raise ConfigError(f"{path}{key}: {exc}") from exc
     if kind == "monte-carlo":
-        _check_keys(cfg, {"kind", "samples"}, path)
-        samples = _int_at_least(_require(cfg, "samples", path), path + "samples", 1)
+        _check_keys(cfg, {"kind", "samples"}, qpath)
+        samples = _int_at_least(_require(cfg, "samples", qpath), qpath + "samples", 1)
         return GaussianSpace.monte_carlo(dim, samples, seed)
-    raise ConfigError(f"{path}kind must be 'tensor-hermite' or 'monte-carlo', got {kind!r}")
+    raise ConfigError(f"{qpath}kind must be 'tensor-hermite' or 'monte-carlo', got {kind!r}")
 
 
 def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
@@ -164,7 +168,7 @@ def build_problem(cfg: dict, default_seed: int, path: str = ""):
     dim = _int_at_least(_require(cfg, "dim", path), path + "dim", 1)
     degree = _int_at_least(_require(cfg, "degree", path), path + "degree", 1)
     seed = _int_at_least(cfg.get("seed", default_seed), path + "seed", 0)
-    space = build_space(_require(cfg, "quadrature", path), dim, seed, path + "quadrature.")
+    space = build_space(_require(cfg, "quadrature", path), dim, seed, path)
     target = build_target(_require(cfg, "target", path), dim, path + "target.")
     solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
     return dim, degree, seed, space, target, solver_cfg

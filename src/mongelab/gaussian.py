@@ -28,7 +28,10 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import DegenerateWeightError, NonFiniteValueError
 
+MAX_TENSOR_DIM = 4
 MAX_TENSOR_NODES = 10**7
+# the largest level whose Hermite weights (hermegauss) are all finite and positive
+MAX_TENSOR_LEVEL = 370
 WEIGHT_FLOOR = 1e-300
 NU_MASS_TOL = 1e-12  # nu-mass left off the nodes that nu-a.s. quantities read
 
@@ -54,6 +57,8 @@ class GaussianSpace:
             raise ValueError("nodes must be (N, d), weights (N,)")
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise ValueError("nodes and weights must have matching length")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
@@ -67,8 +72,11 @@ class GaussianSpace:
             raise ValueError("dim must be >= 1")
         if level < 1:
             raise ValueError("tensor-hermite level must be >= 1")
-        if dim > 4:
-            raise ValueError("tensor-hermite quadrature is limited to dim <= 4")
+        if dim > MAX_TENSOR_DIM:
+            raise ValueError(f"tensor-hermite quadrature is limited to dim <= {MAX_TENSOR_DIM}")
+        if level > MAX_TENSOR_LEVEL:
+            raise ValueError(f"tensor-hermite level {level} exceeds {MAX_TENSOR_LEVEL}, the largest "
+                             "whose Hermite weights are finite and positive")
         if level**dim > MAX_TENSOR_NODES:
             raise ValueError(f"tensor-hermite node count {level}^{dim} exceeds {MAX_TENSOR_NODES}")
         x, w = hermegauss(level)

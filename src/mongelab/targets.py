@@ -92,10 +92,19 @@ def _sum_last(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _floats(values, name: str) -> np.ndarray:
+    """values as a float array; a value that is not a number (a string, a
+    ragged list) raises ValueError naming the parameter."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must contain only numbers") from None
+
+
 def _per_axis(values, name: str, d: int, rows: int = 1) -> np.ndarray:
     """values as a (rows, d) array: one value per row for every axis, or one
     per row and axis; any other count raises ValueError naming the parameter."""
-    values = np.asarray(values, dtype=float)
+    values = _floats(values, name)
     allowed = sorted({rows, rows * d})
     if values.size not in allowed:
         per = f" with {rows} components" if rows > 1 else ""
@@ -170,7 +179,7 @@ def mixture_target(weights, means, sigmas, dim: int = 1) -> ScalarTarget:
     Component ratios are normalized (E[e^{-f_k}] = 1), so nu is the
     Gaussian mixture with the given weights and E[e^{-f}] = 1.
     """
-    pi = np.asarray(weights, dtype=float).reshape(-1)
+    pi = _floats(weights, "weights").reshape(-1)
     if np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise ValueError("mixture weights must be positive and sum to 1")
     n_comp = pi.shape[0]
@@ -238,8 +247,8 @@ def tabulated_target_1d(xs, fs) -> ScalarTarget:
     cubically beyond it.  xs must be strictly increasing, with at least two
     points, and every xs and fs finite.
     """
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
+    xs = _floats(xs, "xs")
+    fs = _floats(fs, "fs")
     if xs.ndim != 1 or fs.ndim != 1:
         raise ValueError("xs and fs must be flat lists of numbers")
     if xs.shape != fs.shape:

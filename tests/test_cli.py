@@ -139,6 +139,22 @@ class TestConfigErrors:
             "kind": "mixture", "weights": [0.5, 0.5], "means": [-1.0, 1.0],
             "sigmas": [1.0, 1.0, 1.0]}}]},
          "invalid battery[0].target: sigmas has 3 values, but dim = 2 with 2 components allows 2 or 4"),
+        # a tensor rule's dim limit names dim; its level limit, quadrature.level
+        ("battery", {"battery": [{**GAUSSIAN_SOLVE, "dim": 5}]},
+         "battery[0].dim: tensor-hermite quadrature is limited to dim <= 4"),
+        # a target parameter holds numbers only
+        *(("solve", {**GAUSSIAN_SOLVE, "target": target}, f"invalid target: {name} must contain only numbers")
+          for name, target in [
+            ("weights", {"kind": "mixture", "weights": "abc", "means": [0.0], "sigmas": [1.0]}),
+            ("means", {"kind": "mixture", "weights": [0.5, 0.5], "means": [["a"], [0.5]],
+                       "sigmas": [1.0, 1.0]}),
+            ("sigmas", {"kind": "mixture", "weights": [0.5, 0.5], "means": [-0.5, 0.5],
+                        "sigmas": [[0.8], ["x"]]}),
+            ("xs", {"kind": "tabulated-1d", "xs": ["a", 1.0], "fs": [0.0, 1.0]}),
+        ]),
+        # beyond level 370 some Hermite weights underflow or are NaN
+        *(("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "tensor-hermite", "level": level}},
+           f"quadrature.level: tensor-hermite level {level} exceeds 370") for level in (371, 100000)),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

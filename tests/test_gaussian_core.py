@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
 from mongelab import (
     DegenerateWeightError,
@@ -19,6 +20,7 @@ from mongelab import (
     nu_weights,
     quartic_well_target,
 )
+from mongelab.gaussian import MAX_TENSOR_LEVEL
 from mongelab.potentials import relative_entropy_terms
 from reference import (
     condition_first_n,
@@ -70,6 +72,21 @@ class TestQuadrature:
             GaussianSpace.tensor_hermite(5, 4)
         with pytest.raises(ValueError):
             GaussianSpace.tensor_hermite(4, 100)  # 10^8 nodes
+
+    def test_max_tensor_level_is_the_last_finite_positive_rule(self):
+        # pinned against hermegauss itself, so each numpy the tests run on checks it
+        _, w = hermegauss(MAX_TENSOR_LEVEL)
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+        with np.errstate(all="ignore"):
+            _, w = hermegauss(MAX_TENSOR_LEVEL + 1)
+        assert not (np.all(np.isfinite(w)) and np.all(w > 0))
+        with pytest.raises(ValueError, match=f"level {MAX_TENSOR_LEVEL + 1} exceeds"):
+            GaussianSpace.tensor_hermite(1, MAX_TENSOR_LEVEL + 1)
+
+    def test_non_finite_weights_rejected(self):
+        # NaN passes the sign and the sum tests
+        with pytest.raises(ValueError, match="weights must be finite"):
+            GaussianSpace(1, np.zeros((2, 1)), np.array([np.nan, 1.0]), "nan")
 
     def test_monte_carlo_reproducible(self):
         a = GaussianSpace.monte_carlo(3, 500, seed=42)

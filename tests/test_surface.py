@@ -4,7 +4,6 @@ import importlib
 import json
 import os
 import pkgutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -67,67 +66,11 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tr.uninstall()
     assert tracer.find_wrappers() == []
 
+    import mongelab.oracle1d
+    import scipy.optimize
 
-COLD_START = """
-import json, sys
-from pathlib import Path
-
-import mongelab.cli as cli
-
-
-def scipy_modules():
-    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
-
-
-out = Path(sys.argv[1])
-seen = {"import": scipy_modules()}
-codes = {}
-
-
-def run(command, config, key=None):
-    key = key or command
-    path = out / f"{key}.json"
-    path.write_text(json.dumps(config))
-    codes[key] = cli.main([command, "--config", str(path), "--out", str(out / key)])
-    seen[key] = scipy_modules()
-
-
-run("study", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 8},
-              "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-              "study": {"scheme": "ou", "n_list": [1, 2], "threshold": 0.5}})
-run("solve", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 10},
-              "target": {"kind": "gaussian", "mean": [0.5, 0.0], "sigma": 1.2}})
-run("battery", {"battery": [{"dim": 1, "degree": 2,
-                             "quadrature": {"kind": "tensor-hermite", "level": 40},
-                             "target": {"kind": "gaussian", "mean": [0.5], "sigma": 1.2}}]})
-run("oracle", {"target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0}})
-xs = [-8.0 + 0.5 * k for k in range(33)]
-run("solve", {"dim": 1, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 40},
-              "target": {"kind": "tabulated-1d", "xs": xs, "fs": [0.1 * x * x for x in xs]}},
-    key="tabulated")
-import mongelab.oracle1d
-import scipy.optimize
-
-# the tracer's lookup is the one place left that imports scipy
-seen["brentq"] = mongelab.oracle1d.brentq is scipy.optimize.brentq
-print(json.dumps({"codes": codes, "seen": seen}))
-"""
-
-
-def test_cli_starts_and_runs_without_scipy(tmp_path):
-    # every kernel is numpy's, so a fresh interpreter imports the CLI and runs
-    # a 2d study, a 2d solve, a 1d battery (with its oracle), the oracle and a
-    # tabulated-1d solve without loading scipy
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
-                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    seen = result.pop("seen")
-    assert seen.pop("brentq") is True
-    assert seen == dict.fromkeys(["import", "study", "solve", "battery", "oracle", "tabulated"], [])
-    assert result["codes"] == {"study": 0, "solve": 0, "battery": 0, "oracle": 0, "tabulated": 0}
+    # the tracer's lookup is the one place left that imports scipy
+    assert mongelab.oracle1d.brentq is scipy.optimize.brentq
 
 
 # one small in-process config per subcommand and branch, with its exit code
