@@ -39,8 +39,8 @@ def main():
                 result = solve(space, target, SolveConfig(degree=2))
                 diff = result.phi.grad(space.nodes) - exact_phi(dim, s, m).grad(space.nodes)
                 l2 = math.sqrt(float(np.sum(space.weights * np.sum(diff**2, axis=1))))
-                lhs, rhs = wasserstein_check(space, result, target)
-                gap = abs(variational_gap(space, target, result))
+                lhs, rhs = wasserstein_check(result, target)
+                gap = abs(variational_gap(result))
                 print(f"{dim:>3} {m:>5.1f} {s:>5.2f} {l2:>12.3e} {abs(lhs - rhs):>10.2e} "
                       f"{gap:>10.2e} {result.iterations:>5}")
 

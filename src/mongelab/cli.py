@@ -13,7 +13,8 @@ config file or unwritable --out), 3 solver did not converge, 4 a check
 failed or a computation could not complete (reports are still written).
 
 Reports embed the config hash, tool version, and quadrature description;
-identical config + seed yields byte-identical files.  Diagnostics are
+identical config + seed yields byte-identical files in any fresh
+interpreter on one machine and BLAS kernel.  Diagnostics are
 serialized one record per check with the schema
 
     {"name", "kind": identity|inequality|ratio|skipped,
@@ -35,7 +36,7 @@ import numpy as np
 from .diagnostics import CheckThresholds, run_standard_checks
 from .errors import ConfigError, MongelabError
 from .gaussian import MAX_TENSOR_DIM, GaussianSpace
-from .oracle1d import monotone_map, potential_from_map, wasserstein2_sq
+from .oracle1d import GRID, monotone_map, potential_from_map, wasserstein2_sq
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
 from .smoothing import StudyTable, convergence_study
 from .solver_backward import fit_dual
@@ -210,13 +211,13 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
             "grad_norm": result.grad_norm,
             "wasserstein2_sq": result.wasserstein2_sq,
             "variational_lhs": result.variational_lhs,
-            "variational_gap": variational_gap(space, target, result),
+            "variational_gap": variational_gap(result),
             "phi": result.phi.to_json_dict(),
         }
         dual = fit_dual(space, result.nu_weights, result.phi, degree=dual_degree)
         report = run_standard_checks(space, target, result, dual, thresholds=thresholds,
                                      metadata=metadata)
-        w2, w2_ref = wasserstein_check(space, result, target)
+        w2, w2_ref = wasserstein_check(result, target)
         if np.isfinite(w2_ref):
             report.add_identity("wasserstein_vs_reference", w2, w2_ref, 1e-3,
                                 note="quadrature vs closed form / 1d rearrangement")
@@ -502,10 +503,12 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     }
     lines = ["x,map,potential"]
     try:
-        transport = monotone_map(target, np.linspace(lo, hi, count))
+        grid = np.linspace(lo, hi, count)
+        transport = monotone_map(target, grid)
         potential = potential_from_map(transport)
-        # full default grid, independent of the dump window
-        payload["wasserstein2_sq"] = wasserstein2_sq(target)
+        # on the full default grid, independent of the dump window
+        full = transport if np.array_equal(grid, GRID) else monotone_map(target)
+        payload["wasserstein2_sq"] = wasserstein2_sq(full)
     except MongelabError as exc:  # the table keeps its header, the report says why
         payload["error"] = error_text(exc)
     else:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NonFiniteValueError, SingularJacobianError
 from .gaussian import GaussianSpace
 from .hermite import HermiteBasis
-from .oracle1d import wasserstein2_sq
+from .oracle1d import monotone_map, wasserstein2_sq
 from .potentials import EIG_FLOOR, PotentialField, relative_entropy_terms
 from .targets import ScalarTarget
 
@@ -271,8 +271,7 @@ def gaussian_w2_sq(target: ScalarTarget) -> float:
     return float(np.sum(mean**2) + np.sum((sigma - 1.0) ** 2))
 
 
-def wasserstein_check(space: GaussianSpace, result: SolveResult,
-                      target: ScalarTarget) -> tuple[float, float]:
+def wasserstein_check(result: SolveResult, target: ScalarTarget) -> tuple[float, float]:
     """(E[|grad phi|^2], independent reference d2^2) for the solved potential.
 
     The reference is the Gaussian closed form when available, else the 1d
@@ -282,10 +281,10 @@ def wasserstein_check(space: GaussianSpace, result: SolveResult,
     if target.kind == "gaussian":
         return lhs, gaussian_w2_sq(target)
     if target.dim == 1:
-        return lhs, wasserstein2_sq(target)
+        return lhs, wasserstein2_sq(monotone_map(target))
     return lhs, float("nan")
 
 
-def variational_gap(space: GaussianSpace, target: ScalarTarget, result: SolveResult) -> float:
+def variational_gap(result: SolveResult) -> float:
     """J* - (-log E[e^{-f}]) >= 0 up to quadrature error; ~0 at convergence."""
     return result.objective - result.variational_lhs

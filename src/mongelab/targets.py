@@ -23,6 +23,7 @@ from .hermite import as_points
 
 _PROBE_SEED = 12345
 _FD_STEP = 1e-5
+_REAL = (int, float, np.integer, np.floating)  # bool is an int; checked apart
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,17 @@ def _sum_last(q: np.ndarray) -> np.ndarray:
 
 
 def _floats(values, name: str) -> np.ndarray:
-    """values as a float array; a value that is not a number (a string, a
-    ragged list) raises ValueError naming the parameter."""
+    """values as a float array; a value that is not a number (a boolean, a
+    string, a ragged list) raises ValueError naming the parameter."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must contain only numbers") from None
+        array = None
+    # numpy reads True as 1.0 and "2" as 2.0, so each value's type is checked
+    if array is None or any(isinstance(v, bool) or not isinstance(v, _REAL)
+                            for v in np.asarray(values, dtype=object).flat):
+        raise ValueError(f"{name} must contain only numbers")
+    return array
 
 
 def _per_axis(values, name: str, d: int, rows: int = 1) -> np.ndarray:

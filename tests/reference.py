@@ -3,8 +3,9 @@
 None of this runs on a CLI path; each reference reaches a quantity the
 package computes another way (two-operator OU smoothing and conditioning
 against smoothing's one Mehler rule, closed-form divergences, the paper's
-Lambda, a direct J_b minimization against the conjugacy dual, the 1d
-oracle's map on scipy's kernels against its numpy ones).  Notation
+Lambda, the closed-form Gaussian potentials, a direct J_b minimization
+against the conjugacy dual, the 1d oracle's map on scipy's kernels against
+its numpy ones).  Notation
 (grad xi, delta, delta_nu) is that of the mongelab.gaussian docstring.
 """
 from __future__ import annotations
@@ -44,6 +45,25 @@ def zero_field(dim: int, degree: int) -> PotentialField:
     """phi = 0 in the (dim, degree) Hermite basis."""
     basis = HermiteBasis(dim, degree)
     return PotentialField(basis, np.zeros(basis.size))
+
+
+def gaussian_phi(dim: int, sigma: float, m: float) -> PotentialField:
+    """The exact potential onto N(m, sigma^2 I): grad phi = (sigma - 1) x + m."""
+    coeffs = {}
+    for k in range(dim):
+        coeffs[tuple(1 if j == k else 0 for j in range(dim))] = m
+        coeffs[tuple(2 if j == k else 0 for j in range(dim))] = (sigma - 1) / 2
+    return PotentialField.from_coeff_dict(dim, 2, coeffs)
+
+
+def quadratic_phi(sigma: float, m: float) -> PotentialField:
+    """gaussian_phi in 1d: T = sigma x + m."""
+    return gaussian_phi(1, sigma, m)
+
+
+def quadratic_psi(sigma: float, m: float) -> PotentialField:
+    """The closed-form dual of quadratic_phi: grad psi(y) = (1/sigma - 1) y - m/sigma."""
+    return PotentialField.from_coeff_dict(1, 2, {(1,): -m / sigma, (2,): (1.0 / sigma - 1.0) / 2})
 
 
 def coeff_dict(phi: PotentialField) -> dict:

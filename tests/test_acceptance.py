@@ -31,33 +31,21 @@ from mongelab.cli import default_battery, main as cli_main, run_entry
 from mongelab.diagnostics import CheckThresholds
 from mongelab.solver_forward import ForwardWorkspace
 from mongelab.hermite import HermiteBasis
-from reference import constant_field, divergence, grad_errors, gradient_field
+from reference import (
+    constant_field,
+    divergence,
+    gaussian_phi,
+    grad_errors,
+    gradient_field,
+    quadratic_phi,
+    quadratic_psi,
+)
 
 GAUSS_GRID = [(m, s) for m in (0.0, 1.0, -1.0) for s in (0.5, 1.0, 2.0)]
 
 
 def report_line(criterion: str, detail: str):
     print(f"PASS {criterion}: {detail}")
-
-
-def quadratic_phi_1d(sigma, m):
-    return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
-
-
-def quadratic_psi_1d(sigma, m):
-    return PotentialField.from_coeff_dict(
-        1, 2, {(1,): -m / sigma, (2,): (1.0 / sigma - 1.0) / 2}
-    )
-
-
-def gaussian_phi(dim, sigma, m):
-    coeffs = {}
-    for k in range(dim):
-        e1 = tuple(1 if j == k else 0 for j in range(dim))
-        e2 = tuple(2 if j == k else 0 for j in range(dim))
-        coeffs[e1] = m
-        coeffs[e2] = (sigma - 1) / 2
-    return PotentialField.from_coeff_dict(dim, 2, coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +67,11 @@ def test_criterion_1_gaussian_exactness():
             diff = result.phi.grad(space.nodes) - exact.grad(space.nodes)
             l2 = math.sqrt(float(np.sum(space.weights * np.sum(diff**2, axis=1))))
             assert l2 <= 1e-4
-            lhs, rhs = wasserstein_check(space, result, target)
+            lhs, rhs = wasserstein_check(result, target)
             w2_exact = dim * (m**2 + (s - 1) ** 2)
             assert rhs == pytest.approx(w2_exact, abs=1e-12)
             assert abs(lhs - w2_exact) <= 1e-6
-            gap = variational_gap(space, target, result)
+            gap = variational_gap(result)
             assert abs(gap) <= 1e-6
             worst_l2 = max(worst_l2, l2)
             worst_w2 = max(worst_w2, abs(lhs - w2_exact))
@@ -100,7 +88,7 @@ def test_criterion_2_forward_el_identity(battery_outcomes):
     worst_closed = 0.0
     for m, s in GAUSS_GRID:
         target = gaussian_target([m], s)
-        residual = forward_el_residual(NodeTables(space, target, quadratic_phi_1d(s, m)))
+        residual = forward_el_residual(NodeTables(space, target, quadratic_phi(s, m)))
         assert residual <= 1e-8
         worst_closed = max(worst_closed, residual)
     worst_solved = 0.0
@@ -122,7 +110,7 @@ def test_criterion_3_backward_el_identity(battery_outcomes):
     worst_closed = 0.0
     for m, s in GAUSS_GRID:
         target = gaussian_target([m], s)
-        residual = backward_el_residual(NodeTables(space, target, dual=quadratic_psi_1d(s, m)))
+        residual = backward_el_residual(NodeTables(space, target, dual=quadratic_psi(s, m)))
         assert residual <= 1e-8
         worst_closed = max(worst_closed, residual)
     worst_solved = 0.0
@@ -171,8 +159,8 @@ def test_criterion_5_inequality_suite(battery_outcomes):
     target = gaussian_target([1.0], 2.0)
     from mongelab import control_forward, dual_hessian_bound, forward_sobolev_bound
 
-    phi = quadratic_phi_1d(2.0, 1.0)
-    psi = quadratic_psi_1d(2.0, 1.0)
+    phi = quadratic_phi(2.0, 1.0)
+    psi = quadratic_psi(2.0, 1.0)
     pairs = {
         "control_forward": control_forward(NodeTables(space, target, phi)),
         "dual_hessian_bound": dual_hessian_bound(NodeTables(space, target, phi, psi)),

@@ -155,6 +155,21 @@ class TestConfigErrors:
         # beyond level 370 some Hermite weights underflow or are NaN
         *(("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "tensor-hermite", "level": level}},
            f"quadrature.level: tensor-hermite level {level} exceeds 370") for level in (371, 100000)),
+        # JSON true is not the number 1, nor "2" the number 2
+        *(("solve", {**GAUSSIAN_SOLVE, "target": target}, f"invalid target: {name} must contain only numbers")
+          for name, target in [
+            ("mean", {"kind": "gaussian", "mean": [True], "sigma": 2.0}),
+            ("sigma", {"kind": "gaussian", "mean": [1.0], "sigma": True}),
+            ("weights", {"kind": "mixture", "weights": [0.5, True], "means": [0.0], "sigmas": [1.0]}),
+            ("means", {"kind": "mixture", "weights": [0.5, 0.5], "means": [[True], [0.5]],
+                       "sigmas": [1.0, 1.0]}),
+            ("sigmas", {"kind": "mixture", "weights": [0.5, 0.5], "means": [-0.5, 0.5],
+                        "sigmas": [0.8, False]}),
+            ("xs", {"kind": "tabulated-1d", "xs": [-8, -4, False, 4, 8], "fs": [0.0] * 5}),
+            ("fs", {"kind": "tabulated-1d", "xs": [-8, -4, 0, 4, 8], "fs": [0.0, 1.0, True, 1.0, 0.0]}),
+            ("mean", {"kind": "gaussian", "mean": ["1.0"], "sigma": 2.0}),
+            ("sigma", {"kind": "gaussian", "mean": [1.0], "sigma": "2"}),
+        ]),
     ])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -551,6 +566,24 @@ class TestOracleCommand:
         np.testing.assert_allclose(ts, 2 * np.array(xs) + 1, atol=1e-8)
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["wasserstein2_sq"] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("grid, tables", [({}, 1), ({"lo": -3.0, "hi": 3.0, "count": 601}, 2)])
+    def test_default_grid_builds_one_density_table(self, tmp_path, monkeypatch, grid, tables):
+        # W2 integrates the dumped map when it lies on the default grid
+        import mongelab.oracle1d as oracle1d
+
+        calls = []
+        tabulate = oracle1d._nu_density_table
+
+        def counting(target):
+            calls.append(target.kind)
+            return tabulate(target)
+
+        monkeypatch.setattr(oracle1d, "_nu_density_table", counting)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "target": {"kind": "quartic-well", "a": 0.05, "b": -0.2}, "grid": grid})
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == tables
 
     @pytest.mark.parametrize("grid, field", [
         ({"count": 1}, "grid.count"),

@@ -26,22 +26,20 @@ from mongelab import (
     weighted_div_second_moment_identity,
 )
 from mongelab.diagnostics import L2_EPS, certify_semiconvexity, hessian_composition_gap
-from reference import constant_field, default_dual_grid, gradient_field, linear_field, zero_field
+from reference import (
+    constant_field,
+    default_dual_grid,
+    gradient_field,
+    linear_field,
+    quadratic_phi,
+    quadratic_psi,
+    zero_field,
+)
 
 
 def on_nodes(xi, space):
     """(values, Jacobians) of the vector field xi on the space's nodes."""
     return xi.value(space.nodes), xi.jacobian(space.nodes)
-
-
-def quadratic_phi(sigma, m):
-    return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
-
-
-def quadratic_psi(sigma, m):
-    return PotentialField.from_coeff_dict(
-        1, 2, {(1,): -m / sigma, (2,): (1.0 / sigma - 1.0) / 2}
-    )
 
 
 @pytest.fixture(scope="module")

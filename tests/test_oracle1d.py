@@ -171,11 +171,14 @@ class TestPotentialFromMap:
 
 class TestWasserstein:
     def test_flat_zero(self):
-        assert wasserstein2_sq(gaussian_target([0.0], 1.0)) == pytest.approx(0.0, abs=1e-10)
+        flat = monotone_map(gaussian_target([0.0], 1.0))
+        assert wasserstein2_sq(flat) == pytest.approx(0.0, abs=1e-10)
 
     def test_worked_gaussians(self):
-        assert wasserstein2_sq(gaussian_target([1.0], 2.0)) == pytest.approx(2.0, abs=1e-6)
-        assert wasserstein2_sq(gaussian_target([0.5], 0.5)) == pytest.approx(0.5, abs=1e-6)
+        shifted = monotone_map(gaussian_target([1.0], 2.0))
+        narrowed = monotone_map(gaussian_target([0.5], 0.5))
+        assert wasserstein2_sq(shifted) == pytest.approx(2.0, abs=1e-6)
+        assert wasserstein2_sq(narrowed) == pytest.approx(0.5, abs=1e-6)
 
     def test_grid_default(self):
         assert GRID.shape == (2001,)

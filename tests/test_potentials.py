@@ -16,14 +16,9 @@ from mongelab import (
     pushforward_entropy,
     relative_entropy,
 )
-from reference import coeff_dict, gaussian_jacobian, zero_field
+from reference import coeff_dict, gaussian_jacobian, quadratic_phi, zero_field
 
 KL21 = 0.5 * (4 + 1 - 1) - math.log(2.0)  # KL(N(1,4) || N(0,1))
-
-
-def quadratic_phi(sigma, m):
-    """phi with grad phi = (sigma - 1) x + m, i.e. T = sigma x + m."""
-    return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
 
 
 def probe_points(dim):

@@ -29,22 +29,13 @@ from reference import (
     default_dual_grid,
     graph_identity_gap,
     halving_conjugacy_minimize,
+    quadratic_phi,
+    quadratic_psi,
     solve_backward_variational,
     zero_field,
 )
 
 LN2 = math.log(2.0)
-
-
-def quadratic_phi(sigma, m):
-    return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
-
-
-def quadratic_psi(sigma, m):
-    """Closed-form dual: grad psi(y) = (1/sigma - 1) y - m/sigma."""
-    return PotentialField.from_coeff_dict(
-        1, 2, {(1,): -m / sigma, (2,): (1.0 / sigma - 1.0) / 2}
-    )
 
 
 def reference_conjugacy_minimize(phi, y):

@@ -20,13 +20,15 @@ from mongelab import (
 )
 from mongelab.solver_forward import ForwardWorkspace, minimize_with_barrier
 from mongelab.hermite import HermiteBasis
-from reference import BackwardWorkspace, coeff_dict, solve_backward_variational, zero_field
+from reference import (
+    BackwardWorkspace,
+    coeff_dict,
+    quadratic_phi,
+    solve_backward_variational,
+    zero_field,
+)
 
 LN2 = math.log(2.0)
-
-
-def quadratic_phi(sigma, m):
-    return PotentialField.from_coeff_dict(1, 2, {(1,): m, (2,): (sigma - 1) / 2})
 
 
 @pytest.fixture(scope="module")
@@ -239,20 +241,20 @@ class TestSolve:
 class TestWassersteinAndGap:
     def test_gaussian_w2_worked(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        lhs, rhs = wasserstein_check(line60, res, target_21)
+        lhs, rhs = wasserstein_check(res, target_21)
         assert rhs == 2.0
         assert lhs == pytest.approx(2.0, abs=1e-6)
 
     def test_flat_is_zero(self, line60, flat_target):
         res = solve(line60, flat_target, SolveConfig(degree=2))
-        lhs, rhs = wasserstein_check(line60, res, flat_target)
+        lhs, rhs = wasserstein_check(res, flat_target)
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_small_sigma(self, line60):
         tgt = gaussian_target([0.5], 0.5)
         res = solve(line60, tgt, SolveConfig(degree=2))
-        lhs, rhs = wasserstein_check(line60, res, tgt)
+        lhs, rhs = wasserstein_check(res, tgt)
         assert rhs == pytest.approx(0.5, abs=1e-12)
         assert lhs == pytest.approx(0.5, abs=1e-6)
 
@@ -260,23 +262,23 @@ class TestWassersteinAndGap:
         space = GaussianSpace.tensor_hermite(1, 30)
         tgt = quartic_well_target(0.02, 0.1)
         res = solve(space, tgt, SolveConfig(degree=10, max_iters=3000))
-        lhs, rhs = wasserstein_check(space, res, tgt)
+        lhs, rhs = wasserstein_check(res, tgt)
         assert lhs == pytest.approx(rhs, abs=1e-4)
 
     def test_gap_small_at_adequate_degree(self, line60, target_21):
         res = solve(line60, target_21, SolveConfig(degree=2))
-        assert abs(variational_gap(line60, target_21, res)) <= 1e-6
+        assert abs(variational_gap(res)) <= 1e-6
 
     def test_gap_positive_at_too_low_degree(self, line60, target_21):
         # p=1 fits the mean only; restricted minimum is ln 2 - 3/8
         res = solve(line60, target_21, SolveConfig(degree=1))
-        gap = variational_gap(line60, target_21, res)
+        gap = variational_gap(res)
         assert gap == pytest.approx(LN2 - 0.375, abs=1e-6)
         assert gap > 1e-2
 
     def test_flat_gap_zero(self, line60, flat_target):
         res = solve(line60, flat_target, SolveConfig(degree=2))
-        assert variational_gap(line60, flat_target, res) == pytest.approx(0.0, abs=1e-12)
+        assert variational_gap(res) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMultiDim:
@@ -284,7 +286,7 @@ class TestMultiDim:
         tgt = gaussian_target([0.5, 0.0], [2.0, 0.5])
         res = solve(plane40, tgt, SolveConfig(degree=2))
         assert res.converged
-        lhs, rhs = wasserstein_check(plane40, res, tgt)
+        lhs, rhs = wasserstein_check(res, tgt)
         assert rhs == pytest.approx(0.25 + 1.0 + 0.25, abs=1e-12)
         assert lhs == pytest.approx(rhs, abs=1e-6)
 

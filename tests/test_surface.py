@@ -1,15 +1,15 @@
 """The package's public surface, and the names the perfbench tracer looks up."""
 import ast
 import importlib
-import json
 import os
 import pkgutil
+import runpy
 import sys
 from pathlib import Path
 
 import mongelab
+from cases import CASES, CLI, ROOT, prepare
 
-ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "CheckThresholds", "ConfigError", "DegenerateWeightError", "DiagnosticsReport",
@@ -73,46 +73,14 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert mongelab.oracle1d.brentq is scipy.optimize.brentq
 
 
-# one small in-process config per subcommand and branch, with its exit code
-XS = [-8.0 + 0.5 * k for k in range(33)]
-REACH_RUNS = [
-    ("battery", {"battery": "default"}, 0),
-    # 1 + hess f < 0 near 0 leaves no certified semiconvexity: the Sobolev
-    # bound is skipped (and degree 4 fails the identities)
-    ("battery", {"battery": [{"dim": 1, "degree": 4,
-                              "quadrature": {"kind": "tensor-hermite", "level": 30},
-                              "target": {"kind": "quartic-well", "a": 0.05, "b": -0.6},
-                              "solver": {"max_iters": 2000}}]}, 4),
-    ("study", {"dim": 2, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 8},
-               "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-               "study": {"scheme": "ou", "n_list": [1, 2], "threshold": 0.5}}, 0),
-    ("study", {"dim": 1, "degree": 6, "quadrature": {"kind": "tensor-hermite", "level": 30},
-               "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-               "solver": {"max_iters": 3000},
-               "study": {"scheme": "truncation", "n_list": [2, 4], "reference": "finest",
-                         "threshold": 1.0}}, 0),
-    ("solve", {"dim": 1, "degree": 3, "dual_degree": 2, "seed": 3,
-               "quadrature": {"kind": "monte-carlo", "samples": 400},
-               "target": {"kind": "mixture", "weights": [0.5, 0.5], "means": [[-0.5], [0.5]],
-                          "sigmas": [[0.8], [0.8]]}}, 4),
-    ("oracle", {"target": {"kind": "quartic-well", "a": 0.05, "b": -0.2}}, 0),
-    ("oracle", {"target": {"kind": "gaussian", "mean": [0.0], "sigma": 0.001}}, 4),
-    ("solve", {"dim": 1, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 40},
-               "target": {"kind": "tabulated-1d", "xs": XS, "fs": [0.1 * x * x for x in XS]}}, 0),
-    ("solve", {"dim": 1, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 40},
-               "target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0},
-               "tolerances": {"identity": -1}}, 2),
-]
-
-
 def _code_key(func) -> tuple:
     return func.__code__.co_filename, func.__code__.co_firstlineno
 
 
 def test_every_src_function_is_reached(tmp_path, monkeypatch):
-    # every function src/mongelab defines is called by some CLI run, or it is
-    # one the perfbench tracer looks up by name (ROADMAP item 1 prunes those),
-    # or one of the few allowed below
+    # every function src/mongelab defines is called by some end-to-end case
+    # run in-process, or it is one the perfbench tracer looks up by name
+    # (ROADMAP item 1 prunes those), or the helper allowed below
     import mongelab.cli as cli
 
     pkg = Path(mongelab.__file__).parent  # as the code objects name their files
@@ -137,12 +105,8 @@ def test_every_src_function_is_reached(tmp_path, monkeypatch):
     for mod_name, cls_name, attr, *_ in tracer.METHODS:
         raw = vars(getattr(importlib.import_module(mod_name), cls_name))[attr]
         allowed.add(_code_key(getattr(raw, "__func__", raw)))
-    allowed |= {
-        # scripts/run_gaussian_exactness.py builds its exact potentials with it
-        _code_key(mongelab.PotentialField.from_coeff_dict),
-        # the helper of expectation, which the tracer pins
-        _code_key(mongelab.gaussian._eval_at_nodes),
-    }
+    # the helper of expectation, which the tracer pins
+    allowed.add(_code_key(mongelab.gaussian._eval_at_nodes))
 
     reached = set()
     prefix = str(pkg) + os.sep
@@ -151,16 +115,23 @@ def test_every_src_function_is_reached(tmp_path, monkeypatch):
         if event == "call" and frame.f_code.co_filename.startswith(prefix):
             reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    codes = []
+    codes = {}
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for k, (command, config, _) in enumerate(REACH_RUNS):
-            path = tmp_path / f"{k}.json"
-            path.write_text(json.dumps(config))
-            codes.append(cli.main([command, "--config", str(path), "--out", str(tmp_path / str(k))]))
+        for name, (argv, config, _) in CASES.items():
+            argv = prepare(tmp_path / name, argv, config)
+            monkeypatch.chdir(tmp_path / name)
+            codes[name] = 0  # a script that returns exits 0
+            try:
+                if config is None:
+                    runpy.run_path(argv[0], run_name="__main__")
+                else:
+                    codes[name] = cli.main(argv[len(CLI):])
+            except SystemExit as exc:
+                codes[name] = exc.code
     finally:
         sys.setprofile(previous)
     unreached = sorted(f"{Path(file).name}:{line}" for file, line in defined - reached - allowed)
     assert unreached == []
-    assert codes == [code for _, _, code in REACH_RUNS]
+    assert codes == {name: code for name, (_, _, code) in CASES.items()}
