@@ -213,6 +213,7 @@ def test_criterion_6_trace_positivity(battery_outcomes):
 def test_criterion_7_oracle_equivalence(battery_outcomes):
     worst = 0.0
     n_checked = 0
+    references = {}
     for outcome in battery_outcomes:
         if outcome["metadata"]["dim"] != 1:
             continue
@@ -220,7 +221,11 @@ def test_criterion_7_oracle_equivalence(battery_outcomes):
         assert rec.lhs <= 1e-3
         worst = max(worst, rec.lhs)
         n_checked += 1
+        # a gaussian's reference is its exact map, which test_oracle1d ties to the oracle
+        references[rec.note] = references.get(rec.note, 0) + 1
     assert n_checked == 12  # 9 gaussians + 3 quartic wells
+    assert references == {"sup|T_solver - T_exact| on (-3.0, 3.0)": 9,
+                          "sup|T_solver - T_oracle| on (-3.0, 3.0)": 3}
     report_line(
         "criterion-7 oracle equivalence",
         f"{n_checked} 1d battery targets, max sup error {worst:.2e} (tol 1e-3)",

@@ -170,7 +170,16 @@ class TestConfigErrors:
             ("mean", {"kind": "gaussian", "mean": ["1.0"], "sigma": 2.0}),
             ("sigma", {"kind": "gaussian", "mean": [1.0], "sigma": "2"}),
         ]),
+        # a parameter that overflows f at the probe points: the config error
+        # names it, and numpy warns of nothing on the way
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [1e300],
+                                                "sigma": 1e-300}},
+         "invalid target: gaussian: f, grad or hess is not finite"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [1.0],
+                                                "means": [[1e300]], "sigmas": [[1.0]]}},
+         "invalid target: mixture: f, grad or hess is not finite"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -584,6 +593,31 @@ class TestOracleCommand:
             "target": {"kind": "quartic-well", "a": 0.05, "b": -0.2}, "grid": grid})
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == tables
+
+    def test_default_battery_builds_density_tables_for_quartics_only(self, tmp_path, monkeypatch):
+        # a gaussian entry checks its map against the exact m + sigma x; a
+        # quartic entry builds one table for the map check and one for W2
+        import mongelab.cli as cli
+        import mongelab.oracle1d as oracle1d
+
+        running, calls = [], []
+        tabulate, run_entry = oracle1d._nu_density_table, cli.run_entry
+
+        def counting(target):
+            calls.append(running[-1])
+            return tabulate(target)
+
+        def entry(cfg, *args, **kwargs):
+            running.append(cfg["name"])
+            return run_entry(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(oracle1d, "_nu_density_table", counting)
+        monkeypatch.setattr(cli, "run_entry", entry)
+        cfg = write_config(tmp_path, "cfg.json", {"battery": "default"})
+        assert main(["battery", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(running) == 14
+        quartics = [e["name"] for e in cli.default_battery() if e["target"]["kind"] != "gaussian"]
+        assert calls == [name for name in quartics for _ in range(2)]
 
     @pytest.mark.parametrize("grid, field", [
         ({"count": 1}, "grid.count"),

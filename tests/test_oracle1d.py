@@ -88,6 +88,15 @@ class TestMonotoneMap:
         kinds = [target.kind for _, target in BATTERY_1D]
         assert kinds.count("gaussian") == 9 and kinds.count("quartic-well") == 3
 
+    @pytest.mark.parametrize("name, target",
+                             [(n, t) for n, t in BATTERY_1D if t.kind == "gaussian"])
+    def test_battery_gaussians_match_exact_map(self, name, target):
+        # the battery checks its gaussian solves against m + sigma x, so the
+        # oracle's own agreement with that map is pinned here
+        xs = np.linspace(-3.0, 3.0, 241)
+        exact = target.params["mean"][0] + target.params["sigma"][0] * xs
+        assert np.max(np.abs(monotone_map(target, xs).t - exact)) <= 1e-7
+
     @pytest.mark.parametrize("target", REFERENCE_TARGETS)
     def test_matches_scalar_reference(self, target):
         t_ref = scalar_reference_map(target)
