@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .gaussian import GaussianSpace, nu_masked_weights, nu_weights
-from .potentials import PotentialField, floor_checked_inverse
+from .potentials import PotentialField, floor_checked_inverse, jacobi_eigh
 from .solver_backward import DualPotential, backward_el_residual
 from .targets import ScalarTarget
 
@@ -185,9 +185,10 @@ class NodeTables:
 
 
 def _shift_inverse_operator(k: np.ndarray, third: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K - I, sum_i d_i K_ij) for K = (I + hess u)^{-1}: d_i K = -K (d_i hess u) K."""
-    dk = -np.einsum("nab,nibc,ncd->niad", k, third, k)
-    return k - np.eye(k.shape[1]), np.einsum("niij->nj", dk)
+    """(K - I, sum_i d_i K_ij) for K = (I + hess u)^{-1}: d_i K = -K (d_i hess u) K,
+    so sum_i d_i K_ij = -sum_c w_c K_cj with w_c = sum_{i,b} K_ib (d_i hess u)_bc."""
+    w = np.einsum("nib,nibc->nc", k, third)
+    return k - np.eye(k.shape[1]), -np.einsum("nc,ncd->nd", w, k)
 
 
 def forward_el_residual(tables: NodeTables) -> float:
@@ -258,8 +259,7 @@ def certify_semiconvexity(hess_f: np.ndarray) -> float:
 
     Raises NotApplicableError when no positive eps certifies.
     """
-    eigs = np.linalg.eigvalsh(hess_f)
-    lam_min = float(eigs.min())
+    lam_min = float(jacobi_eigh(np.transpose(hess_f, (1, 2, 0)))[0].min())
     eps = min(1.0, 1.0 + lam_min)
     if eps <= 1e-12:
         raise NotApplicableError(

@@ -28,6 +28,7 @@ from .gaussian import GaussianSpace, shifted_nu_weights
 from .hermite import HermiteBasis, as_points
 
 EIG_FLOOR = 1e-8
+JACOBI_SWEEPS = 30  # cap on cyclic sweeps, as in LAPACK dgesvj; d <= 5 stops within 7 (tests)
 
 
 class PotentialField:
@@ -100,6 +101,59 @@ class PotentialField:
         }
 
 
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam (d, N), V (d, d, N)) with a[..., n] = V diag(lam) V^T, for a
+    node-last batch a (d, d, N) of symmetric matrices; lam is unsorted.
+
+    Cyclic Jacobi (Golub & Van Loan 8.5) on the upper triangle, each step
+    elementwise over the nodes.  A rotation is skipped where
+    |a_pq| <= eps sqrt(|a_pp a_qq|) (Demmel & Veselic 1992), and the sweeps
+    stop after one that rotates nothing.  d = 1 makes no rotation, so
+    lam = a.  A node with a non-finite entry gets lam = -inf.
+    """
+    d, n = a.shape[0], a.shape[2]
+    finite = np.isfinite(a).all(axis=(0, 1))
+    if not finite.all():
+        a = np.where(finite, a, 0.0)
+    m = [[a[min(p, q), max(p, q)] for q in range(d)] for p in range(d)]  # node vectors
+    v = np.repeat(np.eye(d)[:, :, None], n, axis=2)
+    eps = np.finfo(float).eps
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = m[p][q]
+                rot = np.abs(apq) > eps * np.sqrt(np.abs(m[p][p])) * np.sqrt(np.abs(m[q][q]))
+                if not rot.any():
+                    continue
+                rotated = True
+                # t = tan(theta) of the smaller rotation that zeroes a_pq; 0 where skipped
+                diff = m[q][q] - m[p][p]
+                t = np.divide(np.copysign(2.0, diff) * apq, np.abs(diff) + np.hypot(diff, 2.0 * apq),
+                              out=np.zeros(n), where=rot)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                tapq = t * apq
+                m[p][p] = m[p][p] - tapq
+                m[q][q] = m[q][q] + tapq
+                m[p][q] = m[q][p] = np.where(rot, 0.0, apq)
+                for r in range(d):
+                    if r != p and r != q:
+                        arp, arq = m[r][p], m[r][q]
+                        m[r][p] = m[p][r] = c * arp - s * arq
+                        m[r][q] = m[q][r] = s * arp + c * arq
+                vp, vq = v[:, p], v[:, q]
+                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
+        if not rotated:
+            break
+    return np.where(finite, [m[k][k] for k in range(d)], -np.inf), v
+
+
+def eigh_inverse(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K = V diag(1/lam) V^T in the node-last layout of jacobi_eigh."""
+    return np.einsum("ikn,jkn->ijn", v, v / lam)
+
+
 def logdet2(a):
     """log det2(I + K) = sum_i [log(1 + k_i) - k_i] for symmetric K.
 
@@ -109,11 +163,11 @@ def logdet2(a):
     a = np.asarray(a, dtype=float)
     single = a.ndim == 2
     batch = a[None] if single else a
-    kappa = np.linalg.eigvalsh(batch)
+    kappa, _ = jacobi_eigh(np.transpose(batch, (1, 2, 0)))
     lam = 1.0 + kappa
     if np.any(lam <= EIG_FLOOR):
         raise SingularJacobianError(f"eigenvalue of I + K at or below floor {EIG_FLOOR}")
-    vals = np.sum(np.log(lam) - kappa, axis=1)
+    vals = np.sum(np.log(lam) - kappa, axis=0)
     return float(vals[0]) if single else vals
 
 
@@ -124,11 +178,10 @@ def inverse_shift_jacobian(phi: PotentialField, x) -> np.ndarray:
 
 def floor_checked_inverse(hess: np.ndarray) -> np.ndarray:
     """(I + hess)^{-1} for a batch (N, d, d) of Hessians, floor-checked."""
-    jac = np.eye(hess.shape[1])[None] + hess
-    eigs = np.linalg.eigvalsh(jac)
-    if np.any(eigs <= EIG_FLOOR):
+    lam, v = jacobi_eigh(np.transpose(hess, (1, 2, 0)) + np.eye(hess.shape[1])[:, :, None])
+    if np.any(lam <= EIG_FLOOR):
         raise SingularJacobianError(f"I + hess phi has eigenvalue at or below {EIG_FLOOR}")
-    return np.linalg.inv(jac)
+    return np.transpose(eigh_inverse(lam, v), (2, 0, 1))
 
 
 def pushforward_entropy(space: GaussianSpace, phi: PotentialField) -> float:

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DegenerateWeightError
 from .gaussian import GaussianSpace, nu_masked_weights, nu_weights
 from .hermite import HermiteBasis, as_points
-from .potentials import EIG_FLOOR, PotentialField, inverse_shift_jacobian, logdet2
+from .potentials import EIG_FLOOR, PotentialField, inverse_shift_jacobian, jacobi_eigh, logdet2
 from .targets import ScalarTarget
 
 _NEWTON_TOL = 1e-12
@@ -120,7 +120,7 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
         live[active[bad]] = False
         r = residual(x, y)
         rnorm = np.linalg.norm(r, axis=1)
-    min_eig = np.linalg.eigvalsh(eye[None] + phi.hess(x))[:, 0]
+    min_eig = jacobi_eigh(np.transpose(phi.hess(x), (1, 2, 0)) + eye[:, :, None])[0].min(axis=0)
     return x, (rnorm <= tol) & (min_eig > EIG_FLOOR)
 
 

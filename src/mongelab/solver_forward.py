@@ -21,7 +21,7 @@ from .errors import NonFiniteValueError, SingularJacobianError
 from .gaussian import GaussianSpace
 from .hermite import HermiteBasis
 from .oracle1d import monotone_map, wasserstein2_sq
-from .potentials import EIG_FLOOR, PotentialField, relative_entropy_terms
+from .potentials import EIG_FLOOR, PotentialField, eigh_inverse, jacobi_eigh, relative_entropy_terms
 from .targets import ScalarTarget
 
 
@@ -77,36 +77,36 @@ class ForwardWorkspace:
         self.w = space.weights
         self.bgrad = basis.grad_table(self.nodes)    # (A, d, N)
         self.bhess = basis.hess_table(self.nodes)    # (A, d, d, N)
-        self.eye = np.eye(basis.dim)
+        self.eye = np.eye(basis.dim)[:, :, None]          # (d, d, 1)
         self.coeff_scale = coefficient_scale(self.bhess)
 
     def fields(self, coeffs: np.ndarray):
         g = np.tensordot(coeffs, self.bgrad, axes=1).T           # (N, d)
-        h = np.transpose(np.tensordot(coeffs, self.bhess, axes=1), (2, 0, 1))  # (N, d, d)
+        h = np.tensordot(coeffs, self.bhess, axes=1)              # (d, d, N)
         return g, h
 
     def barrier(self, coeffs: np.ndarray):
-        """(grad field, I + hess, per-node log det2, margin); log det2 is None
-        when the smallest eigenvalue is at or below the floor (margin <= 0)."""
+        """(grad field, eigen-decomposition (lam, V) of I + hess, per-node
+        log det2, margin); the decomposition and log det2 are None when the
+        smallest eigenvalue is at or below the floor (margin <= 0)."""
         g, h = self.fields(coeffs)
-        jac = self.eye[None] + h
-        eigs = np.linalg.eigvalsh(jac)
-        margin = float(eigs.min()) - EIG_FLOOR
+        lam, v = jacobi_eigh(h + self.eye)
+        margin = float(lam.min()) - EIG_FLOOR
         if margin <= 0:
-            return g, jac, None, margin
-        return g, jac, np.sum(np.log(eigs) - (eigs - 1.0), axis=1), margin
+            return g, None, None, margin
+        return g, (lam, v), np.sum(np.log(lam) - (lam - 1.0), axis=0), margin
 
-    def barrier_gradient(self, jac: np.ndarray) -> np.ndarray:
-        """Coefficient gradient of -E_w[log det2(I + hess)]: -sum_n w (K - I) : bhess."""
-        k = np.linalg.inv(jac)
-        m = (k - self.eye[None]) * self.w[:, None, None]
-        return -np.einsum("nij,aijn->a", m, self.bhess)
+    def barrier_gradient(self, eig) -> np.ndarray:
+        """Coefficient gradient of -E_w[log det2(I + hess)]: -sum_n w (K - I) : bhess,
+        with K = (I + hess)^{-1} from the barrier's eigen-decomposition."""
+        m = (eigh_inverse(*eig) - self.eye) * self.w
+        return -np.einsum("ijn,aijn->a", m, self.bhess)
 
     def objective_and_gradient(self, coeffs: np.ndarray):
         return self._evaluate(coeffs)
 
     def _evaluate(self, coeffs: np.ndarray):
-        g, jac, ld2, margin = self.barrier(coeffs)
+        g, eig, ld2, margin = self.barrier(coeffs)
         if margin <= 0:
             return np.inf, None, margin
         fvals, grad_f = self.target.value_and_grad(self.nodes + g)
@@ -117,7 +117,7 @@ class ForwardWorkspace:
         grad_f = np.asarray(grad_f, dtype=float)
         lin = (grad_f + g) * self.w[:, None]                      # (N, d)
         grad = np.einsum("nk,akn->a", lin, self.bgrad)
-        grad += self.barrier_gradient(jac)
+        grad += self.barrier_gradient(eig)
         return obj, grad, margin
 
 

@@ -178,12 +178,34 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [1.0],
                                                 "means": [[1e300]], "sigmas": [[1.0]]}},
          "invalid target: mixture: f, grad or hess is not finite"),
+        # a missing key, an unknown kind, a wrong shape of a study or battery key
+        ("solve", {k: v for k, v in GAUSSIAN_SOLVE.items() if k != "target"},
+         "missing config key: target"),
+        ("solve", {**GAUSSIAN_SOLVE, "quadrature": {"kind": "sparse-grid", "level": 4}},
+         "quadrature.kind must be 'tensor-hermite' or 'monte-carlo'"),
+        ("solve", {**GAUSSIAN_SOLVE, "dim": 2, "target": {"kind": "tabulated-1d", "xs": [0.0, 1.0],
+                                                          "fs": [0.0, 1.0]}},
+         "target.kind: tabulated-1d requires dim = 1"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "cauchy"}},
+         "target.kind: unknown target kind 'cauchy'"),
+        ("study", with_study(n_list=4), "study.n_list must be a nonempty list"),
+        ("study", with_study(reference="coarsest"), "study.reference must be 'raw' or 'finest'"),
+        ("battery", {"battery": {"entries": [GAUSSIAN_SOLVE]}},
+         "battery must be 'default' or a list of entries"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "study", "battery", "oracle"])
+    def test_invalid_json_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dim": 1,', encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_tolerances_are_valid(self, tmp_path):

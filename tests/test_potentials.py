@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cases import CASES
 from mongelab import (
     GaussianSpace,
     PotentialField,
@@ -16,6 +19,9 @@ from mongelab import (
     pushforward_entropy,
     relative_entropy,
 )
+from mongelab import potentials
+from mongelab.cli import main
+from mongelab.potentials import EIG_FLOOR, eigh_inverse, floor_checked_inverse, jacobi_eigh
 from reference import coeff_dict, gaussian_jacobian, quadratic_phi, zero_field
 
 KL21 = 0.5 * (4 + 1 - 1) - math.log(2.0)  # KL(N(1,4) || N(0,1))
@@ -136,6 +142,121 @@ class TestLogdet2:
         a = q @ np.diag(kappas) @ q.T
         a = 0.5 * (a + a.T)
         assert logdet2(a) <= 1e-12
+
+
+EPS = np.finfo(float).eps
+
+
+def symmetric_batches(d, n, seed=0):
+    """Named (n, d, d) batches of exactly symmetric matrices."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d)
+    b = rng.standard_normal((n, d, d))
+    q = np.linalg.qr(rng.standard_normal((n, d, d)))[0]
+    near = rng.uniform(1.0, 10.0, (n, d))
+    near[:, 0] = 1e-8
+    near[:, -1] = 10.0
+    batches = {
+        "spd": b @ b.transpose(0, 2, 1) + 0.1 * eye,
+        "indefinite": b + b.transpose(0, 2, 1),
+        "diagonal": rng.uniform(-3.0, 3.0, (n, d))[:, :, None] * eye,
+        "multiple-of-identity": rng.uniform(0.1, 5.0, (n, 1, 1)) * eye,
+        # lambda_min ~ 1e-8 next to lambda_max ~ 10
+        "near-floor": np.einsum("nik,nk,njk->nij", q, near, q),
+        # |a_pq| >> |a_pp - a_qq|
+        "coupled": eye + 3.0 + 1e-12 * (b + b.transpose(0, 2, 1)),
+    }
+    return {name: 0.5 * (a + a.transpose(0, 2, 1)) for name, a in batches.items()}
+
+
+def node_last(a):
+    return np.ascontiguousarray(np.transpose(a, (1, 2, 0)))
+
+
+class TestJacobiKernel:
+    """jacobi_eigh and eigh_inverse against LAPACK's eigvalsh and inv."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_lapack(self, d, n):
+        for name, a in symmetric_batches(d, n).items():
+            lam, v = jacobi_eigh(node_last(a))
+            ref = np.linalg.eigvalsh(a)
+            scale = np.abs(ref).max(axis=1)                     # |A|_2 per node
+            bound = 8 * d * EPS * scale
+            assert np.all(np.abs(np.sort(lam, axis=0).T - ref).max(axis=1) <= bound), name
+            rebuilt = np.einsum("ikn,kn,jkn->nij", v, lam, v)
+            assert np.all(np.abs(rebuilt - a).max(axis=(1, 2)) <= bound), name
+            gram = np.einsum("kin,kjn->nij", v, v)
+            assert np.abs(gram - np.eye(d)).max() <= 8 * d * EPS, name
+            if np.all(np.abs(ref).min(axis=1) > 0):
+                k = np.transpose(eigh_inverse(lam, v), (2, 0, 1))
+                k_ref = np.linalg.inv(a)
+                cond = scale / np.abs(ref).min(axis=1)
+                k_norm = 1.0 / np.abs(ref).min(axis=1)
+                err = np.abs(k - k_ref).max(axis=(1, 2))
+                assert np.all(err <= 8 * d * EPS * cond * k_norm), name
+
+    def test_one_by_one_is_exact(self):
+        a = np.random.default_rng(1).uniform(-5.0, 5.0, (1, 1, 300))
+        lam, v = jacobi_eigh(a)
+        assert lam.tobytes() == a[0].tobytes()
+        assert eigh_inverse(lam, v).tobytes() == (1.0 / a).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_rows_are_independent(self, d):
+        for name, a in symmetric_batches(d, 300).items():
+            lam, v = jacobi_eigh(node_last(a))
+            for node in (0, 150, 299):
+                lam_1, v_1 = jacobi_eigh(node_last(a[node:node + 1]))
+                assert lam_1.tobytes() == lam[:, node:node + 1].tobytes(), name
+                assert v_1.tobytes() == np.ascontiguousarray(v[..., node:node + 1]).tobytes(), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_node_is_infeasible(self, d, bad):
+        a = symmetric_batches(d, 7)["spd"]
+        a[3, 0, d - 1] = a[3, d - 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, _ = jacobi_eigh(node_last(a))
+            assert not lam[:, 3].min() > EIG_FLOOR
+            clean, _ = jacobi_eigh(node_last(np.delete(a, 3, axis=0)))
+            np.testing.assert_array_equal(np.delete(lam, 3, axis=1), clean)
+            with pytest.raises(SingularJacobianError):
+                floor_checked_inverse(a - np.eye(d))
+            with pytest.raises(SingularJacobianError):
+                logdet2(a - np.eye(d))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sweep_cap_is_never_reached(self, d, monkeypatch):
+        # twice the cap leaves every output bit-equal: the sweeps stopped by
+        # themselves, after one that rotated nothing
+        batches = symmetric_batches(d, 300)
+        capped = {name: jacobi_eigh(node_last(a)) for name, a in batches.items()}
+        monkeypatch.setattr(potentials, "JACOBI_SWEEPS", 2 * potentials.JACOBI_SWEEPS)
+        for name, a in batches.items():
+            lam, v = jacobi_eigh(node_last(a))
+            assert lam.tobytes() == capped[name][0].tobytes(), name
+            assert v.tobytes() == capped[name][1].tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["battery", "study-ou-2d"])
+def test_per_node_work_calls_no_lapack(tmp_path, monkeypatch, case):
+    """No mongelab frame calls np.linalg.eigvalsh, eigh or inv in a whole run."""
+    calls = []
+    for name in ("eigvalsh", "eigh", "inv"):
+        def counted(*args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((sys._getframe(1).f_globals.get("__name__", ""), _name))
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    argv, config, code = CASES[case]
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main([argv[-1], "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == code
+    assert [c for c in calls if c[0].split(".")[0] == "mongelab"] == []
+    # the wrappers are in place: numpy's own hermegauss goes through them
+    assert ("numpy.polynomial.hermite_e", "eigvalsh") in calls
 
 
 class TestGaussianJacobian:
