@@ -9,7 +9,8 @@ derivative is again a basis element:
 A tensor basis element He_alpha(x) = prod_j He_{alpha_j}(x_j) is an
 eigenfunction of the number operator L = <x, grad> - laplace with
 eigenvalue |alpha| = sum_j alpha_j, which makes L and the associated
-semigroup diagonal on coefficient vectors.
+semigroup diagonal on coefficient vectors.  A potential sum_alpha c_alpha
+He_alpha is contracted point by point as its basis is evaluated.
 """
 from __future__ import annotations
 
@@ -65,8 +66,8 @@ def _falling(n: int, o: int) -> float:
 class HermiteBasis:
     """Tensor Hermite basis He_alpha, 1 <= |alpha| <= degree (no constant term).
 
-    Tables evaluated at a batch of points feed both generic potential
-    evaluation and the solvers' cached per-node design matrices.
+    One kernel builds the tables a solver reuses and, given coefficients,
+    contracts as it evaluates, so a point's value never depends on its batch.
     """
 
     def __init__(self, dim: int, degree: int):
@@ -89,9 +90,9 @@ class HermiteBasis:
         return tabs
 
     def _plan(self, order: int) -> list:
-        """(alpha, derivative count per coordinate, output slots) for each basis
-        element and sorted derivative index (i <= j <= ...) it survives; the
-        slots are (a,) + every distinct permutation of the index."""
+        """(a, alpha, derivative count per coordinate, output slots) for each
+        basis element and sorted derivative index (i <= j <= ...) it survives;
+        the slots are every distinct permutation of the index."""
         plan = self._plans.get(order)
         if plan is None:
             plan = []
@@ -99,24 +100,28 @@ class HermiteBasis:
                 for idx in itertools.combinations_with_replacement(range(self.dim), order):
                     counts = tuple(idx.count(k) for k in range(self.dim))
                     if all(n >= o for n, o in zip(alpha, counts)):
-                        slots = [(a,) + p for p in sorted(set(itertools.permutations(idx)))]
-                        plan.append((alpha, counts, slots))
+                        plan.append((a, alpha, counts, sorted(set(itertools.permutations(idx)))))
             self._plans[order] = plan
         return plan
 
-    def _table(self, points: np.ndarray, order: int) -> np.ndarray:
+    def _table(self, points: np.ndarray, order: int, coeffs: np.ndarray | None = None) -> np.ndarray:
         """(size, d, ..., d, N) array of the order-th derivatives of He_alpha(x_n),
-        each product of coordinate columns taken once for all its symmetric slots."""
+        each product of coordinate columns taken once for all its symmetric
+        slots; with coeffs, the (d, ..., d, N) sum over alpha of those
+        products, each started from its c_alpha (zeros above the degree)."""
         points = as_points(points, self.dim)
         tabs = self._coord_tables(points, order)
-        out = np.zeros((self.size,) + (self.dim,) * order + (points.shape[0],))
-        for alpha, counts, slots in self._plan(order):
-            v = None
+        lead = (self.size,) if coeffs is None else ()
+        out = np.zeros(lead + (self.dim,) * order + (points.shape[0],))
+        for a, alpha, counts, slots in self._plan(order):
+            v = 1.0 if coeffs is None else coeffs[a]
             for j, (n, o) in enumerate(zip(alpha, counts)):
-                col = tabs[o][n, j]
-                v = col.copy() if v is None else v * col
+                v = v * tabs[o][n, j]
             for s in slots:
-                out[s] = v
+                if coeffs is None:
+                    out[(a,) + s] = v
+                else:
+                    out[s] += v
         return out
 
     def value_table(self, points: np.ndarray) -> np.ndarray:

@@ -63,25 +63,16 @@ class PotentialField:
         return PotentialField(basis, vec)
 
     def eval(self, x) -> np.ndarray:
-        pts = as_points(x, self.dim)
-        return self.coeffs @ self.basis.value_table(pts)
+        return self.basis._table(x, 0, self.coeffs)
 
     def grad(self, x) -> np.ndarray:
-        pts = as_points(x, self.dim)
-        table = self.basis.grad_table(pts)
-        return np.tensordot(self.coeffs, table, axes=1).T  # (N, d)
+        return self.basis._table(x, 1, self.coeffs).T  # (N, d)
 
     def hess(self, x) -> np.ndarray:
-        pts = as_points(x, self.dim)
-        table = self.basis.hess_table(pts)
-        return np.transpose(np.tensordot(self.coeffs, table, axes=1), (2, 0, 1))
+        return np.transpose(self.basis._table(x, 2, self.coeffs), (2, 0, 1))
 
     def third(self, x) -> np.ndarray:
-        pts = as_points(x, self.dim)
-        if self.degree < 3:
-            return np.zeros((pts.shape[0], self.dim, self.dim, self.dim))
-        table = self.basis.third_table(pts)
-        return np.transpose(np.tensordot(self.coeffs, table, axes=1), (3, 0, 1, 2))
+        return np.transpose(self.basis._table(x, 3, self.coeffs), (3, 0, 1, 2))
 
     def semigroup(self, t: float) -> "PotentialField":
         """P_t phi: coefficients scale by e^{-|alpha| t}."""

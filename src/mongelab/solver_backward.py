@@ -69,13 +69,12 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     whose step still fails that test at lam = 2^-_MAX_HALVINGS is retired:
     it keeps its last accepted iterate and takes no further steps.
 
-    An iteration makes at most three residual calls: the unit steps of the
-    active points; if any is rejected, every lam = 2^-1 .. 2^-_MAX_HALVINGS
+    An iteration makes at most two residual calls: the unit steps of the
+    active points and, if any is rejected, every lam = 2^-1 .. 2^-_MAX_HALVINGS
     of the rejected points at once, each point taking its first lam that
-    passes; and r on all points at the accepted iterates.  That last call
-    is not replaced by the accepted trials' residuals, because phi.grad is
-    not row-independent (its BLAS tails differ by an ulp with the row
-    count), and re-evaluating keeps the iterates of one call per halving.
+    passes.  A point keeps the residual of its accepted trial, which is
+    bit-equal to re-evaluating it because phi.grad is computed point by
+    point.
 
     Returns (x_star, converged mask).  A point counts as converged only as
     a certified minimizer: its residual is within tolerance and the
@@ -90,10 +89,6 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
     def residual(pts, targets):
         return phi.grad(pts) + pts - targets
 
-    def rejected(trial, targets, bound):
-        # a NaN residual compares False, so it is never rejected
-        return np.linalg.norm(residual(trial, targets), axis=1) > bound
-
     lam = np.ldexp(1.0, -np.arange(1, _MAX_HALVINGS + 1))[:, None]  # 2^-1 .. 2^-20
     r = residual(x, y)
     rnorm = np.linalg.norm(r, axis=1)
@@ -106,20 +101,24 @@ def conjugacy_minimize(phi: PotentialField, y: np.ndarray):
         jac = eye[None] + phi.hess(x[active])
         step = np.linalg.solve(jac, -r[active][..., None])[..., 0]
         trial = x[active] + step
-        bad = rejected(trial, y[active], 0.5 * rnorm[active])  # lam = 1
+        rtrial = residual(trial, y[active])  # lam = 1
+        # a NaN residual compares False, so it is never rejected
+        bad = np.linalg.norm(rtrial, axis=1) > 0.5 * rnorm[active]
         if bad.any():
             # the halving ladder of every rejected point in one call, rows
             # ordered (halving, point); each point takes its first pass
             idx = active[bad]
             rungs = x[idx] + lam[..., None] * step[bad]
-            fails = rejected(rungs.reshape(-1, phi.dim), np.tile(y[idx], (_MAX_HALVINGS, 1)),
-                             ((1.0 - 0.5 * lam) * rnorm[idx]).ravel()).reshape(_MAX_HALVINGS, -1)
-            trial[bad] = rungs[np.argmin(fails, axis=0), np.arange(idx.size)]
+            rrungs = residual(rungs.reshape(-1, phi.dim),
+                              np.tile(y[idx], (_MAX_HALVINGS, 1))).reshape(rungs.shape)
+            fails = np.linalg.norm(rrungs, axis=2) > (1.0 - 0.5 * lam) * rnorm[idx]
+            first = np.argmin(fails, axis=0), np.arange(idx.size)
+            trial[bad], rtrial[bad] = rungs[first], rrungs[first]
             bad[bad] = fails.all(axis=0)
-        x[active[~bad]] = trial[~bad]
+        accepted = active[~bad]
+        x[accepted], r[accepted] = trial[~bad], rtrial[~bad]
+        rnorm[accepted] = np.linalg.norm(rtrial[~bad], axis=1)
         live[active[bad]] = False
-        r = residual(x, y)
-        rnorm = np.linalg.norm(r, axis=1)
     min_eig = jacobi_eigh(np.transpose(phi.hess(x), (1, 2, 0)) + eye[:, :, None])[0].min(axis=0)
     return x, (rnorm <= tol) & (min_eig > EIG_FLOOR)
 

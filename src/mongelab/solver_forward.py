@@ -132,7 +132,7 @@ def coefficient_scale(bhess: np.ndarray) -> np.ndarray:
     faster than low-degree ones at extreme nodes; without this scaling a
     quasi-newton step can crush the margin for negligible objective gain.
     """
-    sens = np.sqrt(np.sum(bhess**2, axis=(1, 2))).max(axis=1)
+    sens = np.sqrt(np.einsum("aijn,aijn->an", bhess, bhess)).max(axis=1)
     return 1.0 / (1.0 + sens)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cases import CASES
 from mongelab.cli import main
 
 
@@ -192,6 +193,13 @@ class TestConfigErrors:
         ("study", with_study(reference="coarsest"), "study.reference must be 'raw' or 'finest'"),
         ("battery", {"battery": {"entries": [GAUSSIAN_SOLVE]}},
          "battery must be 'default' or a list of entries"),
+        # mixture weights off the simplex, a zero sigma
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.3, 0.3],
+                                                "means": [-1.0, 1.0], "sigmas": [1.0, 1.0]}},
+         "invalid target: mixture weights must be positive and sum to 1"),
+        ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
+                                                "means": [-1.0, 1.0], "sigmas": [0.0, 1.0]}},
+         "invalid target: mixture sigmas must be positive"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
@@ -334,6 +342,31 @@ class TestSolveCommand:
         assert outcome["report"].all_passed()
         assert len(calls) == 1
         assert len(weighings) == 1
+
+    def test_skipped_check_has_a_skip_line(self, tmp_path):
+        # the skipped-sobolev battery entry run as a solve (it stops
+        # unconverged after 39 iterations, so it exits 3): the summary prints
+        # the skipped Sobolev bound as a SKIP line
+        entry = CASES["skipped-sobolev"][1]["battery"][0]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, "cfg.json", entry),
+                     "--out", str(out)]) == 3
+        lines = (out / "solve_summary.txt").read_text().splitlines()
+        assert any(line.startswith("SKIP forward_sobolev_bound") for line in lines)
+
+    def test_no_w2_reference_in_2d_quartic(self):
+        # neither a gaussian nor 1d: wasserstein_check has no reference, so
+        # the entry gets no wasserstein_vs_reference record
+        from mongelab.cli import run_entry
+        from mongelab.diagnostics import CheckThresholds
+
+        outcome = run_entry({"dim": 2, "degree": 2,
+                             "quadrature": {"kind": "tensor-hermite", "level": 8},
+                             "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0}},
+                            0, CheckThresholds())
+        names = {r.name for r in outcome["report"].records}
+        assert "error" not in outcome and "el_forward" in names
+        assert "wasserstein_vs_reference" not in names
 
     def test_dual_fit_with_too_few_nu_mass_nodes_is_reported(self, tmp_path):
         entry = {

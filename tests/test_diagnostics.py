@@ -355,9 +355,9 @@ class TestStandardReport:
 
     def test_one_tabulation_per_run(self, line80, target_21, monkeypatch):
         # a run reads the solve's nu-weights, inverts I + hess phi once on the
-        # nodes and once on the nu-mass nodes, builds each basis table on the
-        # nodes once, and solves the conjugacy problem once for a dual
-        # tabulated off the nu-mass nodes
+        # nodes and once on the nu-mass nodes, evaluates each derivative order
+        # of phi on the nodes once, and solves the conjugacy problem once for a
+        # dual tabulated off the nu-mass nodes
         import mongelab.diagnostics as di
         import mongelab.gaussian as ga
         import mongelab.potentials as po
@@ -376,19 +376,20 @@ class TestStandardReport:
                         return _f(*args, **kwargs)
 
                     monkeypatch.setattr(module, name, counted)
-        node_tables = []
-        for table in ("value_table", "grad_table", "hess_table", "third_table"):
-            def on_nodes(basis, x, _f=getattr(HermiteBasis, table), _table=table):
-                if x.shape[0] == line80.nodes.shape[0]:
-                    node_tables.append(_table)
-                return _f(basis, x)
+        node_orders = []
+        kernel = HermiteBasis._table
 
-            monkeypatch.setattr(HermiteBasis, table, on_nodes)
+        def on_nodes(basis, x, order, coeffs=None):
+            if np.shape(x)[0] == line80.nodes.shape[0]:
+                node_orders.append(order)
+            return kernel(basis, x, order, coeffs)
+
+        monkeypatch.setattr(HermiteBasis, "_table", on_nodes)
 
         run_standard_checks(line80, target_21, res, fitted)
         assert calls["nu_weights"] == 0
         assert calls["floor_checked_inverse"] <= 2
-        assert len(node_tables) == len(set(node_tables))
+        assert sorted(node_orders) == [1, 2, 3]
         calls["conjugacy_minimize"] = 0
         run_standard_checks(line80, target_21, res, grid_dual)
         assert calls["conjugacy_minimize"] == 1

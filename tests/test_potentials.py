@@ -21,6 +21,7 @@ from mongelab import (
 )
 from mongelab import potentials
 from mongelab.cli import main
+from mongelab.hermite import HermiteBasis
 from mongelab.potentials import EIG_FLOOR, eigh_inverse, floor_checked_inverse, jacobi_eigh
 from reference import coeff_dict, gaussian_jacobian, quadratic_phi, zero_field
 
@@ -115,6 +116,58 @@ class TestDerivativeConsistency:
         sm = phi.semigroup(0.5)
         assert coeff_dict(sm)[(1,)] == pytest.approx(math.exp(-0.5))
         assert coeff_dict(sm)[(2,)] == pytest.approx(math.exp(-1.0))
+
+
+class TestContractingKernel:
+    """HermiteBasis._table with coefficients contracts as it evaluates, so a
+    PotentialField builds no basis table and a point's value is its own."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_table_contraction(self, dim, order):
+        rng = np.random.default_rng(10 * dim + order)
+        pts = rng.standard_normal((40, dim)) * 1.5
+        for degree in range(1, 7):
+            basis = HermiteBasis(dim, degree)
+            coeffs = rng.standard_normal(basis.size)
+            table = basis._table(pts, order)
+            error = basis._table(pts, order, coeffs) - np.tensordot(coeffs, table, axes=1)
+            # relative to the sum of |terms|: the two sum in different orders
+            scale = np.tensordot(np.abs(coeffs), np.abs(table), axes=1)
+            assert np.all(np.abs(error) <= 1e-13 * scale), (degree, np.abs(error).max())
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(3)
+        basis = HermiteBasis(2, 6)
+        phi = PotentialField(basis, 0.1 * rng.standard_normal(basis.size))
+        pts = 1.5 * rng.standard_normal((100, 2))
+        for method in (phi.grad, phi.hess, phi.third):
+            batch = method(pts)
+            for k in range(pts.shape[0]):
+                assert method(pts[k:k + 1])[0].tobytes() == batch[k].tobytes(), (method, k)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_third_below_degree_three_is_zero(self, degree):
+        basis = HermiteBasis(2, degree)
+        phi = PotentialField(basis, np.ones(basis.size))
+        t = phi.third(probe_points(2))
+        assert t.shape == (12, 2, 2, 2)
+        assert not t.any()
+
+    def test_fields_build_no_table(self, monkeypatch):
+        calls = []
+        kernel = HermiteBasis._table
+
+        def recorded(basis, points, order, coeffs=None):
+            calls.append((order, coeffs is not None))
+            return kernel(basis, points, order, coeffs)
+
+        monkeypatch.setattr(HermiteBasis, "_table", recorded)
+        phi = PotentialField.from_coeff_dict(3, 4, THIRD_COEFFS[3])
+        x = probe_points(3)
+        for method in (phi.eval, phi.grad, phi.hess, phi.third):
+            method(x)
+        assert calls == [(0, True), (1, True), (2, True), (3, True)]
 
 
 class TestLogdet2:

@@ -18,7 +18,7 @@ from mongelab import (
     variational_gap,
     wasserstein_check,
 )
-from mongelab.solver_forward import ForwardWorkspace, minimize_with_barrier
+from mongelab.solver_forward import ForwardWorkspace, coefficient_scale, minimize_with_barrier
 from mongelab.hermite import HermiteBasis
 from reference import (
     BackwardWorkspace,
@@ -113,6 +113,17 @@ class TestCoefficientGradient:
             cm[a] -= h
             fd = (ws.objective_and_gradient(cp)[0] - ws.objective_and_gradient(cm)[0]) / (2 * h)
             assert fd == pytest.approx(grad[a], rel=1e-5, abs=1e-9)
+
+
+# (dim, level, degree): the tensor rules of the default battery, of the cases
+# in cases.py and of perfbench's workloads, gaussian-3d and quartic-3d among them
+@pytest.mark.parametrize("dim, level, degree", [
+    (1, 5, 3), (1, 30, 4), (1, 30, 6), (1, 30, 10), (1, 40, 2), (1, 60, 2),
+    (2, 12, 4), (2, 40, 2), (3, 14, 4), (3, 24, 4)])
+def test_coefficient_scale_needs_no_squared_table(dim, level, degree):
+    bhess = HermiteBasis(dim, degree).hess_table(GaussianSpace.tensor_hermite(dim, level).nodes)
+    squared = np.sqrt(np.sum(bhess**2, axis=(1, 2))).max(axis=1)
+    np.testing.assert_array_equal(coefficient_scale(bhess), 1.0 / (1.0 + squared))
 
 
 class TestBarrierDriver:
