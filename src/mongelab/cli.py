@@ -36,7 +36,13 @@ import numpy as np
 from .diagnostics import CheckThresholds, run_standard_checks
 from .errors import ConfigError, MongelabError
 from .gaussian import MAX_TENSOR_DIM, GaussianSpace
-from .oracle1d import GRID, monotone_map, potential_from_map, wasserstein2_sq
+from .oracle1d import (
+    QuantileTable,
+    monotone_map,
+    potential_from_map,
+    quantile_table,
+    wasserstein2_sq,
+)
 from .reports import TOOL_VERSION, config_hash, write_json, write_text
 from .smoothing import StudyTable, convergence_study
 from .solver_backward import fit_dual
@@ -91,25 +97,40 @@ def _finite_float(value, key: str, least: float | None = None) -> float:
     return float(value)
 
 
-def build_space(cfg: dict, dim: int, seed: int, path: str = "") -> GaussianSpace:
+def build_space(cfg: dict, dim: int, seed: int, path: str = "",
+                rules: dict | None = None) -> GaussianSpace:
     """The quadrature rule cfg of the entry at path; a monte-carlo rule draws
-    its samples with seed."""
+    its samples with seed.
+
+    rules holds the last rule built under its key, ("tensor-hermite", dim,
+    level) or ("monte-carlo", dim, samples, seed), made from the validated
+    values.  An equal key returns that rule again, which is safe because a
+    GaussianSpace is immutable; any other key replaces it, so rules never
+    keeps more than one.
+    """
     qpath = path + "quadrature."
     kind = _require(cfg, "kind", qpath)
     if kind == "tensor-hermite":
         _check_keys(cfg, {"kind", "level"}, qpath)
         level = _int_at_least(_require(cfg, "level", qpath), qpath + "level", 1)
-        try:
-            return GaussianSpace.tensor_hermite(dim, level)
-        except ValueError as exc:
-            # tensor_hermite checks dim before level
-            key = "dim" if dim > MAX_TENSOR_DIM else "quadrature.level"
-            raise ConfigError(f"{path}{key}: {exc}") from exc
-    if kind == "monte-carlo":
+        key = (kind, dim, level)
+    elif kind == "monte-carlo":
         _check_keys(cfg, {"kind", "samples"}, qpath)
         samples = _int_at_least(_require(cfg, "samples", qpath), qpath + "samples", 1)
-        return GaussianSpace.monte_carlo(dim, samples, seed)
-    raise ConfigError(f"{qpath}kind must be 'tensor-hermite' or 'monte-carlo', got {kind!r}")
+        key = (kind, dim, samples, seed)
+    else:
+        raise ConfigError(f"{qpath}kind must be 'tensor-hermite' or 'monte-carlo', got {kind!r}")
+    rules = {} if rules is None else rules
+    if key not in rules:
+        rules.clear()
+        try:
+            rules[key] = (GaussianSpace.tensor_hermite(dim, level) if kind == "tensor-hermite"
+                          else GaussianSpace.monte_carlo(dim, samples, seed))
+        except ValueError as exc:
+            # only tensor_hermite refuses validated values, and it checks dim before level
+            name = "dim" if dim > MAX_TENSOR_DIM else "quadrature.level"
+            raise ConfigError(f"{path}{name}: {exc}") from exc
+    return rules[key]
 
 
 def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
@@ -168,27 +189,31 @@ def error_text(exc: MongelabError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def build_problem(cfg: dict, default_seed: int, path: str = ""):
-    """(dim, degree, seed, space, target, solver config) of one solve config."""
+def build_problem(cfg: dict, default_seed: int, path: str = "", rules: dict | None = None):
+    """(dim, degree, seed, space, target, solver config) of one solve config;
+    rules as in build_space."""
     dim = _int_at_least(_require(cfg, "dim", path), path + "dim", 1)
     degree = _int_at_least(_require(cfg, "degree", path), path + "degree", 1)
     seed = _int_at_least(cfg.get("seed", default_seed), path + "seed", 0)
-    space = build_space(_require(cfg, "quadrature", path), dim, seed, path)
+    space = build_space(_require(cfg, "quadrature", path), dim, seed, path, rules)
     target = build_target(_require(cfg, "target", path), dim, path + "target.")
     solver_cfg = build_solve_config(cfg.get("solver", {}), degree, path + "solver.")
     return dim, degree, seed, space, target, solver_cfg
 
 
-def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: str = ""):
+def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: str = "",
+              rules: dict | None = None):
     """Solve + dual + diagnostics for one experiment; returns a result dict.
 
     Errors in the config raise.  A MongelabError of the computation is
     returned as the dict's "error" (error_text), next to the "solve" block
     when the forward solve finished.  "code" is the entry's exit code: 4 on
     an error, 3 if the solve did not converge, 4 if a check failed, else 0.
+    rules is build_space's: a battery passes one dict to every entry, so
+    consecutive entries on equal rules share one.
     """
     _check_keys(cfg, _ENTRY_KEYS, path)
-    dim, degree, seed, space, target, solver_cfg = build_problem(cfg, default_seed, path)
+    dim, degree, seed, space, target, solver_cfg = build_problem(cfg, default_seed, path, rules)
     dual_degree = cfg.get("dual_degree")
     if "dual_degree" in cfg:  # null is not a degree
         _int_at_least(dual_degree, path + "dual_degree", 1)
@@ -221,13 +246,16 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         dual = fit_dual(space, result.nu_weights, result.phi, degree=dual_degree)
         report = run_standard_checks(space, target, result, dual, thresholds=thresholds,
                                      metadata=metadata)
-        w2, w2_ref = wasserstein_check(result, target)
+        # one quantile table serves the W2 reference and the map check
+        table = quantile_table(target) if dim == 1 and target.kind != "gaussian" else None
+        w2, w2_ref = wasserstein_check(result, target, table)
         if np.isfinite(w2_ref):
             report.add_identity("wasserstein_vs_reference", w2, w2_ref, 1e-3,
                                 note="quadrature vs closed form / 1d rearrangement")
         if dim == 1:
             reference = "T_exact" if target.kind == "gaussian" else "T_oracle"
-            report.add_identity("oracle_map_agreement", oracle_map_sup_error(result.phi, target),
+            report.add_identity("oracle_map_agreement",
+                                oracle_map_sup_error(result.phi, target, table),
                                 0.0, thresholds.oracle,
                                 note=f"sup|T_solver - {reference}| on {ORACLE_WINDOW}")
     except MongelabError as exc:
@@ -242,15 +270,16 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
     return outcome
 
 
-def oracle_map_sup_error(phi, target: ScalarTarget) -> float:
+def oracle_map_sup_error(phi, target: ScalarTarget, table: QuantileTable | None = None) -> float:
     """sup over ORACLE_WINDOW of |T_solver - T_ref| for a 1d target: T_ref is
-    the exact map m + sigma x of a gaussian target, else the 1d oracle's map."""
+    the exact map m + sigma x of a gaussian target, else the 1d oracle's map
+    on table, the target's quantile_table (built here when None)."""
     xs = np.linspace(ORACLE_WINDOW[0], ORACLE_WINDOW[1], 241)
     t_solver = xs + phi.grad(xs.reshape(-1, 1))[:, 0]
     if target.kind == "gaussian":
         t_ref = target.params["mean"][0] + target.params["sigma"][0] * xs
     else:
-        t_ref = monotone_map(target, xs).t
+        t_ref = monotone_map(target, xs, table).t
     return float(np.max(np.abs(t_solver - t_ref)))
 
 
@@ -420,6 +449,7 @@ def cmd_battery(cfg: dict, out_dir: Path) -> int:
     thresholds = build_thresholds(cfg.get("tolerances", {}))
     seed = _int_at_least(cfg.get("seed", 0), "seed", 0)
 
+    rules: dict = {}  # the last entry's rule, shared with the next entry on an equal one
     min_slack: dict = {}
     max_identity: dict = {}
     max_oracle = 0.0
@@ -435,7 +465,7 @@ def cmd_battery(cfg: dict, out_dir: Path) -> int:
         if not isinstance(name, str) or any(p["name"] == name for p in entry_payloads):
             raise ConfigError(f"config key {path}name must be a string no other entry has, "
                               f"got {name!r}")
-        outcome = run_entry({**entry, "name": name}, seed, thresholds, path=path)
+        outcome = run_entry({**entry, "name": name}, seed, thresholds, path=path, rules=rules)
         if outcome["code"]:
             failed_entries.append(name)
         if "error" in outcome:
@@ -513,12 +543,11 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     }
     lines = ["x,map,potential"]
     try:
-        grid = np.linspace(lo, hi, count)
-        transport = monotone_map(target, grid)
+        table = quantile_table(target)
+        transport = monotone_map(target, np.linspace(lo, hi, count), table)
         potential = potential_from_map(transport)
         # on the full default grid, independent of the dump window
-        full = transport if np.array_equal(grid, GRID) else monotone_map(target)
-        payload["wasserstein2_sq"] = wasserstein2_sq(full)
+        payload["wasserstein2_sq"] = wasserstein2_sq(monotone_map(target, table=table))
     except MongelabError as exc:  # the table keeps its header, the report says why
         payload["error"] = error_text(exc)
     else:

@@ -23,7 +23,7 @@ Implemented checks (nu is the target measure, phi/psi the potentials):
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -55,7 +55,9 @@ class CheckRecord:
         return self.rhs - self.lhs
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "slack": self.slack}
+        return {"name": self.name, "kind": self.kind, "lhs": self.lhs, "rhs": self.rhs,
+                "tolerance": self.tolerance, "passed": self.passed, "note": self.note,
+                "slack": self.slack}
 
 
 @dataclass

@@ -101,9 +101,10 @@ class GaussianSpace:
                              f"monte-carlo(samples={samples}, seed={seed}, dim={dim})", seed=seed)
 
     def subspace(self, dim: int) -> "GaussianSpace":
-        """Space of a different dimension under the same quadrature kind."""
+        """Space of dimension dim under the same quadrature kind: a tensor rule
+        of the same dim is this space itself."""
         if self.level is not None:
-            return GaussianSpace.tensor_hermite(dim, self.level)
+            return self if dim == self.dim else GaussianSpace.tensor_hermite(dim, self.level)
         # derived seed keeps nested integrations reproducible but decorrelated
         return GaussianSpace.monte_carlo(dim, self.weights.shape[0], self.seed + 7919 * dim)
 

@@ -118,7 +118,8 @@ def _nu_density_table(target: ScalarTarget):
     n_pts = int(np.ceil((hi - lo) / _DENSITY_STEP)) + 1
     ys = np.linspace(lo, hi, n_pts)
     rel = log_density(ys) - peak
-    dens = np.exp(rel)
+    with np.errstate(over="ignore"):  # refused by name on the next line
+        dens = np.exp(rel)
     if not np.all(np.isfinite(dens)):
         raise NonIntegrableDensityError("density overflowed on the working range")
     if np.max(np.abs(np.diff(np.maximum(rel, -_LOG_DROP)))) > _MAX_LOG_STEP:
@@ -157,14 +158,44 @@ def _invert_cubics(coef: np.ndarray, width: np.ndarray, q: np.ndarray) -> np.nda
     return 0.5 * (lo + hi)
 
 
-def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None) -> MonotoneMap1D:
-    """T(x) = F_nu^{-1}(Phi(x)) on the grid.
+@dataclass(frozen=True)
+class QuantileTable:
+    """nu's CDF and survival function on the density table's points ys, and
+    their PCHIP cubics: coef (4, len(ys) - 1, 2) holds the CDF's in column 0
+    and the negated survival function's in column 1, so both increase."""
 
-    F_nu and its survival function are tabulated on the density table and
+    ys: np.ndarray
+    cdf: np.ndarray
+    sf: np.ndarray
+    coef: np.ndarray
+
+
+def quantile_table(target: ScalarTarget) -> QuantileTable:
+    """The table every monotone_map of target inverts, built once per target.
+
+    F_nu and its survival function are Simpson sums over the density table,
     interpolated by monotone PCHIP cubics (Fritsch & Carlson, SIAM J. Numer.
-    Anal. 17, 1980).  searchsorted gives every grid point's quantile its
-    bracketing segment, and one vectorized bisection over all points solves
-    that segment's cubic to full double precision.
+    Anal. 17, 1980).
+    """
+    ys, dens = _nu_density_table(target)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is refused below
+        cdf = _cumulative_simpson(dens, ys)
+    total = cdf[-1]
+    if not np.isfinite(total) or total <= 0:
+        raise NonIntegrableDensityError("density has zero or non-finite mass")
+    cdf = cdf / total
+    sf = _cumulative_simpson(dens[::-1], -ys[::-1])[::-1] / total
+    return QuantileTable(ys, cdf, sf, pchip(ys, np.column_stack([cdf, -sf])))
+
+
+def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None,
+                 table: QuantileTable | None = None) -> MonotoneMap1D:
+    """T(x) = F_nu^{-1}(Phi(x)) on the grid, by inverting table, the target's
+    quantile_table (built here when None).
+
+    searchsorted gives every grid point's quantile its bracketing segment,
+    and one vectorized bisection over all points solves that segment's cubic
+    to full double precision.
 
     Left-half quantiles invert the CDF, right-half the survival function,
     so both tails keep full relative precision (Phi(x) near 1 cannot
@@ -174,15 +205,8 @@ def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None) -> Monoto
     no bracketing segment and raises UnresolvedDensityError.
     """
     grid = GRID if grid is None else np.asarray(grid, dtype=float)
-    ys, dens = _nu_density_table(target)
-    cdf = _cumulative_simpson(dens, ys)
-    total = cdf[-1]
-    if not np.isfinite(total) or total <= 0:
-        raise NonIntegrableDensityError("density has zero or non-finite mass")
-    cdf = cdf / total
-    sf = _cumulative_simpson(dens[::-1], -ys[::-1])[::-1] / total
-    # column 0 is the CDF, column 1 the negated survival function: both increase
-    coef = pchip(ys, np.column_stack([cdf, -sf]))
+    table = quantile_table(target) if table is None else table
+    ys, cdf, sf, coef = table.ys, table.cdf, table.sf, table.coef
     left = grid <= 0
     tail = _lower_tail(grid)  # Phi(x) left of 0, 1 - Phi(x) right of it
     beyond = (tail < np.where(left, cdf[1], sf[-2])) | (tail > np.where(left, cdf[-2], sf[1]))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NonFiniteValueError, SingularJacobianError
 from .gaussian import GaussianSpace
 from .hermite import HermiteBasis
-from .oracle1d import monotone_map, wasserstein2_sq
+from .oracle1d import QuantileTable, monotone_map, wasserstein2_sq
 from .potentials import EIG_FLOOR, PotentialField, eigh_inverse, jacobi_eigh, relative_entropy_terms
 from .targets import ScalarTarget
 
@@ -271,17 +271,19 @@ def gaussian_w2_sq(target: ScalarTarget) -> float:
     return float(np.sum(mean**2) + np.sum((sigma - 1.0) ** 2))
 
 
-def wasserstein_check(result: SolveResult, target: ScalarTarget) -> tuple[float, float]:
+def wasserstein_check(result: SolveResult, target: ScalarTarget,
+                      table: QuantileTable | None = None) -> tuple[float, float]:
     """(E[|grad phi|^2], independent reference d2^2) for the solved potential.
 
     The reference is the Gaussian closed form when available, else the 1d
-    monotone-rearrangement value, else NaN.
+    monotone-rearrangement value on table, the target's quantile_table (built
+    here when None), else NaN.
     """
     lhs = result.wasserstein2_sq
     if target.kind == "gaussian":
         return lhs, gaussian_w2_sq(target)
     if target.dim == 1:
-        return lhs, wasserstein2_sq(monotone_map(target))
+        return lhs, wasserstein2_sq(monotone_map(target, table=table))
     return lhs, float("nan")
 
 

@@ -4,6 +4,25 @@ import pytest
 from mongelab import GaussianSpace, gaussian_target
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) replaces owner.name, for this test only, by a
+    wrapper that calls it and records the positional arguments of each call;
+    it returns the list the records go to."""
+    def install(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def line60():
     return GaussianSpace.tensor_hermite(1, 60)

@@ -200,6 +200,13 @@ class TestConfigErrors:
         ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "mixture", "weights": [0.5, 0.5],
                                                 "means": [-1.0, 1.0], "sigmas": [0.0, 1.0]}},
          "invalid target: mixture sigmas must be positive"),
+        # an entry on the previous entry's rule is still validated key by key
+        *(("battery", {"battery": [GAUSSIAN_SOLVE, {**GAUSSIAN_SOLVE, "quadrature": quadrature}]},
+           field) for quadrature, field in [
+            ({"kind": "tensor-hermite", "level": 60.0}, "config key battery[1].quadrature.level"),
+            ({"kind": "tensor-hermite", "level": 60, "nodes": 60},
+             "unknown config key: battery[1].quadrature.nodes"),
+        ]),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, config, field):
@@ -486,6 +493,15 @@ class TestStudyCommand:
         assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(weighings) == 5
 
+    def test_study_builds_its_rule_once(self, tmp_path, count_calls):
+        # the four smoothed targets integrate over the study's own 2d rule
+        from mongelab.gaussian import GaussianSpace
+
+        builds = count_calls(GaussianSpace, "tensor_hermite")
+        cfg = write_config(tmp_path, "cfg.json", CASES["study-ou-2d"][1])
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert builds == [(2, 12)]
+
     def test_failed_rows_flagged_study_completes(self, tmp_path):
         # harsh truncation rows (n <= 3) stall at high degree; the study
         # still completes and the finest row decides the exit code
@@ -595,6 +611,41 @@ class TestBatteryCommand:
         for name in ("battery_report.json", "battery_summary.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_default_battery_builds_each_rule_once(self, tmp_path, count_calls):
+        # 14 entries on 3 rules: nine at (dim 1, level 60), three at (1, 30),
+        # two at (2, 40); entries on one rule solve on the same object
+        import mongelab.cli as cli
+        from mongelab.gaussian import GaussianSpace
+
+        builds = count_calls(GaussianSpace, "tensor_hermite")
+        solves = count_calls(cli, "solve")
+        cfg = write_config(tmp_path, "cfg.json", {"battery": "default"})
+        assert main(["battery", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert builds == [(1, 60), (1, 30), (2, 40)]
+        spaces = [args[0] for args in solves]
+        assert [spaces.index(space) for space in spaces] == [0] * 9 + [9] * 3 + [12] * 2
+        assert len({id(space) for space in spaces}) == 3
+
+    def test_battery_shares_a_rule_only_under_an_equal_key(self, tmp_path, count_calls):
+        # a monte-carlo key holds the entry's seed, a tensor key its level;
+        # one slot, so level 20 after level 21 is built again
+        import mongelab.cli as cli
+
+        def entry(quadrature, seed=0):
+            return {"dim": 1, "degree": 2, "seed": seed, "quadrature": quadrature,
+                    "target": {"kind": "gaussian", "mean": [0.5], "sigma": 1.0}}
+
+        mc = {"kind": "monte-carlo", "samples": 200}
+        levels = [{"kind": "tensor-hermite", "level": level} for level in (20, 21, 20)]
+        solves = count_calls(cli, "solve")
+        cfg = write_config(tmp_path, "cfg.json", {"battery": [
+            entry(mc, 1), entry(mc, 1), entry(mc, 2), *map(entry, levels)]})
+        assert main(["battery", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 4)
+        spaces = [args[0] for args in solves]
+        assert [space.seed for space in spaces[:3]] == [1, 1, 2]
+        assert [space.level for space in spaces[3:]] == [20, 21, 20]
+        assert [spaces.index(space) for space in spaces] == [0, 0, 2, 3, 4, 5]
+
     def test_unnamed_entries_named_by_index(self, tmp_path):
         # the first entry's dual fit fails, the second finishes: both keep
         # their index name in the payload, the aggregate and the diagnostics
@@ -631,48 +682,45 @@ class TestOracleCommand:
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["wasserstein2_sq"] == pytest.approx(2.0, abs=1e-6)
 
-    @pytest.mark.parametrize("grid, tables", [({}, 1), ({"lo": -3.0, "hi": 3.0, "count": 601}, 2)])
-    def test_default_grid_builds_one_density_table(self, tmp_path, monkeypatch, grid, tables):
-        # W2 integrates the dumped map when it lies on the default grid
+    @pytest.mark.parametrize("grid, tables", [({}, 1), ({"lo": -3.0, "hi": 3.0, "count": 601}, 1)])
+    def test_default_grid_builds_one_density_table(self, tmp_path, count_calls, grid, tables):
+        # the dumped map and W2 on the default grid invert one quantile table
         import mongelab.oracle1d as oracle1d
 
-        calls = []
-        tabulate = oracle1d._nu_density_table
-
-        def counting(target):
-            calls.append(target.kind)
-            return tabulate(target)
-
-        monkeypatch.setattr(oracle1d, "_nu_density_table", counting)
+        calls = count_calls(oracle1d, "_nu_density_table")
         cfg = write_config(tmp_path, "cfg.json", {
             "target": {"kind": "quartic-well", "a": 0.05, "b": -0.2}, "grid": grid})
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == tables
 
-    def test_default_battery_builds_density_tables_for_quartics_only(self, tmp_path, monkeypatch):
+    def test_default_battery_builds_density_tables_for_quartics_only(self, tmp_path, count_calls):
         # a gaussian entry checks its map against the exact m + sigma x; a
-        # quartic entry builds one table for the map check and one for W2
+        # quartic entry builds one table for both its map check and W2
         import mongelab.cli as cli
         import mongelab.oracle1d as oracle1d
 
-        running, calls = [], []
-        tabulate, run_entry = oracle1d._nu_density_table, cli.run_entry
-
-        def counting(target):
-            calls.append(running[-1])
-            return tabulate(target)
-
-        def entry(cfg, *args, **kwargs):
-            running.append(cfg["name"])
-            return run_entry(cfg, *args, **kwargs)
-
-        monkeypatch.setattr(oracle1d, "_nu_density_table", counting)
-        monkeypatch.setattr(cli, "run_entry", entry)
+        entries = count_calls(cli, "run_entry")
+        tables = count_calls(oracle1d, "_nu_density_table")
         cfg = write_config(tmp_path, "cfg.json", {"battery": "default"})
         assert main(["battery", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert len(running) == 14
-        quartics = [e["name"] for e in cli.default_battery() if e["target"]["kind"] != "gaussian"]
-        assert calls == [name for name in quartics for _ in range(2)]
+        assert len(entries) == 14
+        quartics = [e["target"] for e in cli.default_battery() if e["target"]["kind"] != "gaussian"]
+        assert [(t.kind, t.params) for t, in tables] == [
+            ("quartic-well", {"a": q["a"], "b": q["b"]}) for q in quartics]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_overflow_is_one_error_line(self, tmp_path, capsys):
+        # nu is integrable, but its table is normalized by the peak on [-8, 8]
+        # while its mass sits near 12: exp overflows, and numpy warns of nothing
+        error = "NonIntegrableDensityError: density overflowed on the working range"
+        cfg = write_config(tmp_path, "cfg.json", {"target": {
+            "kind": "mixture", "weights": [1e-310, 1.0], "means": [[0.0], [12.0]],
+            "sigmas": [[1.0], [0.1]]}})
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (out / "oracle_table.csv").read_text() == "x,map,potential\n"
+        assert json.loads((out / "oracle_report.json").read_text())["error"] == error
 
     @pytest.mark.parametrize("grid, field", [
         ({"count": 1}, "grid.count"),

@@ -19,7 +19,13 @@ from mongelab import (
 )
 from mongelab.cli import build_target, default_battery
 from mongelab._cubics import evaluate, pchip
-from mongelab.oracle1d import GRID, _cumulative_simpson, _lower_tail, _nu_density_table
+from mongelab.oracle1d import (
+    GRID,
+    _cumulative_simpson,
+    _lower_tail,
+    _nu_density_table,
+    quantile_table,
+)
 from reference import scipy_monotone_map
 
 
@@ -140,6 +146,41 @@ class TestMonotoneMap:
         )
         with pytest.raises(NonIntegrableDensityError):
             monotone_map(bad)
+
+    @pytest.mark.parametrize("log_density, error", [
+        (lambda y: np.where(y > 7, np.nan, -0.5 * y**2),
+         "log-density not finite on the base range"),
+        (lambda y: np.where(y > 0, 0.0, -0.5 * y**2), "density does not decay on the right"),
+        (lambda y: np.where(y < 0, 0.0, -0.5 * y**2), "density does not decay on the left"),
+        # a bump at 12, 728 above the peak on [-8, 8] that the table is scaled by
+        (lambda y: 800 * np.exp(-(y - 12) ** 2) - 0.5 * y**2,
+         "density overflowed on the working range"),
+        # e^709 on [11.7, 15.7]: finite at every point, but its integral overflows
+        (lambda y: np.minimum(709.0, np.maximum(-0.5 * y**2,
+                                                200 * np.minimum(y - 8, 16 - y) - 32)),
+         "density has zero or non-finite mass"),
+    ], ids=["nan", "right", "left", "overflow", "mass"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_table_errors_are_named(self, log_density, error):
+        # built by hand, past check_consistency: f makes -f - y^2/2 the log-density
+        target = ScalarTarget(1, "hand-built", {},
+                              eval=lambda x: -log_density(x[:, 0]) - 0.5 * x[:, 0] ** 2,
+                              grad=None, hess=None)
+        with pytest.raises(NonIntegrableDensityError, match=f"^{error}$"):
+            monotone_map(target)
+
+    def test_repeated_grid_point_is_not_increasing(self):
+        # on a strictly increasing grid no target was found that reaches this
+        with pytest.raises(NonIntegrableDensityError,
+                           match="^rearrangement map is not strictly increasing$"):
+            monotone_map(gaussian_target([0.0], 1.0), np.array([-1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("grid", [None, np.linspace(-3.0, 3.0, 241)])
+    def test_prebuilt_table_gives_the_same_map(self, grid):
+        target = quartic_well_target(0.05, -0.2)
+        table = quantile_table(target)
+        np.testing.assert_array_equal(monotone_map(target, grid, table).t,
+                                      monotone_map(target, grid).t)
 
     @pytest.mark.parametrize("m", [0.0, 0.013])
     @pytest.mark.parametrize("sigma", [0.001, 0.002, 0.005, 0.01, 0.02])
