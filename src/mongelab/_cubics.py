@@ -44,7 +44,8 @@ def pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     d = np.empty_like(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # masked by flat
+    # masked by flat; w / m overflows on subnormal secants, where the slope's limit is 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
     d[0] = _pchip_end(h[0], h[1], m[0], m[1])
     d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])

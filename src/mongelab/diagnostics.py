@@ -168,6 +168,18 @@ class NodeTables:
         return float(np.sum(self.nu_weights * np.sum(self.grad_f**2, axis=1)))
 
     @cached_property
+    def l2_ou_sums(self) -> tuple[float, float, float, float]:
+        """(E_nu[(L_nu psi)^2], E_nu|grad f|^2, E_nu|grad f|^4, E_nu|grad psi|^2)
+        over the nu-mass nodes, the sums of every l2_ou_bound."""
+        w, y, gf = self.nu_mask
+        g, h, _, _ = self.backward
+        l_psi = np.einsum("ni,ni->n", y, g) - np.einsum("nii->n", h)
+        l_nu = l_psi + np.einsum("ni,ni->n", gf, g)
+        gf2 = np.sum(gf**2, axis=1)
+        return (float(np.sum(w * l_nu**2)), float(np.sum(w * gf2)), float(np.sum(w * gf2**2)),
+                float(np.sum(w * np.sum(g**2, axis=1))))
+
+    @cached_property
     def backward(self) -> tuple:
         """(grad psi, hess psi, M, sum_i d_i M_ij) on the nu-mass points, with
         M = (I + hess psi)^{-1} - I.  A conjugacy dual reads all four off S(y) and
@@ -345,14 +357,8 @@ def l2_ou_bound(tables: NodeTables, eps: float) -> tuple[float, float]:
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    w, y, gf = tables.nu_mask
-    g, h, _, _ = tables.backward
-    l_psi = np.einsum("ni,ni->n", y, g) - np.einsum("nii->n", h)
-    l_nu = l_psi + np.einsum("ni,ni->n", gf, g)
-    lhs = (1.0 - eps) * float(np.sum(w * l_nu**2))
-    e_grad_f2 = float(np.sum(w * np.sum(gf**2, axis=1)))
-    e_grad_f4 = float(np.sum(w * np.sum(gf**2, axis=1) ** 2))
-    e_grad_psi2 = float(np.sum(w * np.sum(g**2, axis=1)))
+    e_l_nu2, e_grad_f2, e_grad_f4, e_grad_psi2 = tables.l2_ou_sums
+    lhs = (1.0 - eps) * e_l_nu2
     rhs = np.sqrt(2.0 * e_grad_f2 + 2.0 * e_grad_psi2) * (1.0 + e_grad_f4) + e_grad_f4 / eps
     return lhs, float(rhs)
 

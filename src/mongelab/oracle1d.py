@@ -117,11 +117,11 @@ def _nu_density_table(target: ScalarTarget):
         raise NonIntegrableDensityError("density does not decay on the right")
     n_pts = int(np.ceil((hi - lo) / _DENSITY_STEP)) + 1
     ys = np.linspace(lo, hi, n_pts)
-    rel = log_density(ys) - peak
-    with np.errstate(over="ignore"):  # refused by name on the next line
-        dens = np.exp(rel)
-    if not np.all(np.isfinite(dens)):
-        raise NonIntegrableDensityError("density overflowed on the working range")
+    ld = log_density(ys)
+    if not np.all(ld < np.inf):  # NaN or +inf; -inf is a zero density
+        raise NonIntegrableDensityError("log-density not finite on the working range")
+    rel = ld - ld.max()  # the table peaks at exactly 1, wherever its mass lies
+    dens = np.exp(rel)
     if np.max(np.abs(np.diff(np.maximum(rel, -_LOG_DROP)))) > _MAX_LOG_STEP:
         raise UnresolvedDensityError(
             f"density too narrow for the table step {_DENSITY_STEP}: the log-density "
@@ -141,21 +141,46 @@ class MonotoneMap1D:
         return evaluate(self.x, pchip(self.x, self.t), x)
 
 
+def _cubic(coef: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p(s), p'(s)) by Horner's rule, for PPoly coefficients coef (4, n) in
+    powers of s, highest first."""
+    a, b, c, d = coef
+    return ((a * s + b) * s + c) * s + d, (3.0 * a * s + 2.0 * b) * s + c
+
+
 def _invert_cubics(coef: np.ndarray, width: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Offsets s in [0, width] with p(s) = q, p an increasing cubic per query.
 
     coef holds PPoly coefficients (4, n) in powers of s, highest first.  One
-    bisection runs on all queries at once; _BISECTIONS halvings shrink a
-    segment of width <= _DENSITY_STEP below 1e-18, under the spacing of doubles.
+    safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) runs on all
+    queries at once.  Each starts at the secant point and keeps a bracket
+    [lo, hi] from the sign of p(s) - q; a Newton step that leaves the bracket,
+    or divides by a zero slope, is replaced by the bracket's midpoint.  A query
+    is done once its residual is within 4 ulps of q, or once its step is within
+    2 ulps of s, where rounding in p keeps the residual above that.  The loop
+    ends when every query is done, after at most _BISECTIONS steps, the
+    halvings that shrink a table segment below the spacing of doubles.
     """
+    p0 = coef[3]
+    pw, _ = _cubic(coef, width)
     lo = np.zeros_like(q)
     hi = width
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        below = ((coef[0] * mid + coef[1]) * mid + coef[2]) * mid + coef[3] < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    tol = 4.0 * np.spacing(np.abs(q))
+    with np.errstate(divide="ignore", invalid="ignore"):  # replaced by the midpoint
+        s = np.fmin(np.fmax(width * (q - p0) / (pw - p0), 0.0), width)  # 0/0 starts at 0
+        for _ in range(_BISECTIONS):
+            p, slope = _cubic(coef, s)
+            r = p - q
+            below = r < 0
+            lo = np.where(below, s, lo)
+            hi = np.where(below, hi, s)
+            step = s - r / slope
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            done = (np.abs(r) <= tol) | (np.abs(step - s) <= 2.0 * np.spacing(s))
+            if done.all():
+                break
+            s = np.where(done, s, step)
+    return s
 
 
 @dataclass(frozen=True)
@@ -178,11 +203,8 @@ def quantile_table(target: ScalarTarget) -> QuantileTable:
     Anal. 17, 1980).
     """
     ys, dens = _nu_density_table(target)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is refused below
-        cdf = _cumulative_simpson(dens, ys)
+    cdf = _cumulative_simpson(dens, ys)
     total = cdf[-1]
-    if not np.isfinite(total) or total <= 0:
-        raise NonIntegrableDensityError("density has zero or non-finite mass")
     cdf = cdf / total
     sf = _cumulative_simpson(dens[::-1], -ys[::-1])[::-1] / total
     return QuantileTable(ys, cdf, sf, pchip(ys, np.column_stack([cdf, -sf])))
@@ -194,8 +216,8 @@ def monotone_map(target: ScalarTarget, grid: np.ndarray | None = None,
     quantile_table (built here when None).
 
     searchsorted gives every grid point's quantile its bracketing segment,
-    and one vectorized bisection over all points solves that segment's cubic
-    to full double precision.
+    and one vectorized safeguarded Newton iteration over all points solves
+    that segment's cubic to full double precision.
 
     Left-half quantiles invert the CDF, right-half the survival function,
     so both tails keep full relative precision (Phi(x) near 1 cannot

@@ -135,7 +135,7 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                         m[r][q] = m[q][r] = s * arp + c * arq
                 vp, vq = v[:, p], v[:, q]
                 v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
-        if not rotated:
+        if not rotated or d == 2:  # d = 2: its one rotation leaves a_pq = 0 exactly
             break
     return np.where(finite, [m[k][k] for k in range(d)], -np.inf), v
 

@@ -81,8 +81,11 @@ class ForwardWorkspace:
         self.coeff_scale = coefficient_scale(self.bhess)
 
     def fields(self, coeffs: np.ndarray):
-        g = np.tensordot(coeffs, self.bgrad, axes=1).T           # (N, d)
-        h = np.tensordot(coeffs, self.bhess, axes=1)              # (d, d, N)
+        """(grad phi (N, d), hess phi (d, d, N)) on the nodes, one matmul each
+        over the flattened (C-contiguous) tables."""
+        a = len(coeffs)
+        g = (coeffs @ self.bgrad.reshape(a, -1)).reshape(self.bgrad.shape[1:]).T
+        h = (coeffs @ self.bhess.reshape(a, -1)).reshape(self.bhess.shape[1:])
         return g, h
 
     def barrier(self, coeffs: np.ndarray):

@@ -34,6 +34,10 @@ CASES = {
         "dim": 1, "degree": 3, "quadrature": {"kind": "tensor-hermite", "level": 5},
         "target": {"kind": "quartic-well", "a": 0.03, "b": 10}, "solver": {"max_iters": 5},
         "study": {"scheme": "ou", "n_list": [1, 2]}}, 4),
+    # nearly all mass near 12, outside the oracle's probe range [-8, 8]
+    "oracle-far-mass": ([*CLI, "oracle"], {"target": {
+        "kind": "mixture", "weights": [1e-310, 1.0], "means": [[0.0], [12.0]],
+        "sigmas": [[1.0], [0.1]]}}, 0),
     # narrower than the oracle's density table resolves
     "failed-oracle": ([*CLI, "oracle"],
                       {"target": {"kind": "gaussian", "mean": [0.0], "sigma": 0.001}}, 4),

@@ -5,7 +5,7 @@ package computes another way (two-operator OU smoothing and conditioning
 against smoothing's one Mehler rule, closed-form divergences, the paper's
 Lambda, the closed-form Gaussian potentials, a direct J_b minimization
 against the conjugacy dual, the 1d oracle's map on scipy's kernels against
-its numpy ones).  Notation
+its numpy ones, and its Newton root solve against bisection).  Notation
 (grad xi, delta, delta_nu) is that of the mongelab.gaussian docstring.
 """
 from __future__ import annotations
@@ -461,12 +461,29 @@ def solve_backward_variational(space: GaussianSpace, target: ScalarTarget,
     return result.phi, result
 
 
+def bisect_cubics(coef: np.ndarray, width: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """_invert_cubics by plain bisection: offsets s in [0, width] with p(s) = q.
+
+    coef holds PPoly coefficients (4, n) in powers of s, highest first, of an
+    increasing cubic per query.  52 halvings shrink a segment of width <= 0.004
+    (the oracle's table step) below 1e-18, under the spacing of doubles.
+    """
+    lo = np.zeros_like(q)
+    hi = width
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        below = ((coef[0] * mid + coef[1]) * mid + coef[2]) * mid + coef[3] < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def scipy_monotone_map(target: ScalarTarget, grid: np.ndarray = GRID) -> np.ndarray:
     """T on the grid by the oracle's algorithm on scipy's kernels.
 
     scipy's cumulative_simpson, PchipInterpolator and ndtr build the CDF and
     survival tables, their cubics and the quantiles; the quantiles are
-    clipped to the table, and the same vectorized bisection inverts them.
+    clipped to the table, and the oracle's own root solve inverts them.
     """
     from scipy.integrate import cumulative_simpson
     from scipy.interpolate import PchipInterpolator

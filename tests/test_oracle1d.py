@@ -17,16 +17,19 @@ from mongelab import (
     tabulated_target_1d,
     wasserstein2_sq,
 )
-from mongelab.cli import build_target, default_battery
+import mongelab.oracle1d as oracle1d
+from mongelab.cli import ORACLE_WINDOW, build_target, default_battery
 from mongelab._cubics import evaluate, pchip
 from mongelab.oracle1d import (
     GRID,
+    _DENSITY_STEP,
     _cumulative_simpson,
+    _invert_cubics,
     _lower_tail,
     _nu_density_table,
     quantile_table,
 )
-from reference import scipy_monotone_map
+from reference import bisect_cubics, scipy_monotone_map
 
 
 def scalar_reference_map(target):
@@ -147,26 +150,29 @@ class TestMonotoneMap:
         with pytest.raises(NonIntegrableDensityError):
             monotone_map(bad)
 
-    @pytest.mark.parametrize("log_density, error", [
-        (lambda y: np.where(y > 7, np.nan, -0.5 * y**2),
+    @pytest.mark.parametrize("log_density, kind, error", [
+        (lambda y: np.where(y > 7, np.nan, -0.5 * y**2), NonIntegrableDensityError,
          "log-density not finite on the base range"),
-        (lambda y: np.where(y > 0, 0.0, -0.5 * y**2), "density does not decay on the right"),
-        (lambda y: np.where(y < 0, 0.0, -0.5 * y**2), "density does not decay on the left"),
-        # a bump at 12, 728 above the peak on [-8, 8] that the table is scaled by
-        (lambda y: 800 * np.exp(-(y - 12) ** 2) - 0.5 * y**2,
-         "density overflowed on the working range"),
-        # e^709 on [11.7, 15.7]: finite at every point, but its integral overflows
-        (lambda y: np.minimum(709.0, np.maximum(-0.5 * y**2,
-                                                200 * np.minimum(y - 8, 16 - y) - 32)),
-         "density has zero or non-finite mass"),
-    ], ids=["nan", "right", "left", "overflow", "mass"])
+        (lambda y: np.where(y > 0, 0.0, -0.5 * y**2), NonIntegrableDensityError,
+         "density does not decay on the right"),
+        (lambda y: np.where(y < 0, 0.0, -0.5 * y**2), NonIntegrableDensityError,
+         "density does not decay on the left"),
+        # a bump at 12, 728 above the peak on [-8, 8]: exp overflowed while the
+        # table was scaled by that peak; scaled by its own, the bump is too narrow
+        (lambda y: 800 * np.exp(-(y - 12) ** 2) - 0.5 * y**2, UnresolvedDensityError,
+         "density too narrow for the table step 0.004: the log-density changes by more "
+         "than 1.0 between neighbouring points"),
+        # NaN between the range scan's points 8 and 10
+        (lambda y: np.where((y > 8.5) & (y < 9.0), np.nan, -0.5 * y**2),
+         NonIntegrableDensityError, "log-density not finite on the working range"),
+    ], ids=["nan", "right", "left", "overflow", "nan-inside"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_density_table_errors_are_named(self, log_density, error):
+    def test_density_table_errors_are_named(self, log_density, kind, error):
         # built by hand, past check_consistency: f makes -f - y^2/2 the log-density
         target = ScalarTarget(1, "hand-built", {},
                               eval=lambda x: -log_density(x[:, 0]) - 0.5 * x[:, 0] ** 2,
                               grad=None, hess=None)
-        with pytest.raises(NonIntegrableDensityError, match=f"^{error}$"):
+        with pytest.raises(kind, match=f"^{error}$"):
             monotone_map(target)
 
     def test_repeated_grid_point_is_not_increasing(self):
@@ -192,6 +198,43 @@ class TestMonotoneMap:
         except UnresolvedDensityError:
             return
         np.testing.assert_allclose(t, m + sigma * GRID, rtol=0.0, atol=1e-6)
+
+
+class TestRootSolve:
+    """_invert_cubics, the safeguarded Newton solve, against bisection."""
+
+    @pytest.mark.parametrize("grid", [GRID, np.linspace(*ORACLE_WINDOW, 241)],
+                             ids=["GRID", "map-check"])
+    @pytest.mark.parametrize("target", [
+        *(pytest.param(t, id=n) for n, t in BATTERY_1D if t.kind == "quartic-well"),
+        pytest.param(gaussian_target([1.0], 0.05), id="gaussian-0.05"),
+    ])
+    def test_newton_matches_bisection(self, count_calls, target, grid):
+        table = quantile_table(target)
+        solves = count_calls(oracle1d, "_invert_cubics")
+        cubics = count_calls(oracle1d, "_cubic")
+        t = monotone_map(target, grid, table).t
+        (coef, width, q), = solves
+        iterations = len(cubics) - 1  # one call evaluates p(width) for the secant start
+        assert iterations <= 6
+        s = _invert_cubics(coef, width, q)
+        assert np.all((0.0 <= s) & (s <= width))
+        ulps = np.spacing(np.maximum(np.abs(t), 1.0))
+        assert np.max(np.abs(s - bisect_cubics(coef, width, q)) / ulps) <= 16
+        p, slope = oracle1d._cubic(coef, s)
+        newton_step = np.abs((p - q) / slope)
+        assert np.all((np.abs(p - q) <= 4 * np.spacing(np.abs(q)))
+                      | (newton_step <= 2 * np.spacing(s)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_slope_converges_by_midpoints(self, count_calls):
+        # p(s) = s^3 has slope 0 at the secant start's side: Newton's first
+        # step leaves the bracket, and the midpoint takes over
+        cubics = count_calls(oracle1d, "_cubic")
+        coef = np.array([[1.0], [0.0], [0.0], [0.0]])
+        s = _invert_cubics(coef, np.array([_DENSITY_STEP]), np.array([1e-30]))
+        assert len(cubics) - 1 < oracle1d._BISECTIONS
+        np.testing.assert_allclose(s, 1e-10, rtol=1e-15)
 
 
 class TestPotentialFromMap:
