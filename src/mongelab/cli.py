@@ -37,6 +37,7 @@ from .diagnostics import CheckThresholds, run_standard_checks
 from .errors import ConfigError, MongelabError
 from .gaussian import MAX_TENSOR_DIM, GaussianSpace
 from .oracle1d import (
+    GRID,
     QuantileTable,
     monotone_map,
     potential_from_map,
@@ -163,8 +164,8 @@ def build_target(cfg: dict, dim: int, path: str = "target.") -> ScalarTarget:
 
 def build_solve_config(cfg: dict, degree: int, path: str = "solver.") -> SolveConfig:
     _check_keys(cfg, {"optimizer", "max_iters", "grad_tol"}, path)
-    max_iters = _int_at_least(cfg.get("max_iters", 500), path + "max_iters", 1)
-    grad_tol = _finite_float(cfg.get("grad_tol", 1e-8), path + "grad_tol")
+    max_iters = _int_at_least(cfg.get("max_iters", SolveConfig.max_iters), path + "max_iters", 1)
+    grad_tol = _finite_float(cfg.get("grad_tol", SolveConfig.grad_tol), path + "grad_tol")
     try:
         optimizer = cfg.get("optimizer", "quasi-newton")  # kept for the documented config format
         if optimizer != "quasi-newton":
@@ -250,7 +251,7 @@ def run_entry(cfg: dict, default_seed: int, thresholds: CheckThresholds, path: s
         table = quantile_table(target) if dim == 1 and target.kind != "gaussian" else None
         w2, w2_ref = wasserstein_check(result, target, table)
         if np.isfinite(w2_ref):
-            report.add_identity("wasserstein_vs_reference", w2, w2_ref, 1e-3,
+            report.add_identity("wasserstein_vs_reference", w2, w2_ref, thresholds.identity,
                                 note="quadrature vs closed form / 1d rearrangement")
         if dim == 1:
             reference = "T_exact" if target.kind == "gaussian" else "T_oracle"
@@ -529,11 +530,11 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     target = build_target(_require(cfg, "target", ""), 1)
     grid_cfg = cfg.get("grid", {})
     _check_keys(grid_cfg, {"lo", "hi", "count"}, "grid.")
-    lo = _finite_float(grid_cfg.get("lo", -8.0), "grid.lo")
-    hi = _finite_float(grid_cfg.get("hi", 8.0), "grid.hi")
+    lo = _finite_float(grid_cfg.get("lo", GRID[0]), "grid.lo")
+    hi = _finite_float(grid_cfg.get("hi", GRID[-1]), "grid.hi")
     if not lo < hi:
         raise ConfigError(f"grid.lo and grid.hi must satisfy lo < hi, got {lo!r}, {hi!r}")
-    count = _int_at_least(grid_cfg.get("count", 2001), "grid.count", 2)
+    count = _int_at_least(grid_cfg.get("count", GRID.size), "grid.count", 2)
     payload = {
         "tool_version": TOOL_VERSION,
         "config_hash": config_hash(cfg),
@@ -580,9 +581,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MongelabError as exc:
-        print(f"error: {error_text(exc)}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -20,11 +20,9 @@ import numpy as np
 
 
 def as_points(x, dim: int) -> np.ndarray:
-    """Promote a single d-vector (or scalar when d=1) to an (N, d) array."""
+    """Promote a single d-vector to an (N, d) array."""
     pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
+    if pts.ndim == 1:
         pts = pts.reshape(1, dim) if pts.shape[0] == dim else pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {np.shape(x)}")

