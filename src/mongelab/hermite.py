@@ -15,6 +15,7 @@ He_alpha is contracted point by point as its basis is evaluated.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -37,7 +38,8 @@ def hermite_values(x: np.ndarray, degree: int) -> np.ndarray:
     if degree >= 1:
         out[1] = x
     for n in range(1, degree):
-        out[n + 1] = x * out[n] - n * out[n - 1]
+        np.multiply(x, out[n], out=out[n + 1])
+        out[n + 1] -= n * out[n - 1]
     return out
 
 
@@ -52,13 +54,6 @@ def multi_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
     ]
     idx.sort(key=lambda a: (sum(a), a))
     return idx
-
-
-def _falling(n: int, o: int) -> float:
-    out = 1.0
-    for k in range(o):
-        out *= n - k
-    return out
 
 
 class HermiteBasis:
@@ -82,8 +77,8 @@ class HermiteBasis:
         tabs = [base]
         for o in range(1, max_order + 1):
             t = np.zeros_like(base)
-            for n in range(o, self.degree + 1):
-                t[n] = _falling(n, o) * base[n - o]
+            falling = np.array([math.perm(n, o) for n in range(o, self.degree + 1)], dtype=float)
+            t[o:] = falling[:, None, None] * base[:len(falling)]
             tabs.append(t)
         return tabs
 

@@ -63,9 +63,9 @@ class ForwardWorkspace:
     per-node basis tables and the barrier -E_w[log det2(I + hess)].
 
     objective_and_gradient(coeffs) -> (value, gradient, margin) is what
-    minimize_with_barrier drives.  Infeasible coefficient vectors
-    (eigenvalue floor violated at a node) evaluate to +inf, which the
-    backtracking line search rejects.
+    minimize_with_barrier drives.  A coefficient vector that breaches the
+    eigenvalue floor, or moves a node to where f is not finite, evaluates
+    to +inf, which the backtracking line search rejects.
     """
 
     def __init__(self, space: GaussianSpace, target: ScalarTarget, basis: HermiteBasis):
@@ -115,7 +115,7 @@ class ForwardWorkspace:
         fvals, grad_f = self.target.value_and_grad(self.nodes + g)
         fvals = np.asarray(fvals, dtype=float).reshape(-1)
         if not np.all(np.isfinite(fvals)):
-            raise NonFiniteValueError("target not finite at a transported node")
+            return np.inf, None, margin
         obj = float(np.sum(self.w * (fvals + 0.5 * np.sum(g**2, axis=1) - ld2)))
         grad_f = np.asarray(grad_f, dtype=float)
         lin = (grad_f + g) * self.w[:, None]                      # (N, d)
@@ -146,25 +146,28 @@ def minimize_with_barrier(ws: ForwardWorkspace, x0: np.ndarray, config: SolveCon
 
     ws.objective_and_gradient(x) returns (value, gradient, margin); value
     is +inf and the gradient None when the margin (distance of the
-    smallest eigenvalue above the floor) is nonpositive.  Accepted steps
-    must keep a fixed fraction of the current margin
-    (fraction-to-the-boundary rule), so iterates approach the feasibility
-    boundary at most geometrically and never get pinned against it
-    mid-path.  The inverse-Hessian estimate starts, and restarts when the
-    curvature condition fails, at h0 = diag(ws.coeff_scale).  A quasi-newton
-    direction that does not descend, or whose backtrack fails, is replaced
-    once by -h0 grad, unless the estimate already was h0.  Converges at
-    config.grad_tol; when no acceptable step remains (descent below
-    floating-point resolution), the run counts as converged iff the
-    gradient norm is within GRAD_TOL_SOFT.  Returns the SolveResult of the
-    last accepted iterate x: phi = PotentialField(ws.basis, x) and
-    wasserstein2_sq = sum ws.w |grad phi|^2.
+    smallest eigenvalue above the floor) is nonpositive, or when f is not
+    finite at a transported node: such a trial is rejected like a floor
+    breach.  Accepted steps must keep a fixed fraction of the current
+    margin (fraction-to-the-boundary rule), so iterates approach the
+    feasibility boundary at most geometrically and never get pinned
+    against it mid-path.  The inverse-Hessian estimate starts, and
+    restarts when the curvature condition fails, at h0 =
+    diag(ws.coeff_scale).  A quasi-newton direction that does not descend,
+    or whose backtrack fails, is replaced once by -h0 grad, unless the
+    estimate already was h0.  Converges at config.grad_tol; when no
+    acceptable step remains (descent below floating-point resolution), the
+    run counts as converged iff the gradient norm is within GRAD_TOL_SOFT.
+    Returns the SolveResult of the last accepted iterate x: phi =
+    PotentialField(ws.basis, x) and wasserstein2_sq = sum ws.w |grad phi|^2.
     """
     x = np.array(x0, dtype=float)
     val, grad, margin = ws.objective_and_gradient(x)
-    if not np.isfinite(val):
+    if margin <= 0:
         raise SingularJacobianError("infeasible starting point")
-    n = x.shape[0]
+    if not np.isfinite(val):
+        raise NonFiniteValueError("target not finite at a transported node")
+    eye = np.eye(x.shape[0])
     h0 = np.diag(ws.coeff_scale)
     h_inv = h0  # `h_inv is h0` marks a (re)started estimate
     history = [val]
@@ -217,7 +220,7 @@ def minimize_with_barrier(ws: ForwardWorkspace, x0: np.ndarray, config: SolveCon
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             rho = 1.0 / sy
             sy_outer = np.outer(s, y)
-            h_inv = (np.eye(n) - rho * sy_outer) @ h_inv @ (np.eye(n) - rho * sy_outer.T)
+            h_inv = (eye - rho * sy_outer) @ h_inv @ (eye - rho * sy_outer.T)
             h_inv += rho * np.outer(s, s)
         else:
             h_inv = h0
@@ -235,11 +238,13 @@ def minimize_with_barrier(ws: ForwardWorkspace, x0: np.ndarray, config: SolveCon
 
 
 def objective(space: GaussianSpace, target: ScalarTarget, phi: PotentialField) -> float:
-    """J_f(phi); raises SingularJacobianError when the barrier is hit."""
+    """J_f(phi); SingularJacobianError at the barrier, NonFiniteValueError where f is not finite."""
     ws = ForwardWorkspace(space, target, phi.basis)
-    val = ws._evaluate(phi.coeffs)[0]
-    if not np.isfinite(val):
+    val, _, margin = ws._evaluate(phi.coeffs)
+    if margin <= 0:
         raise SingularJacobianError("eigenvalue floor violated at a quadrature node")
+    if not np.isfinite(val):
+        raise NonFiniteValueError("target not finite at a transported node")
     return val
 
 

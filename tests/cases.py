@@ -18,6 +18,14 @@ README_SOLVE = json.loads(re.search(r"A solve config:\s*```json\n(.*?)```",
                                     re.S).group(1))
 CLI = ["-m", "mongelab"]
 XS = [-8.0 + 0.5 * k for k in range(33)]
+# N(1, 4): the solve config the CONFIG_ERRORS rows vary
+GAUSSIAN_SOLVE = {"dim": 1, "degree": 2, "quadrature": {"kind": "tensor-hermite", "level": 60},
+                  "target": {"kind": "gaussian", "mean": [1.0], "sigma": 2.0}, "seed": 0}
+# a 1d quartic whose degree-10 solve converges; with dual_degree 14 its dual
+# fit then has 14 nu-mass nodes for 15 unknowns
+QUARTIC_10 = {"dim": 1, "degree": 10, "quadrature": {"kind": "tensor-hermite", "level": 30},
+              "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
+              "solver": {"max_iters": 3000}}
 
 # (argv after the interpreter, config, exit code); a CLI run reads its
 # config from config.json and writes its reports under out/ (see prepare)
@@ -64,17 +72,13 @@ CASES = {
         "target": {"kind": "gaussian", "mean": [0.0], "sigma": 1.0},
         "tolerances": {"identity": -1}}, 2),
     "unconverged-solve": ([*CLI, "solve"], {**README_SOLVE, "solver": {"max_iters": 1}}, 3),
+    # a computation error after the solve: the report keeps the solve and the error
+    "dual-error": ([*CLI, "solve"], {**QUARTIC_10, "dual_degree": 14}, 4),
+    # the failed entry is written as {name, error}; the next entry still runs
+    "battery-error": ([*CLI, "battery"], {"battery": [
+        {**QUARTIC_10, "name": "quartic-dual-14", "dual_degree": 14}, GAUSSIAN_SOLVE]}, 4),
     **{script: ([str(ROOT / "scripts" / f"{script}.py")], None, 0)
        for script in ("run_gaussian_exactness", "run_default_battery", "run_smoothing_studies")},
-}
-
-# the solve config the CONFIG_ERRORS rows vary
-GAUSSIAN_SOLVE = {
-    "dim": 1,
-    "degree": 2,
-    "quadrature": {"kind": "tensor-hermite", "level": 60},
-    "target": {"kind": "gaussian", "mean": [1.0], "sigma": 2.0},
-    "seed": 0,
 }
 
 
@@ -263,6 +267,23 @@ CONFIG_ERRORS = [
         ({"kind": "tensor-hermite", "level": 60.0}, "config key battery[1].quadrature.level"),
         ({"kind": "tensor-hermite", "level": 60, "nodes": 60},
          "unknown config key: battery[1].quadrature.nodes"),
+    ]),
+    ("solve", {**GAUSSIAN_SOLVE, "degreee": 3}, "unknown config key: degreee"),
+    ("solve", {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [0.0], "sig": 1.0}},
+     "unknown config key: target.sig"),
+    ("study", with_study(scheme="fourier"), "study.scheme must be 'ou' or 'truncation'"),
+    ("battery", {"battery": []}, "battery is empty"),
+    # the oracle takes 1d targets only
+    ("oracle", {"target": {"kind": "gaussian", "mean": [1.0, 0.0], "sigma": 2.0}},
+     "invalid target: mean has 2 values, but dim = 1 allows 1"),
+    # at least two grid points, finite ends, lo < hi
+    *(("oracle", {"target": GAUSSIAN_SOLVE["target"], "grid": grid}, field)
+      for grid, field in [
+        ({"count": 1}, "config key grid.count must be an integer >= 2"),
+        ({"hi": "nan"}, "config key grid.hi must be a finite number"),
+        ({"lo": "-inf"}, "config key grid.lo must be a finite number"),
+        ({"lo": 2.0, "hi": 2.0}, "grid.lo and grid.hi must satisfy lo < hi"),
+        ({"lo": 3.0, "hi": -3.0}, "grid.lo and grid.hi must satisfy lo < hi"),
     ]),
 ]
 

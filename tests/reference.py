@@ -10,6 +10,7 @@ its numpy ones, and its Newton root solve against bisection).  Notation
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,6 +87,26 @@ def default_dual_grid(dim: int) -> np.ndarray:
 def grad_errors(table) -> list:
     """grad_phi_err of a StudyTable's rows whose solve succeeded, by n."""
     return [r.grad_phi_err for r in table.rows if r.status == "ok"]
+
+
+class PerDegreeBasis(HermiteBasis):
+    """HermiteBasis with its coordinate tables built one degree at a time:
+    the Hermite recurrence out of place, and each derivative order as one
+    product per degree by its falling factorial."""
+
+    def _coord_tables(self, points: np.ndarray, max_order: int) -> list[np.ndarray]:
+        values = np.empty((self.degree + 1,) + points.shape)
+        values[0], values[1] = 1.0, points
+        for n in range(1, self.degree):
+            values[n + 1] = points * values[n] - n * values[n - 1]
+        base = np.transpose(values, (0, 2, 1))
+        tabs = [base]
+        for o in range(1, max_order + 1):
+            t = np.zeros_like(base)
+            for n in range(o, self.degree + 1):
+                t[n] = math.prod(range(n, n - o, -1), start=1.0) * base[n - o]
+            tabs.append(t)
+        return tabs
 
 
 # -- OU semigroup and conditioning ------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cases import CASES, CONFIG_ERRORS, GAUSSIAN_SOLVE, with_study
+from cases import CASES, CONFIG_ERRORS, GAUSSIAN_SOLVE, QUARTIC_10
 from mongelab.cli import main
 
 
@@ -72,31 +72,6 @@ class TestSolveCommand:
         report = json.loads((out / "solve_report.json").read_text())
         gap = [c for c in report["diagnostics"]["checks"] if c["name"] == "variational_gap"]
         assert gap[0]["passed"] is False
-
-    def test_not_converged_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {
-            **GAUSSIAN_SOLVE,
-            "solver": {"max_iters": 1},
-        })
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-
-    def test_bad_optimizer_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.json", {
-            **GAUSSIAN_SOLVE,
-            "solver": {"optimizer": "adam"},
-        })
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-    def test_unknown_key_names_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.json", {**GAUSSIAN_SOLVE, "degreee": 3})
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "degreee" in capsys.readouterr().err
-
-    def test_nested_unknown_key(self, tmp_path, capsys):
-        bad = {**GAUSSIAN_SOLVE, "target": {"kind": "gaussian", "mean": [0.0], "sig": 1.0}}
-        cfg = write_config(tmp_path, "cfg.json", bad)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "target.sig" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
@@ -190,34 +165,19 @@ class TestSolveCommand:
         assert tolerance["wasserstein_vs_reference"] == tolerance["el_forward"] == 1e-12
 
     def test_dual_fit_with_too_few_nu_mass_nodes_is_reported(self, tmp_path):
-        entry = {
-            "name": "quartic-dual-14",
-            "dim": 1,
-            "degree": 10,
-            "dual_degree": 14,
-            "quadrature": {"kind": "tensor-hermite", "level": 30},
-            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-            "solver": {"max_iters": 3000},
-        }
-        cfg = write_config(tmp_path, "cfg.json", {"battery": [entry]})
+        cfg = write_config(tmp_path, "cfg.json", CASES["battery-error"][1])
         out = tmp_path / "out"
         assert main(["battery", "--config", cfg, "--out", str(out)]) == 4
         report = json.loads((out / "battery_report.json").read_text())
-        assert report["entries"] == [{
+        assert report["entries"][0] == {
             "name": "quartic-dual-14",
             "error": "DegenerateWeightError: dual fit has 14 nu-mass nodes for 15 unknowns",
-        }]
+        }
+        assert report["aggregate"]["failed_entries"] == ["quartic-dual-14"]
 
     def test_error_after_the_solve_is_reported(self, tmp_path, capsys):
         # the forward solve converges, then the dual fit has 14 nu-mass nodes for 15 unknowns
-        cfg = write_config(tmp_path, "cfg.json", {
-            "dim": 1,
-            "degree": 10,
-            "dual_degree": 14,
-            "quadrature": {"kind": "tensor-hermite", "level": 30},
-            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-            "solver": {"max_iters": 3000},
-        })
+        cfg = write_config(tmp_path, "cfg.json", CASES["dual-error"][1])
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
         error = "DegenerateWeightError: dual fit has 14 nu-mass nodes for 15 unknowns"
@@ -319,14 +279,8 @@ class TestStudyCommand:
     def test_failed_rows_flagged_study_completes(self, tmp_path):
         # harsh truncation rows (n <= 3) stall at high degree; the study
         # still completes and the finest row decides the exit code
-        cfg = write_config(tmp_path, "cfg.json", {
-            "dim": 1,
-            "degree": 10,
-            "quadrature": {"kind": "tensor-hermite", "level": 30},
-            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-            "solver": {"max_iters": 3000},
-            "study": {"scheme": "truncation", "n_list": [2, 6, 12], "threshold": 0.02},
-        })
+        cfg = write_config(tmp_path, "cfg.json", {**QUARTIC_10, "study": {
+            "scheme": "truncation", "n_list": [2, 6, 12], "threshold": 0.02}})
         out = tmp_path / "out"
         code = main(["study", "--config", cfg, "--out", str(out)])
         lines = (out / "study_table.csv").read_text().splitlines()
@@ -356,14 +310,6 @@ class TestStudyCommand:
         assert report["rows"] == []
         assert report["error"] == error
 
-    def test_bad_scheme_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.json", {
-            **GAUSSIAN_SOLVE,
-            "study": {"scheme": "fourier", "n_list": [1]},
-        })
-        assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "scheme" in capsys.readouterr().err
-
 
 class TestBatteryCommand:
     def test_default_battery_passes(self, tmp_path):
@@ -377,10 +323,6 @@ class TestBatteryCommand:
         assert not agg["failed_entries"]
         assert len(report["entries"]) == 14
 
-    def test_empty_battery_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.json", {"battery": []})
-        assert main(["battery", "--config", cfg, "--out", str(tmp_path)]) == 2
-
     def test_not_applicable_entry_skipped_others_pass(self, tmp_path):
         # one non-semiconvex target: the Sobolev check is skipped and
         # recorded; identity tolerances are relaxed for its hard map
@@ -392,15 +334,9 @@ class TestBatteryCommand:
                 "quadrature": {"kind": "tensor-hermite", "level": 60},
                 "target": {"kind": "gaussian", "mean": [1.0], "sigma": 2.0},
             },
-            {
-                "name": "bimodal",
-                "dim": 1,
-                "degree": 10,
-                "quadrature": {"kind": "tensor-hermite", "level": 30},
-                "target": {"kind": "mixture", "weights": [0.5, 0.5],
-                            "means": [[-0.7], [0.7]], "sigmas": [[0.6], [0.6]]},
-                "solver": {"max_iters": 3000},
-            },
+            {**QUARTIC_10, "name": "bimodal",
+             "target": {"kind": "mixture", "weights": [0.5, 0.5],
+                        "means": [[-0.7], [0.7]], "sigmas": [[0.6], [0.6]]}},
         ]
         cfg = write_config(tmp_path, "cfg.json", {
             "battery": entries,
@@ -463,15 +399,8 @@ class TestBatteryCommand:
     def test_unnamed_entries_named_by_index(self, tmp_path):
         # the first entry's dual fit fails, the second finishes: both keep
         # their index name in the payload, the aggregate and the diagnostics
-        quartic = {
-            "dim": 1,
-            "degree": 10,
-            "quadrature": {"kind": "tensor-hermite", "level": 30},
-            "target": {"kind": "quartic-well", "a": 0.05, "b": 0.0},
-            "solver": {"max_iters": 3000},
-        }
         cfg = write_config(tmp_path, "cfg.json",
-                           {"battery": [{**quartic, "dual_degree": 14}, quartic]})
+                           {"battery": [{**QUARTIC_10, "dual_degree": 14}, QUARTIC_10]})
         out = tmp_path / "out"
         main(["battery", "--config", cfg, "--out", str(out)])
         report = json.loads((out / "battery_report.json").read_text())
@@ -543,22 +472,6 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("grid, field", [
-        ({"count": 1}, "grid.count"),
-        ({"hi": "nan"}, "config key grid.hi"),
-        ({"lo": "-inf"}, "config key grid.lo"),
-        ({"lo": 2.0, "hi": 2.0}, "grid.lo and grid.hi"),
-        ({"lo": 3.0, "hi": -3.0}, "grid.lo and grid.hi"),
-    ])
-    def test_bad_grid_is_config_error(self, tmp_path, capsys, grid, field):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "target": {"kind": "gaussian", "mean": [1.0], "sigma": 2.0},
-            "grid": grid,
-        })
-        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert field in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_seed_flag_sets_the_config_seed(self, tmp_path, capsys):
         from mongelab.reports import config_hash
 
@@ -573,14 +486,6 @@ class TestOracleCommand:
                      "--seed", "-1"]) == 2
         assert "config key seed" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
-
-    def test_requires_1d_target(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "target": {"kind": "gaussian", "mean": [1.0, 0.0], "sigma": 2.0},
-        })
-        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "invalid target: mean has 2 values, but dim = 1 allows 1" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target, error", [
         ({"kind": "gaussian", "mean": [0.0], "sigma": 0.001},

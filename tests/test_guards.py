@@ -36,10 +36,12 @@ from mongelab.targets import check_consistency
 LINE = GaussianSpace.tensor_hermite(1, 20)  # outermost node 7.62
 N14 = gaussian_target([1.0], 2.0)
 # nu = N(0, 4) with no mass beyond |x| = 8: f is finite on every node of
-# LINE, but not at the nodes the solve transports (2 x 7.62 > 8)
+# LINE, but not where its map T = 2x, from phi = He_2 / 2, takes the outer
+# nodes (2 x 7.62 > 8)
 CUT = ScalarTarget(1, "cut", {},
                    lambda x: np.where(np.abs(x[:, 0]) <= 8.0, -0.375 * x[:, 0] ** 2, np.inf),
                    lambda x: -0.75 * x, lambda x: np.full((x.shape[0], 1, 1), -0.75))
+DOUBLING = PotentialField(HermiteBasis(1, 2), [0.0, 0.5])
 
 
 def _asymmetric_hessian():
@@ -113,8 +115,11 @@ RAISES = {
     "objective-floor": (lambda: objective(LINE, N14, PotentialField(HermiteBasis(1, 2),
                                                                     [0.0, -0.5])),
                         SingularJacobianError, "eigenvalue floor"),
-    "transported-node": (lambda: solve(LINE, CUT, SolveConfig(2)), NonFiniteValueError,
-                         "target not finite at a transported node"),
+    # a start where f is not finite raises; a trial there is only rejected
+    "transported-node": (lambda: solve(LINE, CUT, SolveConfig(2), initial=DOUBLING),
+                         NonFiniteValueError, "target not finite at a transported node"),
+    "objective-transported-node": (lambda: objective(LINE, CUT, DOUBLING), NonFiniteValueError,
+                                   "target not finite at a transported node"),
 }
 
 
@@ -134,11 +139,26 @@ def test_relative_entropy_at_the_float_limit_is_not_finite():
         solve(LINE, top, SolveConfig(2))
 
 
-def test_finest_study_without_a_raw_solve():
-    # the raw CUT solve fails, so the finest OU solve starts cold; the
-    # smoothed targets are finite well beyond |x| = 8
-    with pytest.raises(NonFiniteValueError):
-        solve(LINE, CUT, SolveConfig(2))
-    table = convergence_study(LINE, CUT, "ou", [1, 2], SolveConfig(2), reference="finest")
+def test_trial_past_the_support_is_rejected():
+    # a line-search trial that moves a node past |x| = 8 is rejected like a
+    # floor breach: the solve stops unconverged, every node inside the support
+    res = solve(LINE, CUT, SolveConfig(2))
+    assert not res.converged
+    assert np.max(np.abs(LINE.nodes + res.phi.grad(LINE.nodes))) <= 8.0
+
+
+def test_finest_study_without_a_raw_solve(monkeypatch):
+    # the raw solve raises, so the finest OU solve starts cold
+    starts = []
+
+    def solve_smoothed_only(space, target, config, initial=None):
+        starts.append(initial)
+        if target is N14:
+            raise NonFiniteValueError("injected fault")
+        return solve(space, target, config, initial=initial)
+
+    monkeypatch.setattr("mongelab.smoothing.solve", solve_smoothed_only)
+    table = convergence_study(LINE, N14, "ou", [1, 2], SolveConfig(2), reference="finest")
+    assert starts[1] is None
     assert table.reference == "finest(n=2)"
     assert [(row.n, row.status) for row in table.rows] == [(1, "ok")]

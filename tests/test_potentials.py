@@ -23,7 +23,7 @@ from mongelab import potentials
 from mongelab.cli import main
 from mongelab.hermite import HermiteBasis
 from mongelab.potentials import EIG_FLOOR, eigh_inverse, floor_checked_inverse, jacobi_eigh
-from reference import coeff_dict, gaussian_jacobian, quadratic_phi, zero_field
+from reference import PerDegreeBasis, coeff_dict, gaussian_jacobian, quadratic_phi, zero_field
 
 KL21 = 0.5 * (4 + 1 - 1) - math.log(2.0)  # KL(N(1,4) || N(0,1))
 
@@ -135,6 +135,28 @@ class TestContractingKernel:
             # relative to the sum of |terms|: the two sum in different orders
             scale = np.tensordot(np.abs(coeffs), np.abs(table), axes=1)
             assert np.all(np.abs(error) <= 1e-13 * scale), (degree, np.abs(error).max())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_the_per_degree_loop(self, dim):
+        # the same bits and signs of zero: the coordinate tables through
+        # degree 10, and _table, which only reads them, on 7 points through
+        # degree 6 (its plan loop dominates the test's time)
+        rng = np.random.default_rng(dim)
+        for degree in range(1, 11):
+            basis, reference = HermiteBasis(dim, degree), PerDegreeBasis(dim, degree)
+            reference._plans = basis._plans
+            coeffs = rng.standard_normal(basis.size)
+            coeffs[0] = -0.0
+            for n in (1, 7, 144):
+                pts = 3 * rng.standard_normal((n, dim))
+                pts[0, 0] = -0.0
+                pairs = list(zip(basis._coord_tables(pts, 3), reference._coord_tables(pts, 3)))
+                if degree <= 6 and n == 7:
+                    pairs += [(basis._table(pts, order, c), reference._table(pts, order, c))
+                              for order in range(4) for c in (None, coeffs)]
+                for new, old in pairs:
+                    assert np.array_equal(new, old), (degree, n)
+                    assert np.array_equal(np.signbit(new), np.signbit(old)), (degree, n)
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(3)

@@ -193,10 +193,6 @@ ALLOWED = {
     "tests/test_cli.py::TestOracleCommand::test_seed_flag_sets_the_config_seed": [
         ("cli", "_load_config", 'cfg["seed"] = seed'),
     ],
-    "tests/test_cli.py::TestOracleCommand::test_bad_grid_is_config_error": [
-        ("cli", "cmd_oracle",
-         'raise ConfigError(f"grid.lo and grid.hi must satisfy lo < hi, got {lo!r}, {hi!r}")'),
-    ],
     "tests/test_cli.py::TestSolveCommand::test_skipped_check_has_a_skip_line": [
         ("diagnostics", "DiagnosticsReport.summary_lines", 'status = "SKIP"'),
         ("diagnostics", "DiagnosticsReport.summary_lines",
@@ -236,6 +232,8 @@ ALLOWED = {
          'raise ValueError("dual potential has no basis fit; call fit_dual first")'),
         ("solver_forward", "ForwardWorkspace.__init__",
          'raise ValueError("basis dimension does not match space")'),
+        ("solver_forward", "minimize_with_barrier",
+         'raise NonFiniteValueError("target not finite at a transported node")'),
         ("targets", "check_consistency",
          'raise ValueError(f"{target.kind}: Hessian not symmetric")'),
     ],
