@@ -91,8 +91,13 @@ class ForwardWorkspace:
     def barrier(self, coeffs: np.ndarray):
         """(grad field, eigen-decomposition (lam, V) of I + hess, per-node
         log det2, margin); the decomposition and log det2 are None when the
-        smallest eigenvalue is at or below the floor (margin <= 0)."""
+        smallest eigenvalue is at or below the floor (margin <= 0).  A diagonal
+        entry of I + hess at or below the floor (or NaN) rejects the trial
+        before the eigensolve, with margin -inf: lam_min is at most every
+        diagonal entry, and jacobi_eigh only lowers the smaller of a pair."""
         g, h = self.fields(coeffs)
+        if not (np.diagonal(h) + 1.0).min() > EIG_FLOOR:
+            return g, None, None, -np.inf
         lam, v = jacobi_eigh(h + self.eye)
         margin = float(lam.min()) - EIG_FLOOR
         if margin <= 0:

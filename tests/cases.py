@@ -33,6 +33,7 @@ CASES = {
     "battery": ([*CLI, "battery"], {"battery": "default"}, 0),
     "study-ou-2d": ([*CLI, "study"], WORKLOADS["study_ou_2d_config"](0), 0),
     "gaussian-3d": ([*CLI, "solve"], WORKLOADS["gaussian_3d_config"](0), 0),
+    "quartic-3d": ([*CLI, "solve"], WORKLOADS["quartic_3d_config"](0), 4),
     "oracle": ([*CLI, "oracle"], {"target": {"kind": "quartic-well", "a": 0.05, "b": -0.2}}, 0),
     # a check fails
     "monte-carlo": ([*CLI, "solve"], {

@@ -5,7 +5,10 @@ string hashes differ (PYTHONHASHSEED 0 and 1), each in its own working
 directory.  Both must exit with the expected code, import no scipy module,
 print the same stdout and write the same files under out/.  The in-process byte tests in
 test_cli.py catch state carried from one run to the next; these catch what
-depends on the interpreter, such as the order of a set of strings.
+depends on the interpreter, such as the order of a set of strings.  Each
+child runs one OpenBLAS thread (OPENBLAS_NUM_THREADS=1): two children at
+once with the default thread count each oversubscribe a small machine's
+cores, and a 3d solve then takes several times as long.
 """
 import json
 import os
@@ -37,7 +40,7 @@ def test_fresh_interpreters_write_identical_bytes(tmp_path, argv, config, code):
         cwd = tmp_path / hash_seed
         procs.append(subprocess.Popen(
             [sys.executable, "-X", "importtime", *prepare(cwd, argv, config)], cwd=cwd,
-            env={**env, "PYTHONHASHSEED": hash_seed},
+            env={**env, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": "1"},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
     try:
         outputs = [proc.communicate(timeout=300) for proc in procs]
@@ -69,7 +72,13 @@ def test_fresh_interpreters_write_identical_bytes(tmp_path, argv, config, code):
                if name.endswith("_report.json")}
     # any other exit of the CLI leaves a report; a script may only print
     assert reports or code == 2 or config is None
-    for report in reports.values():
+    for name, report in reports.items():
         for meta in _metadata(report):
             if meta["quadrature"].startswith("monte-carlo"):
                 assert f"seed={meta['seed']}," in meta["quadrature"]
+        if name == "solve_report.json":
+            # exit 4 names what failed: an error or a failing diagnostics record;
+            # a solve report without an error keeps the solve block
+            checks = report.get("diagnostics", {}).get("checks", [])
+            assert code != 4 or "error" in report or any(c["passed"] is False for c in checks)
+            assert "error" in report or "solve" in report

@@ -260,6 +260,8 @@ class TestJacobiKernel:
             scale = np.abs(ref).max(axis=1)                     # |A|_2 per node
             bound = 8 * d * EPS * scale
             assert np.all(np.abs(np.sort(lam, axis=0).T - ref).max(axis=1) <= bound), name
+            # exactly: the barrier's diagonal bound rejects only what Jacobi rejects
+            assert np.all(lam.min(axis=0) <= np.diagonal(a, axis1=1, axis2=2).min(axis=1)), name
             rebuilt = np.einsum("ikn,kn,jkn->nij", v, lam, v)
             assert np.all(np.abs(rebuilt - a).max(axis=(1, 2)) <= bound), name
             gram = np.einsum("kin,kjn->nij", v, v)
